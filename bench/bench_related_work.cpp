@@ -12,11 +12,12 @@
 //    argument for optimizing *everything* dynamically.
 //
 // 3. Execution-mode personalities (src/rra/exec_mode/): the same detection
-//    hardware and the same configurations, re-timed under the row-sync,
-//    elastic (dataflow firing through bounded per-row FIFOs) and SIMT
-//    (multi-lane warp issue) array disciplines — a 3 x 18 SweepEngine grid.
-//    Emits a deterministic JSON artifact (BENCH_related_modes.json) that is
-//    byte-identical for any --threads value.
+//    hardware and the same configurations, re-timed under the row-sync and
+//    elastic (dataflow firing through bounded per-row FIFOs) array
+//    disciplines — a 2 x 18 SweepEngine grid. Counts the workloads where
+//    elastic beats row-sync and emits a deterministic JSON artifact
+//    (BENCH_related_modes.json) that is byte-identical for any --threads
+//    value.
 //
 // Flags (bench_util SweepCli): --threads N, --points N (truncates the mode
 // grid; CI smoke), --modes-json PATH (write the mode-grid artifact),
@@ -37,23 +38,20 @@ using namespace dim::bench;
 
 namespace {
 
-// One mode personality of the section-3 grid. All three share the
-// headline C#2 / 64-slot / speculation system; only the execution model
-// differs, so the speedup deltas are pure timing-discipline effects.
+// One mode personality of the section-3 grid. Both share the headline
+// C#2 / 64-slot / speculation system; only the execution model differs, so
+// the speedup deltas are pure timing-discipline effects.
 struct ModePersonality {
   const char* key;
   rra::ExecModeParams exec;
 };
 
 std::vector<ModePersonality> mode_personalities() {
-  std::vector<ModePersonality> modes(3);
+  std::vector<ModePersonality> modes(2);
   modes[0].key = "row_sync";
   modes[1].key = "elastic";
   modes[1].exec.mode = rra::ExecMode::kElastic;
   modes[1].exec.fifo_capacity = 4;
-  modes[2].key = "simt";
-  modes[2].exec.mode = rra::ExecMode::kSimt;
-  modes[2].exec.lanes = 4;
   return modes;
 }
 
@@ -83,9 +81,8 @@ void run_mode_grid(const std::vector<PreparedWorkload>& workloads,
 
   std::printf(
       "Related work 3 - execution-mode personalities (C#2, 64 slots, spec)\n"
-      "(row-sync vs elastic fifo=4 vs SIMT lanes=4; speedup over plain MIPS)\n\n");
-  std::printf("%-16s %9s %9s %9s %11s %10s\n", "Algorithm", "row-sync", "elastic",
-              "simt", "fifo-stall", "warp-hits");
+      "(row-sync vs elastic fifo=4; speedup over plain MIPS)\n\n");
+  std::printf("%-16s %9s %9s %11s\n", "Algorithm", "row-sync", "elastic", "fifo-stall");
   const size_t n = workloads.size();
   std::vector<double> avg(modes.size(), 0.0);
   // With --points the grid may be truncated; index math below only reads
@@ -94,19 +91,21 @@ void run_mode_grid(const std::vector<PreparedWorkload>& workloads,
     const size_t idx = mode * n + wl;
     return idx < results.size() ? &results[idx] : nullptr;
   };
+  // Workloads with both cells present, and those where elastic takes
+  // strictly fewer cycles than row-sync.
+  size_t compared = 0;
+  size_t elastic_wins = 0;
   for (size_t w = 0; w < n; ++w) {
     if (cell(0, w) == nullptr) break;
     const accel::SweepResult* rs = cell(0, w);
     const accel::SweepResult* el = cell(1, w);
-    const accel::SweepResult* si = cell(2, w);
-    std::printf("%-16s %8.2fx %8.2fx %8.2fx %11llu %10llu\n",
-                workloads[w].workload.display.c_str(), rs->speedup(),
-                el != nullptr ? el->speedup() : 0.0,
-                si != nullptr ? si->speedup() : 0.0,
+    std::printf("%-16s %8.2fx %8.2fx %11llu\n", workloads[w].workload.display.c_str(),
+                rs->speedup(), el != nullptr ? el->speedup() : 0.0,
                 static_cast<unsigned long long>(
-                    el != nullptr ? el->accelerated.fifo_stall_cycles : 0),
-                static_cast<unsigned long long>(
-                    si != nullptr ? si->accelerated.simt_warp_hits : 0));
+                    el != nullptr ? el->accelerated.fifo_stall_cycles : 0));
+    if (el == nullptr) continue;
+    ++compared;
+    if (el->accelerated.cycles < rs->accelerated.cycles) ++elastic_wins;
   }
   for (size_t m = 0; m < modes.size(); ++m) {
     std::vector<double> sp;
@@ -115,19 +114,20 @@ void run_mode_grid(const std::vector<PreparedWorkload>& workloads,
     }
     avg[m] = mean(sp);
   }
-  std::printf("%-16s %8.2fx %8.2fx %8.2fx\n\n", "Average", avg[0], avg[1], avg[2]);
+  std::printf("%-16s %8.2fx %8.2fx\n", "Average", avg[0], avg[1]);
+  std::printf("elastic beats row-sync on %zu of %zu workloads\n\n", elastic_wins, compared);
 
   if (json_path.empty()) return;
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"related_modes\",\n"
       << "  \"system\": {\"shape\": \"config2\", \"cache_slots\": 64, "
-         "\"speculation\": true},\n  \"modes\": [\n";
+         "\"speculation\": true},\n"
+      << "  \"elastic_wins\": " << elastic_wins << ", \"workloads_compared\": " << compared
+      << ",\n  \"modes\": [\n";
   for (size_t m = 0; m < modes.size(); ++m) {
     out << "    {\"mode\": \"" << modes[m].key << "\"";
     if (modes[m].exec.mode == rra::ExecMode::kElastic) {
       out << ", \"fifo_capacity\": " << modes[m].exec.fifo_capacity;
-    } else if (modes[m].exec.mode == rra::ExecMode::kSimt) {
-      out << ", \"lanes\": " << modes[m].exec.lanes;
     }
     out << ", \"avg_speedup\": " << num(avg[m]) << ",\n     \"workloads\": [\n";
     bool first = true;
@@ -144,8 +144,7 @@ void run_mode_grid(const std::vector<PreparedWorkload>& workloads,
           << ", \"energy_nj\": " << num(energy)
           << ", \"fifo_stall_cycles\": " << r->accelerated.fifo_stall_cycles
           << ", \"deadlock_fallbacks\": " << r->accelerated.elastic_deadlock_fallbacks
-          << ", \"warp_hits\": " << r->accelerated.simt_warp_hits
-          << ", \"warp_resets\": " << r->accelerated.simt_warp_resets << "}";
+          << "}";
     }
     out << "\n    ]}" << (m + 1 < modes.size() ? "," : "") << "\n";
   }

@@ -49,8 +49,6 @@ struct AccelStats {
                                             // not a sixth taxonomy term)
   uint64_t elastic_deadlock_fallbacks = 0;  // dispatches run row-sync because
                                             // the config failed the deadlock check
-  uint64_t simt_warp_hits = 0;              // lanes that skipped the config stream
-  uint64_t simt_warp_resets = 0;            // warps retired at lane capacity
 
   // Activity for the power model.
   uint64_t array_alu_ops = 0;

@@ -66,8 +66,6 @@ void write_json_fields(std::ostream& out, const AccelStats& stats,
   field(out, indent, "residency_drops", stats.residency_drops);
   field(out, indent, "fifo_stall_cycles", stats.fifo_stall_cycles);
   field(out, indent, "elastic_deadlock_fallbacks", stats.elastic_deadlock_fallbacks);
-  field(out, indent, "simt_warp_hits", stats.simt_warp_hits);
-  field(out, indent, "simt_warp_resets", stats.simt_warp_resets);
   field(out, indent, "array_alu_ops", stats.array_alu_ops);
   field(out, indent, "array_mul_ops", stats.array_mul_ops);
   field(out, indent, "array_mem_ops", stats.array_mem_ops);
@@ -108,12 +106,9 @@ void write_report(std::ostream& out, const AccelStats& stats) {
         << stats.residency_hits << " residency hits, " << stats.residency_drops
         << " residency drops\n";
   }
-  if (stats.fifo_stall_cycles > 0 || stats.elastic_deadlock_fallbacks > 0 ||
-      stats.simt_warp_hits > 0 || stats.simt_warp_resets > 0) {
+  if (stats.fifo_stall_cycles > 0 || stats.elastic_deadlock_fallbacks > 0) {
     out << "exec mode:    " << stats.fifo_stall_cycles << " fifo stalls, "
-        << stats.elastic_deadlock_fallbacks << " deadlock fallbacks, "
-        << stats.simt_warp_hits << " warp hits, " << stats.simt_warp_resets
-        << " warp resets\n";
+        << stats.elastic_deadlock_fallbacks << " deadlock fallbacks\n";
   }
   out << "rcache:       " << stats.rcache_insertions << " insertions, "
       << stats.rcache_evictions << " evictions, " << stats.rcache_hits << " hits\n";

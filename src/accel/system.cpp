@@ -53,7 +53,6 @@ AcceleratedSystem::~AcceleratedSystem() = default;
 
 void AcceleratedSystem::drop_residency(AccelStats& stats, uint32_t pc) {
   has_resident_ = false;
-  warp_fill_ = 0;
   ++stats.residency_drops;
   if (events_.enabled()) {
     obs::Event e;
@@ -69,28 +68,17 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   extension_candidate_ = false;
 
   const uint32_t config_pc = config->start_pc;
-  const rra::ExecMode mode = config_.exec_mode.mode;
 
   // Loop residency: the configuration from the previous dispatch may still
   // be latched on the array. Valid only when both the start PC and the
   // rcache revision stamp match — any rewrite of the entry (extension,
-  // re-translation after a flush) bumped the revision. Under SIMT the same
-  // latch tracks the warp instead: up to `lanes` consecutive dispatches
-  // share one configuration load, then the warp retires and reloads.
+  // re-translation after a flush) bumped the revision.
   bool resident = false;
-  bool warp_hit = false;
   if (has_resident_ && resident_pc_ == config_pc) {
     if (resident_rev_ != config->revision) {
       drop_residency(stats, config_pc);
-    } else if (mode != rra::ExecMode::kSimt) {
-      resident = true;
-    } else if (warp_fill_ < static_cast<uint32_t>(
-                   config_.exec_mode.lanes > 0 ? config_.exec_mode.lanes : 1)) {
-      resident = true;
-      warp_hit = true;
     } else {
-      ++stats.simt_warp_resets;
-      warp_fill_ = 0;
+      resident = true;
     }
   }
 
@@ -100,7 +88,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   // snapshot restore or warm-start preload carry no memo and are
   // classified lazily on first dispatch.
   bool elastic_fallback = false;
-  if (mode == rra::ExecMode::kElastic) {
+  if (config_.exec_mode.mode == rra::ExecMode::kElastic) {
     if (config->elastic_memo < 0) {
       config->elastic_memo = exec_model_->admits(*config) ? 1 : 0;
     }
@@ -130,9 +118,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   stats.array_mem_ops += static_cast<uint64_t>(outcome.mem_ops);
   stats.fifo_stall_cycles += outcome.fifo_stall_cycles;
   // A resident dispatch skips the configuration-word reload entirely.
-  if (warp_hit) {
-    ++stats.simt_warp_hits;
-  } else if (resident) {
+  if (resident) {
     ++stats.residency_hits;
   } else {
     stats.config_words_loaded += static_cast<uint64_t>(config->instruction_count());
@@ -153,7 +139,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   }
   if (resident && events_.enabled()) {
     obs::Event e;
-    e.kind = warp_hit ? obs::EventKind::kSimtWarpHit : obs::EventKind::kResidencyHit;
+    e.kind = obs::EventKind::kResidencyHit;
     e.config_pc = config_pc;
     events_.emit(e);
   }
@@ -166,13 +152,12 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   // Latch update — what the array holds after this dispatch. Done before the
   // misspeculation exit: a partially-committed run still loaded (or kept)
   // the configuration bits. Backward-closed configs resume at their own
-  // start PC, which is what makes them loop-resident under kLoop. SIMT
-  // latches unconditionally (the warp latch supersedes the residency knob)
-  // and counts the dispatches served by the current load in warp_fill_.
-  if (mode == rra::ExecMode::kSimt) {
-    if (warp_hit) {
-      ++warp_fill_;
-    } else {
+  // start PC, which is what makes them loop-resident under kLoop.
+  const bool latchable =
+      config_.residency == Residency::kAny ||
+      (config_.residency == Residency::kLoop && config->end_pc == config_pc);
+  if (latchable) {
+    if (!resident) {
       uint32_t hi = config_pc;
       for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
       has_resident_ = true;
@@ -180,25 +165,9 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
       resident_rev_ = config->revision;
       resident_lo_ = config_pc;
       resident_hi_ = hi + 4;
-      warp_fill_ = 1;
     }
   } else {
-    const bool latchable =
-        config_.residency == Residency::kAny ||
-        (config_.residency == Residency::kLoop && config->end_pc == config_pc);
-    if (latchable) {
-      if (!resident) {
-        uint32_t hi = config_pc;
-        for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
-        has_resident_ = true;
-        resident_pc_ = config_pc;
-        resident_rev_ = config->revision;
-        resident_lo_ = config_pc;
-        resident_hi_ = hi + 4;
-      }
-    } else {
-      has_resident_ = false;
-    }
+    has_resident_ = false;
   }
 
   // Self-modifying code from inside the array: a committed store into the

@@ -66,10 +66,9 @@ struct SystemConfig {
   int max_pred_slots = rra::kMaxPredSlots;
   // Loop residency (see enum above). Strictly a timing knob.
   Residency residency = Residency::kOff;
-  // Array execution personality (src/rra/exec_mode/): row-sync (paper),
-  // elastic dataflow, or SIMT multi-lane issue. Strictly a timing/stats
-  // knob — the transparency contract holds for every mode. Under SIMT the
-  // warp latch supersedes the residency knob (latching IS the personality).
+  // Array execution personality (src/rra/exec_mode/): row-sync (paper) or
+  // elastic dataflow. Strictly a timing/stats knob — the transparency
+  // contract holds for every mode.
   rra::ExecModeParams exec_mode;
   // A configuration is flushed when its mispredicted branch reaches the
   // opposite counter saturation (paper rule). Optionally also after this
@@ -176,11 +175,6 @@ class AcceleratedSystem : private obs::RunClock {
   uint64_t resident_rev_ = 0;
   uint32_t resident_lo_ = 0;
   uint32_t resident_hi_ = 0;  // exclusive
-
-  // SIMT warp fill: dispatches served by the currently latched
-  // configuration (reuses the residency latch above). When it reaches
-  // `exec_mode.lanes` the warp retires and the next dispatch reloads.
-  uint32_t warp_fill_ = 0;
 
   // The active execution personality (never null; row-sync by default).
   std::unique_ptr<rra::ExecutionModel> exec_model_;

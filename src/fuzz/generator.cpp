@@ -406,8 +406,9 @@ class Gen {
   // Lane-divergence bait (see GenOptions::lane_divergence): a hammock
   // conditioned on the PARITY of the innermost live loop counter, so the
   // branch flips direction on every iteration. Adjacent iterations of the
-  // same configuration then take opposite arms — exactly the pattern that
-  // makes SIMT lanes of one warp disagree in their predicate masks.
+  // same configuration then take opposite arms, so one latched
+  // configuration squashes a different arm on every dispatch. Data-driven
+  // hammocks (--hammocks) often saturate into speculation instead.
   void emit_lane_divergence(int depth) {
     const std::string counter = depth > 0 ? "$s" + std::to_string(depth) : "$s7";
     const std::string arm2 = label("lane");

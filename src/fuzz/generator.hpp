@@ -103,8 +103,10 @@ struct GenOptions {
   // (and capacity-1 points backpressure hard), while row-sync pays the
   // full serial height. lane_divergence emits hammocks conditioned on the
   // parity of the innermost live loop counter, so the branch flips every
-  // iteration: under SIMT adjacent warp iterations take opposite arms and
-  // the per-lane predicate masks disagree lane to lane.
+  // iteration and its bimodal counter never saturates: with predication
+  // on, the hammock is always if-converted rather than speculated, and
+  // back-to-back dispatches of one latched configuration see both
+  // predicate outcomes.
   bool long_chains = false;
   bool lane_divergence = false;
 };

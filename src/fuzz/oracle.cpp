@@ -66,40 +66,35 @@ std::vector<MatrixPoint> full_matrix() {
   add_shape_points(out, "shape2", rra::ArrayShape::config2());
   add_shape_points(out, "tiny", rra::ArrayShape{6, 3, 1, 1});
   // The predication axis: every point again with if-conversion and loop
-  // residency on ("…/pred"), doubling the grid to 36 points. Residency is
-  // timing-only and predication must be transparent, so every /pred point
-  // answers to the same oracles as its base point.
+  // residency on. Residency alternates between closed loops only
+  // ("…/pred", kLoop) and any fully-committed configuration ("…/pred-any",
+  // kAny), so latched straight-line and hammock configurations are
+  // exercised too. Residency is timing-only and predication must be
+  // transparent, so every such point answers to the same oracles as its
+  // base point.
   const size_t base_points = out.size();
   for (size_t i = 0; i < base_points; ++i) {
     MatrixPoint p = out[i];
-    p.label += "/pred";
+    const bool any = i % 2 == 1;
+    p.label += any ? "/pred-any" : "/pred";
     p.config.predication = true;
-    p.config.residency = accel::Residency::kLoop;
+    p.config.residency = any ? accel::Residency::kAny : accel::Residency::kLoop;
     out.push_back(std::move(p));
   }
   // The execution-mode axis (src/rra/exec_mode/): every base point again
-  // under the elastic and SIMT personalities, 72 points in total. Both
-  // modes share the functional core with row-sync, so they answer to the
-  // same architectural oracles; only timing/stats may differ — and those
-  // must still agree between slow and fast dispatch at the same point.
-  // Predication is on so that SIMT's per-lane masks and elastic's
-  // predicate-slot edges actually get exercised; capacities/lanes
+  // under the elastic personality, 54 points in total. Elastic shares the
+  // functional core with row-sync, so it answers to the same architectural
+  // oracles; only timing/stats may differ — and those must still agree
+  // between slow and fast dispatch at the same point. Predication is on so
+  // that the predicate-slot edges actually get exercised; capacities
   // alternate so both a backpressure-heavy (cap 1) and a relaxed (cap 4)
-  // FIFO, and both narrow and wide warps, appear in the grid.
+  // FIFO appear in the grid.
   for (size_t i = 0; i < base_points; ++i) {
     MatrixPoint p = out[i];
     p.label += "/elastic";
     p.config.predication = true;
     p.config.exec_mode.mode = rra::ExecMode::kElastic;
     p.config.exec_mode.fifo_capacity = (i % 2 == 0) ? 1 : 4;
-    out.push_back(std::move(p));
-  }
-  for (size_t i = 0; i < base_points; ++i) {
-    MatrixPoint p = out[i];
-    p.label += "/simt";
-    p.config.predication = true;
-    p.config.exec_mode.mode = rra::ExecMode::kSimt;
-    p.config.exec_mode.lanes = (i % 2 == 0) ? 2 : 4;
     out.push_back(std::move(p));
   }
   return out;
@@ -136,11 +131,10 @@ std::vector<MatrixPoint> quick_matrix() {
   p.config.exec_mode.mode = rra::ExecMode::kElastic;
   p.config.exec_mode.fifo_capacity = 1;
   out.push_back(p);
-  p.label = "shape2/lru64/spec3/simt";
+  p.label = "shape2/lru64/spec3/pred-any";
   p.config = make_config(rra::ArrayShape::config2(), 64, bt::Replacement::kLru, true, 3);
   p.config.predication = true;
-  p.config.exec_mode.mode = rra::ExecMode::kSimt;
-  p.config.exec_mode.lanes = 4;
+  p.config.residency = accel::Residency::kAny;
   out.push_back(p);
   return out;
 }

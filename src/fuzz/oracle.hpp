@@ -28,11 +28,13 @@ struct MatrixPoint {
 };
 
 // The full default matrix: 3 array shapes x {FIFO-4, LRU-64} rcache x
-// {spec off, depth 1, depth 3}, each with and without predication +
-// loop residency ("…/pred"). 36 points.
+// {spec off, depth 1, depth 3} (18 base points), each again with
+// predication + residency ("…/pred" latches closed loops, "…/pred-any"
+// any configuration; alternating) and under the elastic personality
+// ("…/elastic", FIFO capacity 1 or 4; alternating). 54 points.
 std::vector<MatrixPoint> full_matrix();
-// A 6-point subset for smoke tests and per-candidate shrink checks
-// (4 base points + 2 predication points).
+// An 8-point subset for smoke tests and per-candidate shrink checks
+// (4 base points, 2 "/pred", 1 "/pred-any", 1 "/elastic").
 std::vector<MatrixPoint> quick_matrix();
 
 enum class DivergenceField : uint8_t {

@@ -21,7 +21,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kResidencyHit: return "residency_hit";
     case EventKind::kResidencyDropped: return "residency_dropped";
     case EventKind::kElasticRejected: return "elastic_rejected";
-    case EventKind::kSimtWarpHit: return "simt_warp_hit";
   }
   return "unknown";
 }

@@ -41,7 +41,6 @@ enum class EventKind : uint8_t {
   kResidencyHit,        // re-dispatch of the array-resident configuration
   kResidencyDropped,    // residency invalidated (SMC overlap / replacement)
   kElasticRejected,     // elastic deadlock check failed at config-build time
-  kSimtWarpHit,         // SIMT lane reused the latched config (no reload)
 };
 
 const char* event_kind_name(EventKind kind);

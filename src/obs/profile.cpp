@@ -61,7 +61,6 @@ void ProfileTable::add(const Event& event) {
       ++p.residency_drops;
       break;
     case EventKind::kElasticRejected:
-    case EventKind::kSimtWarpHit:
       // Execution-mode events aggregate at run level (AccelStats), not per
       // configuration: the profile record keeps its fixed serialized shape.
       break;

@@ -18,14 +18,6 @@ constexpr int64_t kInputMuxGates = 642;   // 261936 / 408
 constexpr int64_t kOutputMuxGates = 272;  // 58752 / 216
 constexpr int64_t kDimGates = 1024;
 
-// Execution-mode overheads (mode_area_overhead). A flip-flop is ~8 gates
-// in the Table 3 cost basis, so one elastic token slot (32-bit data
-// register + valid/ready handshake) is ~300 gates, and one extra SIMT lane
-// context (34 registers x 32 bits) is ~8704 gates plus mask logic.
-constexpr int64_t kFifoTokenGates = 300;
-constexpr int64_t kLaneContextGates = 34 * 32 * 8;
-constexpr int64_t kLaneMaskGates = 64;
-
 }  // namespace
 
 AreaReport array_area(const rra::ArrayShape& shape) {
@@ -45,26 +37,6 @@ AreaReport array_area(const rra::ArrayShape& shape) {
   r.total_gates = r.alu_gates + r.multiplier_gates + r.ldst_gates +
                   r.input_mux_gates + r.output_mux_gates + r.dim_gates;
   return r;
-}
-
-ModeAreaOverhead mode_area_overhead(const rra::ArrayShape& shape,
-                                    const rra::ExecModeParams& mode) {
-  ModeAreaOverhead o;
-  switch (mode.mode) {
-    case rra::ExecMode::kElastic: {
-      const int64_t capacity = mode.fifo_capacity > 0 ? mode.fifo_capacity : 1;
-      o.fifo_gates = static_cast<int64_t>(shape.lines) * capacity * kFifoTokenGates;
-      break;
-    }
-    case rra::ExecMode::kSimt: {
-      const int64_t lanes = mode.lanes > 0 ? mode.lanes : 1;
-      o.lane_context_gates = (lanes - 1) * (kLaneContextGates + kLaneMaskGates);
-      break;
-    }
-    case rra::ExecMode::kRowSync:
-      break;
-  }
-  return o;
 }
 
 ConfigBits config_bits(const rra::ArrayShape& shape) {

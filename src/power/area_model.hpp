@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "rra/array_shape.hpp"
-#include "rra/exec_mode/execution_model.hpp"
 
 namespace dim::power {
 
@@ -37,22 +36,6 @@ struct AreaReport {
 };
 
 AreaReport array_area(const rra::ArrayShape& shape);
-
-// Area overhead of a non-row-sync execution personality on top of
-// array_area (src/rra/exec_mode/). Zero in every field for row-sync, so
-// the paper's Table 3 numbers are untouched by the mode axis.
-//   elastic — per-row output queues: fifo_capacity token slots per line,
-//             each a 32-bit data register plus valid/ready handshake;
-//   SIMT    — (lanes - 1) extra input contexts (the full 34-register
-//             context per extra lane) plus per-lane predicate-mask logic.
-struct ModeAreaOverhead {
-  int64_t fifo_gates = 0;
-  int64_t lane_context_gates = 0;
-  int64_t total_gates() const { return fifo_gates + lane_context_gates; }
-};
-
-ModeAreaOverhead mode_area_overhead(const rra::ArrayShape& shape,
-                                    const rra::ExecModeParams& mode);
 
 // Bits to store one configuration in the reconfiguration cache (Table 3b).
 // The write bitmap is detection-only and excluded from the stored total,

@@ -25,9 +25,8 @@ EnergyBreakdown compute_energy(const accel::AccelStats& stats, size_t cache_slot
     e.array = static_cast<double>(stats.array_alu_ops + stats.array_mem_ops) * p.array_op +
               static_cast<double>(stats.array_mul_ops) * p.array_mul_op +
               busy * p.array_busy_cycle + idle * p.array_idle_cycle * gate +
-              // Execution-mode extension events (zero under row-sync).
-              static_cast<double>(stats.fifo_stall_cycles) * p.fifo_stall_cycle +
-              static_cast<double>(stats.simt_warp_hits) * p.simt_lane_issue;
+              // Execution-mode extension event (zero under row-sync).
+              static_cast<double>(stats.fifo_stall_cycles) * p.fifo_stall_cycle;
     e.rcache = static_cast<double>(stats.config_words_loaded) * p.rcache_read_word +
                static_cast<double>(stats.config_words_written) * p.rcache_write_word +
                cycles * static_cast<double>(cache_slots) * p.rcache_static_per_slot_cycle;

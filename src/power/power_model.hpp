@@ -33,11 +33,10 @@ struct EnergyParams {
   double rcache_static_per_slot_cycle = 0.00008;
   double bt_observe = 0.030;      // DIM table update per observed instruction
 
-  // Execution-mode extension events (src/rra/exec_mode/). The counters
-  // driving these are zero under row-sync, so the paper's Figure 5 numbers
-  // are untouched by the mode axis.
+  // Execution-mode extension event (src/rra/exec_mode/). The counter
+  // driving it is zero under row-sync, so the paper's Figure 5 numbers are
+  // untouched by the mode axis.
   double fifo_stall_cycle = 0.010; // elastic: handshake clocking while stalled
-  double simt_lane_issue = 0.020;  // SIMT: lane context switch per warp hit
 
   // Paper future work: "techniques to switch off functional units when they
   // are not being used". 0 = no gating (the paper's evaluated system);

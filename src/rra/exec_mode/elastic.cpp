@@ -210,9 +210,6 @@ class ElasticModel final : public ExecutionModel {
   explicit ElasticModel(const ExecModeParams& params)
       : capacity_(params.fifo_capacity > 0 ? params.fifo_capacity : 1) {}
 
-  ExecMode mode() const override { return ExecMode::kElastic; }
-  const char* name() const override { return exec_mode_name(ExecMode::kElastic); }
-
   bool admits(const Configuration& config) const override {
     return elastic_admissible(config, capacity_);
   }

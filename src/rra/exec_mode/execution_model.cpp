@@ -4,19 +4,9 @@
 
 namespace dim::rra {
 
-const char* exec_mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kRowSync: return "row_sync";
-    case ExecMode::kElastic: return "elastic";
-    case ExecMode::kSimt: return "simt";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<ExecutionModel> make_execution_model(const ExecModeParams& params) {
   switch (params.mode) {
     case ExecMode::kElastic: return detail::make_elastic_model(params);
-    case ExecMode::kSimt: return detail::make_simt_model(params);
     case ExecMode::kRowSync: break;
   }
   return detail::make_row_sync_model(params);

@@ -10,7 +10,7 @@
 // architectural state versus pure software — holds for all of them by
 // construction; models differ only in timing and stats.
 //
-// Three personalities (docs/execution-modes.md has the full writeup):
+// Two personalities (docs/execution-modes.md has the full writeup):
 //
 //   kRowSync — the paper's array, delegating to the classic row-chained
 //              timing in rra/configuration.cpp. The reference model.
@@ -23,13 +23,6 @@
 //              edges instead of stalling rows. Configurations whose
 //              handshake graph can deadlock are rejected at config-build
 //              time and execute row-synchronously.
-//   kSimt    — DICE-style statically scheduled multi-lane issue: one
-//              latched configuration executes for up to `lanes`
-//              consecutive dispatches (a warp), lanes after the first skip
-//              the configuration-word stream. The static schedule is
-//              lockstep — rows fire on a fixed cadence with no ALU
-//              chaining, and per-lane predicate masks (the PR 9 predicate
-//              slots) squash work without changing the cadence.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +40,9 @@ namespace dim::rra {
 enum class ExecMode : uint8_t {
   kRowSync = 0,
   kElastic = 1,
-  kSimt = 2,
+  // 2 is retired (a removed personality). Do not reuse it: snapshots taken
+  // under it must keep failing the fingerprint check (src/snap/codec.cpp).
 };
-
-const char* exec_mode_name(ExecMode mode);
 
 struct ExecModeParams {
   ExecMode mode = ExecMode::kRowSync;
@@ -58,16 +50,11 @@ struct ExecModeParams {
   // that row see backpressure. Capacity 1 is the fully serialized
   // handshake; it still runs pure dependence chains at full throughput.
   int fifo_capacity = 4;
-  // SIMT: dispatches that share one latched configuration (warp size).
-  int lanes = 4;
 };
 
 class ExecutionModel {
  public:
   virtual ~ExecutionModel() = default;
-
-  virtual ExecMode mode() const = 0;
-  virtual const char* name() const = 0;
 
   // Build-time admissibility. A configuration a model cannot execute
   // (today: elastic deadlock) is still inserted into the rcache but

@@ -11,6 +11,5 @@ namespace dim::rra::detail {
 
 std::unique_ptr<ExecutionModel> make_row_sync_model(const ExecModeParams& params);
 std::unique_ptr<ExecutionModel> make_elastic_model(const ExecModeParams& params);
-std::unique_ptr<ExecutionModel> make_simt_model(const ExecModeParams& params);
 
 }  // namespace dim::rra::detail

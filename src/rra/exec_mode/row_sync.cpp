@@ -9,8 +9,6 @@ namespace {
 
 class RowSyncModel final : public ExecutionModel {
  public:
-  ExecMode mode() const override { return ExecMode::kRowSync; }
-  const char* name() const override { return exec_mode_name(ExecMode::kRowSync); }
   bool admits(const Configuration&) const override { return true; }
 
   ArrayExecOutcome execute(const Configuration& config, sim::CpuState& state,

@@ -1,4 +1,4 @@
-// Bounded MPMC admission queues: the daemon's overload valve.
+// The bounded MPMC admission queue: the daemon's overload valve.
 //
 // Admission threads try_push and, on a full queue, answer the client with
 // an explicit `overloaded` rejection instead of buffering unboundedly —
@@ -7,11 +7,11 @@
 // is exactly the graceful-shutdown order (stop accepting, finish what was
 // promised).
 //
-// Two queues share that shape: the FIFO BoundedQueue, and AdmissionQueue,
-// which schedules by request priority and deadline — strict priority
-// first, earliest deadline first within a priority (EDF), and admission
-// order as the final tiebreak, so pop order is a deterministic function
-// of the pushed (key, order) pairs no matter how producers interleaved.
+// AdmissionQueue schedules by request priority and deadline — strict
+// priority first, earliest deadline first within a priority (EDF), and
+// admission order as the final tiebreak, so pop order is a deterministic
+// function of the pushed (key, order) pairs no matter how producers
+// interleaved.
 #pragma once
 
 #include <algorithm>
@@ -19,73 +19,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 namespace dim::serve {
-
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  // False when full or closed — never blocks.
-  bool try_push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    ready_.notify_one();
-    return true;
-  }
-
-  // Blocks until an item is available or the queue is closed and empty.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  // Non-blocking variant (used to fill a batch after the blocking pop).
-  bool try_pop(T& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 // The scheduling identity of one admitted request. Higher priority pops
 // first; within a priority, the earliest absolute deadline pops first and

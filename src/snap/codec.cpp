@@ -106,7 +106,7 @@ uint64_t system_fingerprint(const accel::SystemConfig& config) {
   if (config.exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u8(static_cast<uint8_t>(config.exec_mode.mode));
     w.i32(config.exec_mode.fifo_capacity);
-    w.i32(config.exec_mode.lanes);
+    w.i32(4);  // reserved slot (codec.hpp)
   }
   return fnv1a64(w.bytes());
 }
@@ -210,22 +210,21 @@ accel::AccelStats get_stats(Reader& r) {
 }
 
 bool has_exec_stats(const accel::AccelStats& stats) {
-  return stats.fifo_stall_cycles != 0 || stats.elastic_deadlock_fallbacks != 0 ||
-         stats.simt_warp_hits != 0 || stats.simt_warp_resets != 0;
+  return stats.fifo_stall_cycles != 0 || stats.elastic_deadlock_fallbacks != 0;
 }
 
 void put_exec_stats(Writer& w, const accel::AccelStats& stats) {
   w.u64(stats.fifo_stall_cycles);
   w.u64(stats.elastic_deadlock_fallbacks);
-  w.u64(stats.simt_warp_hits);
-  w.u64(stats.simt_warp_resets);
+  w.u64(0);  // reserved slots (codec.hpp)
+  w.u64(0);
 }
 
 void get_exec_stats(Reader& r, accel::AccelStats& stats) {
   stats.fifo_stall_cycles = r.u64();
   stats.elastic_deadlock_fallbacks = r.u64();
-  stats.simt_warp_hits = r.u64();
-  stats.simt_warp_resets = r.u64();
+  r.u64();  // reserved slots (codec.hpp)
+  r.u64();
 }
 
 void put_array_op(Writer& w, const rra::ArrayOp& op) {

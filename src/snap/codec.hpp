@@ -49,6 +49,16 @@ accel::AccelStats get_stats(Reader& r);
 // and every artifact byte-layout that embeds it, is unchanged and old
 // row-sync snapshots, warm-start files and result-store cells keep
 // loading. Readers default the fields to zero when the block is absent.
+//
+// Reserved slots. The retired SIMT personality (rra::ExecMode value 2)
+// left three fields in these layouts: the warp-fill u32 of the snapshot
+// exec section, the two warp-counter u64s at the end of this block, and
+// the lane count that system_fingerprint appends for non-row-sync modes.
+// Writers emit them as their old constants (zero, zero, and the old
+// default of 4 lanes) and readers skip them, so elastic snapshots and
+// cells keep their exact bytes without a kFormatVersion bump, while a
+// snapshot taken under SIMT carries mode byte 2 in its fingerprint and
+// fails every restore with SnapErrc::kMismatch.
 bool has_exec_stats(const accel::AccelStats& stats);
 void put_exec_stats(Writer& w, const accel::AccelStats& stats);
 void get_exec_stats(Reader& r, accel::AccelStats& stats);

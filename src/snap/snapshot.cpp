@@ -25,11 +25,12 @@ constexpr uint16_t kSecXlate = 7;   // translator stats + in-flight capture
 constexpr uint16_t kSecStats = 8;   // accumulated AccelStats
 constexpr uint16_t kSecSys = 9;     // extension latch + array cycle acc
 // Optional trailing section, present ONLY when a non-row-sync execution
-// personality is active (SystemConfig::exec_mode): the SIMT warp fill and
-// the execution-mode stats counters. Row-sync snapshots omit it and keep
-// their exact pre-mode bytes (pinned by the committed format goldens);
-// readers default the fields to zero when the section is absent.
-constexpr uint16_t kSecExec = 10;   // warp latch fill + exec-mode counters
+// personality is active (SystemConfig::exec_mode): a reserved u32 (the
+// retired SIMT warp fill, see codec.hpp) and the execution-mode stats
+// counters. Row-sync snapshots omit it and keep their exact pre-mode bytes
+// (pinned by the committed format goldens); readers default the fields to
+// zero when the section is absent.
+constexpr uint16_t kSecExec = 10;   // reserved u32 + exec-mode counters
 
 void expect_section(Reader& r, uint16_t id) {
   const uint16_t got = r.u16();
@@ -126,8 +127,6 @@ struct SnapshotData {
   uint64_t resident_rev = 0;
   uint32_t resident_lo = 0;
   uint32_t resident_hi = 0;
-  // kSecExec (optional; explicit zero defaults when the section is absent).
-  uint32_t warp_fill = 0;
 };
 
 SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
@@ -236,7 +235,7 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
 
   if (!r.done()) {
     expect_section(r, kSecExec);
-    d.warp_fill = r.u32();
+    r.u32();  // reserved slot
     get_exec_stats(r, d.stats);
   }
 
@@ -332,7 +331,7 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
 
   if (SystemAccess::config(system).exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u16(kSecExec);
-    w.u32(SystemAccess::warp_fill(system));
+    w.u32(0);  // reserved slot
     put_exec_stats(w, SystemAccess::stats(system));
   }
 
@@ -387,7 +386,6 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
   SystemAccess::set_array_cycle_acc(system, d.array_cycle_acc);
   SystemAccess::set_residency_latch(system, d.has_resident, d.resident_pc,
                                     d.resident_rev, d.resident_lo, d.resident_hi);
-  SystemAccess::set_warp_fill(system, d.warp_fill);
   // restore_pages invalidated every page pointer and replaced the image;
   // drop all host-side decoded state (decode cache, superblock traces).
   SystemAccess::clear_host_caches(system);

@@ -105,13 +105,6 @@ struct SystemAccess {
     s.resident_hi_ = hi;
   }
 
-  static uint32_t warp_fill(const accel::AcceleratedSystem& s) {
-    return s.warp_fill_;
-  }
-  static void set_warp_fill(accel::AcceleratedSystem& s, uint32_t v) {
-    s.warp_fill_ = v;
-  }
-
   // Restoring replaces the memory image wholesale (restore_pages
   // invalidates page pointers) — both host-side caches must forget
   // everything they decoded from the old image. Architecture-invisible:

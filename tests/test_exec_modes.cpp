@@ -1,6 +1,6 @@
 // The execution-mode subsystem (src/rra/exec_mode/): elastic dataflow
-// firing with bounded per-row FIFOs and SIMT multi-lane warp issue, both
-// behind the rra::ExecutionModel interface that row-sync also implements.
+// firing with bounded per-row FIFOs, behind the rra::ExecutionModel
+// interface that row-sync also implements.
 //   1. Admissibility: a pure dependence chain fits capacity-1 FIFOs; two
 //      independent same-row producers with a joint consumer deadlock at
 //      capacity 1 and become admissible at capacity 2.
@@ -9,12 +9,11 @@
 //      capacity 1 and stops stalling once the FIFOs are deep enough.
 //   3. Build-time rejection: a deadlocking configuration falls back to
 //      row-sync execution at dispatch (transparent, counted, evented).
-//   4. SIMT lockstep: the warp cadence is independent of predicate
-//      outcomes — an all-lanes-squashed diamond costs exactly what the
-//      all-active diamond costs.
-//   5. Per-mode snapshots: resume-equals-straight-run holds bit-for-bit
-//      under elastic and SIMT, and the elastic snapshot bytes (which carry
-//      the optional exec section) are frozen by a committed golden.
+//   4. Per-mode snapshots: resume-equals-straight-run holds bit-for-bit
+//      under elastic, the elastic snapshot bytes (which carry the optional
+//      exec section) are frozen by a committed golden, and a committed
+//      snapshot from the retired SIMT personality parses but restores
+//      nowhere.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -185,14 +184,6 @@ accel::SystemConfig elastic_config(int capacity) {
   return cfg;
 }
 
-accel::SystemConfig simt_config(int lanes) {
-  accel::SystemConfig cfg = accel::SystemConfig::with(ArrayShape::config2(), 8, true);
-  cfg.predication = true;
-  cfg.exec_mode.mode = ExecMode::kSimt;
-  cfg.exec_mode.lanes = lanes;
-  return cfg;
-}
-
 TEST(ExecModes, DeadlockedConfigFallsBackToRowSync) {
   const auto program = asmblr::assemble(kDeadlockProgram);
   const accel::AccelStats base =
@@ -225,64 +216,7 @@ TEST(ExecModes, DeadlockedConfigFallsBackToRowSync) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. SIMT lockstep: predicate outcomes do not change the warp cadence.
-
-bt::TranslatorParams pred_params() {
-  bt::TranslatorParams p;
-  p.shape = ArrayShape::config1();
-  p.predication = true;
-  return p;
-}
-
-// The hand-built diamond from test_predication.cpp: a pred-def branch with
-// a store+ALU fall-through arm and an ALU+mult taken arm.
-Configuration build_diamond() {
-  bt::ConfigBuilder b(0x100, pred_params());
-  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
-  const std::vector<bt::HammockOp> not_taken = {
-      {imm(Op::kAddiu, 9, 0, 1), 0x108},
-      {imm(Op::kSw, 9, 28, 0), 0x10C},
-  };
-  const bt::HammockOp join_jump{imm(Op::kBeq, 0, 0, 2), 0x110};
-  const std::vector<bt::HammockOp> taken = {
-      {imm(Op::kAddiu, 9, 0, 2), 0x114},
-      {r3(Op::kMult, 0, 8, 8), 0x118},
-  };
-  EXPECT_TRUE(b.try_merge_hammock(imm(Op::kBeq, 17, 16, 3), 0x104, not_taken,
-                                  &join_jump, taken));
-  return b.finalize(0x11C);
-}
-
-TEST(ExecModes, SimtCadenceIndependentOfSquashedLanes) {
-  const Configuration c = build_diamond();
-  ExecModeParams params;
-  params.mode = ExecMode::kSimt;
-  params.lanes = 4;
-  const auto model = make_execution_model(params);
-  ASSERT_TRUE(model->admits(c));
-
-  const auto run_with = [&](uint32_t s0, uint32_t s1) {
-    sim::CpuState s;
-    s.regs[16] = s0;
-    s.regs[17] = s1;
-    s.regs[28] = 0x10008000;
-    mem::Memory m;
-    return model->execute(c, s, m, nullptr, ArrayTimingParams{}, false);
-  };
-
-  // Lane context A: branch taken (fall-through arm squashed, including its
-  // store). Lane context B: branch not taken (taken arm squashed, mult and
-  // all). Lockstep issue means both cost exactly the same cycles.
-  const ArrayExecOutcome taken = run_with(7, 7);
-  const ArrayExecOutcome not_taken = run_with(1, 2);
-  EXPECT_EQ(taken.exec_cycles, not_taken.exec_cycles);
-  EXPECT_EQ(taken.next_pc, not_taken.next_pc);
-  EXPECT_FALSE(taken.misspeculated);
-  EXPECT_FALSE(not_taken.misspeculated);
-}
-
-// ---------------------------------------------------------------------------
-// 5. Per-mode snapshots.
+// 4. Per-mode snapshots.
 
 // A loop long enough to fill the 8-slot cache and cross checkpoints amid
 // translated execution; the body mixes the deadlock triple (so elastic
@@ -347,7 +281,6 @@ TEST(ExecModes, SnapshotResumeEqualsStraightRunPerMode) {
   for (const uint64_t boundary : {250u, 1200u}) {
     expect_resume_equals_straight(elastic_config(1), boundary);
     expect_resume_equals_straight(elastic_config(4), boundary);
-    expect_resume_equals_straight(simt_config(4), boundary);
   }
 }
 
@@ -412,6 +345,56 @@ TEST(ExecModesGolden, ElasticSnapshotFormatFrozen) {
     std::istringstream old(golden);
     EXPECT_THROW(snap::read_container(old, snap::ArtifactKind::kSnapshot),
                  snap::SnapshotError);
+  }
+}
+
+// A snapshot taken under the retired SIMT personality (mode value 2, 4
+// lanes, predication on) before that mode was removed. Its exec section
+// still parses — the reserved slots are skipped — but no system today has
+// its fingerprint, so every restore fails with kMismatch before touching
+// the target. The program is tiny; the file is mostly the one 64 KiB
+// memory page that holds its code.
+const char* kRetiredSimtProgram = R"(
+        .text
+main:   li $t1, 200
+        li $t2, 0
+        li $t3, 7
+loop:   addu $t2, $t2, $t1
+        xor $t4, $t2, $t3
+        andi $t5, $t1, 1
+        beqz $t5, skip
+        addiu $t2, $t2, 3
+skip:   addiu $t1, $t1, -1
+        bnez $t1, loop
+        move $a0, $t2
+        li $v0, 1
+        syscall
+        li $v0, 10
+        syscall
+)";
+
+TEST(ExecModesGolden, RetiredSimtSnapshotFailsFingerprint) {
+  const auto program = asmblr::assemble(kRetiredSimtProgram);
+  const std::string path = golden_path("retired_simt.snap");
+  const snap::SnapshotInfo info = snap::inspect_snapshot_file(path);
+  // Same program image, so only the fingerprint can reject it.
+  EXPECT_EQ(info.program_hash, snap::program_hash(program));
+  EXPECT_GT(info.stats.array_activations, 0u);
+
+  accel::SystemConfig row_sync = accel::SystemConfig::with(ArrayShape::config1(), 8, true);
+  row_sync.predication = true;
+  accel::SystemConfig elastic = row_sync;
+  elastic.exec_mode.mode = ExecMode::kElastic;
+  for (const accel::SystemConfig& cfg : {row_sync, elastic}) {
+    EXPECT_NE(info.system_fingerprint, snap::system_fingerprint(cfg));
+    accel::AcceleratedSystem system(program, cfg);
+    try {
+      snap::restore_snapshot_file(system, path, program);
+      ADD_FAILURE() << "restored a snapshot taken under a retired mode";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_EQ(e.code(), snap::SnapErrc::kMismatch) << e.what();
+    }
+    EXPECT_EQ(system.stats().instructions, 0u);
   }
 }
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hpp"
 #include "fuzz/campaign.hpp"
@@ -74,6 +76,30 @@ TEST(FuzzOracle, RejectsUnassemblableSource) {
   EXPECT_TRUE(r.inconclusive);
   EXPECT_FALSE(r.divergence.found);
   EXPECT_FALSE(r.inconclusive_reason.empty());
+}
+
+TEST(FuzzOracle, MatrixAxes) {
+  // 18 base points, each again with predication + residency (kLoop and
+  // kAny alternating) and under elastic. The kAny points are the only ones
+  // that keep configurations other than closed loops latched.
+  const std::vector<MatrixPoint> full = full_matrix();
+  ASSERT_EQ(full.size(), 54u);
+  std::set<std::string> labels;
+  int loop = 0, any = 0, elastic = 0;
+  for (const MatrixPoint& p : full) {
+    labels.insert(p.label);
+    loop += p.config.residency == accel::Residency::kLoop;
+    any += p.config.residency == accel::Residency::kAny;
+    elastic += p.config.exec_mode.mode == rra::ExecMode::kElastic;
+  }
+  EXPECT_EQ(labels.size(), full.size());
+  EXPECT_EQ(loop, 9);
+  EXPECT_EQ(any, 9);
+  EXPECT_EQ(elastic, 18);
+
+  const std::vector<MatrixPoint> quick = quick_matrix();
+  ASSERT_EQ(quick.size(), 8u);
+  EXPECT_EQ(quick.back().config.residency, accel::Residency::kAny);
 }
 
 TEST(FuzzOracle, ReportsDivergenceWithContext) {

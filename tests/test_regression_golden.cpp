@@ -44,6 +44,11 @@ constexpr Golden kGoldens[] = {
     {"rawaudio_d", 563067ull, 311167ull},
 };
 
+// gtest would otherwise print the parameter as raw bytes, and the `name`
+// pointer in them moves with address-space randomization, so the test names
+// that CTest discovers would change from one build (or run) to the next.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
+
 class TimingGolden : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(TimingGolden, CycleCountsPinned) {

@@ -210,36 +210,7 @@ TEST(ServeProtocol, RejectsOutOfRangeSchedulingFields) {
   EXPECT_EQ(text.error, kErrBadRequest);
 }
 
-// --- bounded queue ---------------------------------------------------------
-
-TEST(ServeQueue, CapacityBoundsAdmission) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: the overload signal
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(ServeQueue, CloseDrainsThenReleasesBlockedPop) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.try_push(7));
-  q.close();
-  EXPECT_FALSE(q.try_push(8));  // closed: no new admissions
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));  // already-admitted work still drains
-  EXPECT_EQ(v, 7);
-  std::atomic<bool> released{false};
-  std::thread waiter([&] {
-    int unused = 0;
-    EXPECT_FALSE(q.pop(unused));  // closed and empty
-    released.store(true);
-  });
-  waiter.join();
-  EXPECT_TRUE(released.load());
-}
+// --- admission queue -------------------------------------------------------
 
 TEST(ServeQueue, AdmissionPopOrderIsEdfWithinStrictPriority) {
   // Pop order is a pure function of the pushed (key, order) pairs:
