@@ -9,9 +9,10 @@
 // median, so a single descheduled rep cannot flip the gate.
 //
 // Usage: bench_simulator_micro [--reps N] [--quick] [--json]
-//                              [--min-speedup X]
+//                              [--min-speedup X] [--workload NAME]
 // --min-speedup X exits nonzero unless the baseline fast/slow speedup is
 // at least X (the CI pin; the trace dispatch must stay >= 3x).
+// --workload NAME measures that kernel at scale 1 (default crc32).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,6 +69,7 @@ int main(int argc, char** argv) {
   double min_seconds = 0.2;
   double min_speedup = 0.0;
   bool json = false;
+  std::string workload = "crc32";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--reps" && i + 1 < argc) {
@@ -79,16 +81,23 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--min-speedup" && i + 1 < argc) {
       min_speedup = std::atof(argv[++i]);
+    } else if (arg == "--workload" && i + 1 < argc) {
+      workload = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: bench_simulator_micro [--reps N] [--quick] [--json] "
-                   "[--min-speedup X]\n");
+                   "[--min-speedup X] [--workload NAME]\n");
       return 2;
     }
   }
   if (reps < 1) reps = 1;
+  const std::vector<std::string>& names = work::workload_names();
+  if (std::find(names.begin(), names.end(), workload) == names.end()) {
+    std::fprintf(stderr, "unknown workload: %s\n", workload.c_str());
+    return 2;
+  }
 
-  const work::Workload wl = work::make_workload("crc32", 1);
+  const work::Workload wl = work::make_workload(workload, 1);
   const asmblr::Program program = asmblr::assemble(wl.source);
 
   sim::MachineConfig slow_cfg;
@@ -122,7 +131,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::printf("{\n");
     std::printf("  \"format_version\": 1,\n");
-    std::printf("  \"workload\": \"crc32\",\n");
+    std::printf("  \"workload\": \"%s\",\n", workload.c_str());
     std::printf("  \"reps\": %d,\n", reps);
     for (const Row& r : rows) {
       std::printf("  \"%s_instr_per_s\": %.0f,\n", r.name, r.instr_s);
@@ -131,6 +140,7 @@ int main(int argc, char** argv) {
     std::printf("  \"accel_trace_speedup\": %.3f\n", accel_speedup);
     std::printf("}\n");
   } else {
+    std::printf("workload: %s\n", workload.c_str());
     for (const Row& r : rows) {
       std::printf("%-14s %12.2f Minstr/s\n", r.name, r.instr_s / 1e6);
     }

@@ -20,11 +20,13 @@ using isa::Op;
 
 // --- Parsed operand ---------------------------------------------------------
 
+// Symbols are views of the source, which outlives the assembler's run, so
+// an operand owns no heap memory.
 struct Operand {
-  enum class Kind { kReg, kImm, kSym, kMem } kind = Kind::kImm;
-  int reg = 0;           // kReg / kMem base register
-  int64_t value = 0;     // kImm / symbol offset / kMem displacement
-  std::string symbol;    // kSym, or kMem symbolic displacement
+  enum class Kind : uint8_t { kReg, kImm, kSym, kMem } kind = Kind::kImm;
+  int reg = 0;              // kReg / kMem base register
+  int64_t value = 0;        // kImm / symbol offset / kMem displacement
+  std::string_view symbol;  // kSym, or kMem symbolic displacement
 
   bool is_reg() const { return kind == Kind::kReg; }
   bool is_imm() const { return kind == Kind::kImm; }
@@ -118,12 +120,13 @@ class Assembler {
 
   uint32_t& loc() { return section_ == 0 ? text_loc_ : data_loc_; }
 
-  void define_label_at(const std::string& name, uint32_t addr, int line_no) {
+  void define_label_at(std::string_view view, uint32_t addr, int line_no) {
+    std::string name(view);
     if (symbols_.count(name)) throw AsmError(line_no, "duplicate label: " + name);
-    symbols_[name] = addr;
+    symbols_[std::move(name)] = addr;
   }
 
-  void define_label(const std::string& name, int line_no) {
+  void define_label(std::string_view name, int line_no) {
     define_label_at(name, loc(), line_no);
   }
 
@@ -133,18 +136,19 @@ class Assembler {
   }
 
   void parse_line(std::string_view line, int line_no) {
-    std::vector<Token> toks = lex_line(line, line_no);
+    toks_.lex(line, line_no);
+    const Tokens& toks = toks_;
     size_t i = 0;
 
     // Leading labels ("name:") — bound after the statement's alignment so
     // `h: .half ...` names the aligned datum.
-    std::vector<std::string> labels;
+    std::vector<std::string_view> labels;
     while (toks[i].kind == TokKind::kIdent && toks[i + 1].kind == TokKind::kColon) {
       labels.push_back(toks[i].text);
       i += 2;
     }
     auto bind_labels = [&] {
-      for (const std::string& name : labels) define_label(name, line_no);
+      for (std::string_view name : labels) define_label(name, line_no);
       labels.clear();
     };
 
@@ -166,7 +170,7 @@ class Assembler {
       // Section switches see labels bound in the *current* section first.
       if (s.mnemonic == ".text" || s.mnemonic == ".data") bind_labels();
       const uint32_t addr = layout_directive(s, line_no);
-      for (const std::string& name : labels) define_label_at(name, addr, line_no);
+      for (std::string_view name : labels) define_label_at(name, addr, line_no);
       labels.clear();
       return;
     }
@@ -181,20 +185,21 @@ class Assembler {
     statements_.push_back(std::move(s));
   }
 
-  void parse_operands(const std::vector<Token>& toks, size_t i, Statement& s, int line_no) {
+  void parse_operands(const Tokens& toks, size_t i, Statement& s, int line_no) {
+    s.operands.reserve((toks.size() - i) / 2);  // operands are comma-separated
     while (toks[i].kind != TokKind::kEnd) {
       Operand op;
       const Token& t = toks[i];
       if (t.kind == TokKind::kReg) {
         auto r = isa::parse_reg(t.text);
-        if (!r) throw AsmError(line_no, "bad register: " + t.text);
+        if (!r) throw AsmError(line_no, "bad register: " + std::string(t.text));
         op.kind = Operand::Kind::kReg;
         op.reg = *r;
         ++i;
       } else if (t.kind == TokKind::kNumber || t.kind == TokKind::kIdent ||
                  t.kind == TokKind::kLParen) {
         int64_t disp = 0;
-        std::string sym;
+        std::string_view sym;
         if (t.kind == TokKind::kNumber) {
           disp = t.value;
           ++i;
@@ -214,7 +219,7 @@ class Assembler {
           ++i;
           if (toks[i].kind != TokKind::kReg) throw AsmError(line_no, "expected base register");
           auto r = isa::parse_reg(toks[i].text);
-          if (!r) throw AsmError(line_no, "bad register: " + toks[i].text);
+          if (!r) throw AsmError(line_no, "bad register: " + std::string(toks[i].text));
           ++i;
           if (toks[i].kind != TokKind::kRParen) throw AsmError(line_no, "expected ')'");
           ++i;
@@ -231,14 +236,14 @@ class Assembler {
           op.value = disp;
         }
       } else if (t.kind == TokKind::kString) {
-        s.strings.push_back(t.text);
+        s.strings.emplace_back(t.text);
         ++i;
         if (toks[i].kind == TokKind::kComma) ++i;
         continue;
       } else {
         throw AsmError(line_no, "unexpected token in operands");
       }
-      s.operands.push_back(std::move(op));
+      s.operands.push_back(op);
       if (toks[i].kind == TokKind::kComma) ++i;
     }
   }
@@ -335,23 +340,21 @@ class Assembler {
     put16(section, addr + 2, static_cast<uint16_t>(v >> 16));
   }
 
+  int64_t symbol_value(const Operand& op, int line_no) const {
+    const std::string name(op.symbol);
+    auto it = symbols_.find(name);
+    if (it == symbols_.end()) throw AsmError(line_no, "undefined symbol: " + name);
+    return static_cast<int64_t>(it->second) + op.value;
+  }
+
   int64_t resolve(const Operand& op, int line_no) const {
     if (op.is_imm()) return op.value;
-    if (op.is_sym()) {
-      auto it = symbols_.find(op.symbol);
-      if (it == symbols_.end()) throw AsmError(line_no, "undefined symbol: " + op.symbol);
-      return static_cast<int64_t>(it->second) + op.value;
-    }
+    if (op.is_sym()) return symbol_value(op, line_no);
     throw AsmError(line_no, "expected immediate or symbol");
   }
 
   int64_t resolve_mem_disp(const Operand& op, int line_no) const {
-    if (!op.symbol.empty()) {
-      auto it = symbols_.find(op.symbol);
-      if (it == symbols_.end()) throw AsmError(line_no, "undefined symbol: " + op.symbol);
-      return static_cast<int64_t>(it->second) + op.value;
-    }
-    return op.value;
+    return op.symbol.empty() ? op.value : symbol_value(op, line_no);
   }
 
   void emit_data(const Statement& s) {
@@ -660,6 +663,7 @@ class Assembler {
   uint32_t text_loc_ = 0;
   uint32_t data_loc_ = 0;
   std::vector<Statement> statements_;
+  Tokens toks_;  // reused for every line
   std::unordered_map<std::string, uint32_t> symbols_;
   std::vector<uint8_t> text_;
   std::vector<uint8_t> data_;

@@ -29,13 +29,17 @@ char unescape(char c, int line_no) {
 
 }  // namespace
 
-std::vector<Token> lex_line(std::string_view line, int line_no) {
-  std::vector<Token> out;
+void Tokens::lex(std::string_view line, int line_no) {
+  toks_.clear();
+  // Unescaped contents are never longer than the line, so string views
+  // into strings_ stay valid while the line's literals are appended.
+  strings_.clear();
+  strings_.reserve(line.size());
   size_t i = 0;
   const size_t n = line.size();
 
-  auto push = [&](TokKind kind, std::string text, int64_t value, size_t col) {
-    out.push_back(Token{kind, std::move(text), value, static_cast<int>(col)});
+  auto push = [&](TokKind kind, std::string_view text, int64_t value, size_t col) {
+    toks_.push_back(Token{kind, text, value, static_cast<int>(col)});
   };
 
   while (i < n) {
@@ -48,16 +52,16 @@ std::vector<Token> lex_line(std::string_view line, int line_no) {
     if (c == '/' && i + 1 < n && line[i + 1] == '/') break;
 
     const size_t start = i;
-    if (c == ',') { push(TokKind::kComma, ",", 0, start); ++i; continue; }
-    if (c == '(') { push(TokKind::kLParen, "(", 0, start); ++i; continue; }
-    if (c == ')') { push(TokKind::kRParen, ")", 0, start); ++i; continue; }
-    if (c == ':') { push(TokKind::kColon, ":", 0, start); ++i; continue; }
-    if (c == '+') { push(TokKind::kPlus, "+", 0, start); ++i; continue; }
+    if (c == ',') { push(TokKind::kComma, line.substr(start, 1), 0, start); ++i; continue; }
+    if (c == '(') { push(TokKind::kLParen, line.substr(start, 1), 0, start); ++i; continue; }
+    if (c == ')') { push(TokKind::kRParen, line.substr(start, 1), 0, start); ++i; continue; }
+    if (c == ':') { push(TokKind::kColon, line.substr(start, 1), 0, start); ++i; continue; }
+    if (c == '+') { push(TokKind::kPlus, line.substr(start, 1), 0, start); ++i; continue; }
 
     if (c == '$') {
       ++i;
       while (i < n && is_ident_char(line[i])) ++i;
-      push(TokKind::kReg, std::string(line.substr(start, i - start)), 0, start);
+      push(TokKind::kReg, line.substr(start, i - start), 0, start);
       continue;
     }
 
@@ -73,26 +77,26 @@ std::vector<Token> lex_line(std::string_view line, int line_no) {
         value = line[i + 1];
         i += 3;
       }
-      push(TokKind::kNumber, "", static_cast<unsigned char>(value), start);
+      push(TokKind::kNumber, {}, static_cast<unsigned char>(value), start);
       continue;
     }
 
     if (c == '"') {
-      std::string text;
+      const size_t first = strings_.size();
       ++i;
       while (i < n && line[i] != '"') {
         if (line[i] == '\\') {
           if (i + 1 >= n) throw AsmError(line_no, "unterminated string");
-          text.push_back(unescape(line[i + 1], line_no));
+          strings_.push_back(unescape(line[i + 1], line_no));
           i += 2;
         } else {
-          text.push_back(line[i]);
+          strings_.push_back(line[i]);
           ++i;
         }
       }
       if (i >= n) throw AsmError(line_no, "unterminated string");
       ++i;  // closing quote
-      push(TokKind::kString, std::move(text), 0, start);
+      push(TokKind::kString, std::string_view(strings_).substr(first), 0, start);
       continue;
     }
 
@@ -100,7 +104,7 @@ std::vector<Token> lex_line(std::string_view line, int line_no) {
     if (neg || (c >= '0' && c <= '9')) {
       size_t j = i + (neg ? 1 : 0);
       if (j >= n || line[j] < '0' || line[j] > '9') {
-        if (neg) { push(TokKind::kMinus, "-", 0, start); ++i; continue; }
+        if (neg) { push(TokKind::kMinus, line.substr(start, 1), 0, start); ++i; continue; }
       }
       int64_t value = 0;
       if (j + 1 < n && line[j] == '0' && (line[j + 1] == 'x' || line[j + 1] == 'X')) {
@@ -123,22 +127,21 @@ std::vector<Token> lex_line(std::string_view line, int line_no) {
         }
       }
       i = j;
-      push(TokKind::kNumber, "", neg ? -value : value, start);
+      push(TokKind::kNumber, {}, neg ? -value : value, start);
       continue;
     }
 
     if (is_ident_start(c)) {
       ++i;
       while (i < n && is_ident_char(line[i])) ++i;
-      push(TokKind::kIdent, std::string(line.substr(start, i - start)), 0, start);
+      push(TokKind::kIdent, line.substr(start, i - start), 0, start);
       continue;
     }
 
     throw AsmError(line_no, std::string("unexpected character: ") + c);
   }
 
-  push(TokKind::kEnd, "", 0, n);
-  return out;
+  push(TokKind::kEnd, {}, 0, n);
 }
 
 }  // namespace dim::asmblr

@@ -1,6 +1,7 @@
 #include "mem/memory.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -67,7 +68,15 @@ void Memory::write32(uint32_t addr, uint32_t value) {
 }
 
 void Memory::write_block(uint32_t addr, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) write8(addr + static_cast<uint32_t>(i), data[i]);
+  // One page span at a time; the address wraps at 2^32 like write8 does.
+  size_t done = 0;
+  while (done < size) {
+    const uint32_t at = addr + static_cast<uint32_t>(done);
+    const uint32_t off = at & (kPageSize - 1);
+    const size_t n = std::min(size - done, static_cast<size_t>(kPageSize - off));
+    std::memcpy(page_for(at).data() + off, data + done, n);
+    done += n;
+  }
 }
 
 std::vector<uint8_t> Memory::read_block(uint32_t addr, size_t size) const {

@@ -65,12 +65,7 @@ uint64_t PipelineModel::retire(const RetireRecord& r) {
 
   if (r.mem_access) cycles_ += dcache_.access(r.mem_addr);
 
-  if (r.is_hilo_write) {
-    const uint32_t latency = r.is_div ? params_.div_latency : params_.mult_latency;
-    hilo_ready_ = cycles_ + latency;
-  } else if (r.is_hilo_touch) {
-    if (cycles_ < hilo_ready_) cycles_ = hilo_ready_;
-  }
+  hilo_interlock(r, cycles_, hilo_ready_);
 
   if (r.taken) {
     cycles_ += params_.taken_branch_penalty;

@@ -88,24 +88,38 @@ class PipelineModel {
   // --- Superblock trace support (sim/trace_cache.hpp) -----------------
   // True when per-trace folded timing reproduces retire() exactly: single
   // issue (no pairing state) and both cache models disabled (no dynamic
-  // miss stalls, no hit/miss counters to maintain). HI/LO hazards are
-  // excluded per trace, not here.
+  // miss stalls, no hit/miss counters to maintain). HI/LO waits are
+  // replayed per folded trace through hilo_interlock.
   bool fold_eligible() const {
     return params_.issue_width < 2 && !icache_.params().enabled &&
            !dcache_.params().enabled;
   }
   int pending_load_reg() const { return pending_load_reg_; }
+  uint64_t hilo_ready() const { return hilo_ready_; }
   uint32_t load_use_stall_cycles() const { return params_.load_use_stall; }
   uint32_t taken_branch_penalty() const { return params_.taken_branch_penalty; }
+
+  // The HI/LO interlock of retire(), for one instruction whose issue and
+  // load-use stall have brought the clock to `clock`: a mult/div makes
+  // HI/LO readable mult_latency/div_latency cycles later (`ready`); an
+  // instruction that reads or moves HI/LO waits until then.
+  void hilo_interlock(const RetireRecord& r, uint64_t& clock, uint64_t& ready) const {
+    if (r.is_hilo_write) {
+      ready = clock + (r.is_div ? params_.div_latency : params_.mult_latency);
+    } else if (r.is_hilo_touch && clock < ready) {
+      clock = ready;
+    }
+  }
 
   // Commits a folded trace: `cycles` precomputed issue+stall cycles, and
   // the exit values of every hazard latch retire() would have left behind
   // (slot_* from the last retired instruction; slot_open is false at
   // issue_width 1, the only width folding is eligible for).
   void fold_commit(uint64_t cycles, int exit_pending_load_reg, int slot_dest,
-                   bool slot_mem, bool slot_hilo) {
+                   bool slot_mem, bool slot_hilo, uint64_t exit_hilo_ready) {
     cycles_ += cycles;
     pending_load_reg_ = exit_pending_load_reg;
+    hilo_ready_ = exit_hilo_ready;
     slot_open_ = false;
     slot_dest_ = slot_dest;
     slot_mem_ = slot_mem;

@@ -105,8 +105,8 @@ struct FoldedEnv {
   }
 };
 
-// Baseline env with exact per-op timing (dual issue, cache models, or a
-// HI/LO-touching trace): charges the shared retire(RetireRecord) per op.
+// Baseline env with exact per-op timing (dual issue or cache models):
+// charges the shared retire(RetireRecord) per op.
 struct TimedEnv {
   static constexpr bool kDispatchProbe = false;
   PipelineModel* pipe;
@@ -129,9 +129,10 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
   t.ops.clear();
   t.words.clear();
   t.stall_prefix.clear();
+  t.hilo_ops.clear();
   t.start_pc = pc;
   t.end64 = 0;
-  t.foldable = true;
+  t.code_page = nullptr;
 
   uint64_t p = pc;
   bool terminal = false;
@@ -149,9 +150,12 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
     t.words.push_back(word);
     p += 4;
   }
-  if (t.ops.size() < kMinOps) return false;
+  if (t.ops.empty()) return false;
 
   t.end64 = t.start_pc + 4ull * t.words.size();
+  if (((t.end64 - 1) >> mem::Memory::kPageBits) == (pc >> mem::Memory::kPageBits)) {
+    t.code_page = memory.page_data(pc);
+  }
   t.stall_prefix.assign(t.ops.size() + 1, 0);
   int pending = -1;  // entry assumption; op 0's correction is dynamic
   for (size_t k = 0; k < t.ops.size(); ++k) {
@@ -163,12 +167,16 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
         static_cast<uint8_t>(t.stall_prefix[k] + (stall ? 1 : 0));
     pending = r.is_load ? r.dest : -1;
     t.ops[k].pending_after = static_cast<int8_t>(pending);
-    if (r.is_hilo_write || r.is_hilo_touch) t.foldable = false;
+    if (r.is_hilo_write || r.is_hilo_touch) t.hilo_ops.push_back(static_cast<uint8_t>(k));
   }
   return true;
 }
 
 bool TraceCache::validate(const Trace& t, const mem::Memory& memory) const {
+  if (t.code_page != nullptr && std::endian::native == std::endian::little) {
+    return std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
+                       t.words.data(), t.words.size() * 4) == 0;
+  }
   uint32_t addr = t.start_pc;
   size_t done = 0;
   const size_t n = t.words.size();
@@ -239,29 +247,45 @@ uint64_t TraceCache::step_baseline(CpuState& state, mem::Memory& memory,
   Trace* t = hot_trace(state.pc, memory);
   if (t == nullptr) return 0;
 
-  if (t->foldable && pipeline.fold_eligible()) {
+  if (pipeline.fold_eligible()) {
     // Timing is committed wholesale after the run: k issue cycles, the
     // precomputed internal load-use stalls, the entry correction against
-    // the pipeline's live pending load, and the terminal's taken penalty.
+    // the pipeline's live pending load, the HI/LO waits, and the
+    // terminal's taken penalty.
     const int entry_pending = pipeline.pending_load_reg();
     FoldedEnv env;
     const TraceExecResult res = execute(*t, state, memory, budget, env);
     const uint64_t k = res.executed;
-    uint64_t cycles =
-        k + static_cast<uint64_t>(t->stall_prefix[k]) * pipeline.load_use_stall_cycles();
+    const uint64_t stall = pipeline.load_use_stall_cycles();
+    uint64_t entry_stall = 0;
     if (entry_pending > 0) {
       const RetireRecord& r0 = t->ops[0].rec;
       if ((r0.nsrc > 0 && r0.src0 == entry_pending) ||
           (r0.nsrc > 1 && r0.src1 == entry_pending)) {
-        cycles += pipeline.load_use_stall_cycles();
+        entry_stall = stall;
       }
     }
+    // Replay the HI/LO interlock for the HI/LO ops that ran, each on the
+    // clock retire() would have reached: entry clock, static offset, and
+    // the waits before it. hilo_ready may still be pending from an
+    // earlier trace.
+    const uint64_t entry_clock = pipeline.cycles() + entry_stall;
+    uint64_t hilo_ready = pipeline.hilo_ready();
+    uint64_t waits = 0;
+    for (const uint8_t i : t->hilo_ops) {
+      if (i >= k) break;
+      const uint64_t issued = entry_clock + i + 1 + t->stall_prefix[i + 1] * stall + waits;
+      uint64_t clock = issued;
+      pipeline.hilo_interlock(t->ops[i].rec, clock, hilo_ready);
+      waits += clock - issued;
+    }
+    uint64_t cycles = k + t->stall_prefix[k] * stall + entry_stall + waits;
     if (res.terminal_executed && res.terminal_taken) {
       cycles += pipeline.taken_branch_penalty();
     }
     const TraceOp& last = t->ops[k - 1];
     pipeline.fold_commit(cycles, last.pending_after, last.rec.dest,
-                         last.rec.is_mem_op, last.rec.is_hilo_write);
+                         last.rec.is_mem_op, last.rec.is_hilo_write, hilo_ready);
     ++stats_.folded_executions;
     *mem_accesses += env.mem;
     return res.executed;

@@ -7,7 +7,7 @@
 // executed as whole traces via threaded dispatch (computed goto where the
 // compiler supports it, a jump-table switch behind -DDIMSIM_PORTABLE_DISPATCH
 // otherwise), with the pipeline timing model folded into per-trace
-// precomputed cycle prefixes whenever the pipeline state permits.
+// precomputed cycle prefixes whenever the timing parameters permit.
 //
 // Transparency contract (pinned by tests/test_trace_cache.cpp and the
 // dimsim-fuzz --cmp-dispatch campaign): a run with the trace cache enabled
@@ -26,18 +26,27 @@
 //   - formation stops at 0xFFFFFFFC: the fall-through there wraps the PC
 //     to 0, breaking the pc+4 straight-line contract (the slow path
 //     handles address-space wraparound; see test_executor)
-//   - traces shorter than 3 instructions are rejected (dispatch overhead
-//     would exceed the win); rejected heads are remembered
+//   - every length counts, down to a single op: the short basic blocks of
+//     control-dominated code are the common case. A head is rejected (and
+//     remembered) only when its first word cannot start a trace: syscall,
+//     break, invalid, or a straight-line op at 0xFFFFFFFC
 //
 // Invalidation:
-//   - every execution revalidates the trace's words against memory
-//     (page-pointer memcmp, one page lookup per page spanned), so the
-//     cache is exact under self-modifying code just like DecodeCache
+//   - every execution revalidates the trace's words against memory by
+//     memcmp: against the code page cached at formation when the trace
+//     lies in one allocated page, else one page lookup per page spanned.
+//     The cache is exact under self-modifying code just like DecodeCache
 //   - a store *into the executing trace's own code range* finishes that
 //     store, then bails to the slow path (the interpreter would fetch the
 //     freshly written word; the trace must not keep running stale ops)
 //   - clear() drops everything: Machine::reset and snapshot restore call
-//     it so no host-side decoded state survives an image replacement
+//     it so no host-side decoded state survives an image replacement, and
+//     no cached page pointer outlives its page
+//
+// Folded timing: under single issue with both caches off, a trace's
+// cycles are committed in one step from precomputed load-use stall
+// counts. HI/LO interlocks are replayed at commit for the few HI/LO ops
+// that ran, so traces with mult/div and mfhi/mflo fold too.
 #pragma once
 
 #include <bit>
@@ -94,14 +103,24 @@ struct Trace {
   uint64_t end64 = 0;     // start_pc + 4 * words (64-bit: no wrap ambiguity)
   std::vector<TraceOp> ops;
   std::vector<uint32_t> words;  // fetched encodings, for revalidation
-  // Folded timing (valid when `foldable` and PipelineModel::fold_eligible):
+  // The page holding every word, cached at formation when the trace lies
+  // in one allocated page (else null): revalidation compares against it
+  // without a page lookup. Same lifetime contract as DataTlb: the page
+  // lives until its Memory's image is replaced, and TraceCache's clear(),
+  // copy constructor and copy assignment drop the pointer.
+  const uint8_t* code_page = nullptr;
+  // Folded timing (valid when PipelineModel::fold_eligible):
   // stall_prefix[k] = number of internal load-use stalls among the first k
   // ops, assuming no pending load at entry (corrected dynamically from op
   // 0's sources). Folded cycles for k ops = k + stall_prefix[k] * stall +
-  // entry correction + dynamic taken penalty — counts, not cycles, so the
-  // trace is independent of the TimingParams stall values.
+  // entry correction + HI/LO waits + dynamic taken penalty — counts, not
+  // cycles, so the trace is independent of the TimingParams values.
   std::vector<uint8_t> stall_prefix;
-  bool foldable = false;  // no HI/LO writers or readers in the trace
+  // Indexes of the ops that write or touch HI/LO, ascending. Op i's static
+  // cycle offset from the entry is i + 1 issue cycles plus
+  // stall_prefix[i + 1] load-use stalls; a folded commit replays
+  // PipelineModel::hilo_interlock at those offsets for the ops that ran.
+  std::vector<uint8_t> hilo_ops;
 };
 
 struct TraceStats {
@@ -111,7 +130,7 @@ struct TraceStats {
   uint64_t folded_executions = 0;  // entries that used precomputed timing
   uint64_t revalidation_rebuilds = 0;  // stale words at entry -> rebuilt
   uint64_t smc_bails = 0;       // store into the live trace's code range
-  uint64_t rejected_heads = 0;  // head built but below the minimum length
+  uint64_t rejected_heads = 0;  // head whose first word cannot start a trace
   uint64_t dispatch_stops = 0;  // accel: rcache hit at a trace-interior PC
 };
 
@@ -213,13 +232,18 @@ class TraceCache {
  public:
   TraceCache() : slots_(kSlots) {}
 
-  // Traces never hold pointers, but the data TLB does; a copied cache must
-  // not alias the source's Memory, so copies start with a cold TLB.
-  TraceCache(const TraceCache& o) : slots_(o.slots_), stats_(o.stats_) {}
+  // The data TLB and each trace's code page point into the source's
+  // Memory; a copied cache must not alias it, so copies start with a cold
+  // TLB and revalidate their traces through page lookups in their own
+  // Memory (where they cache nothing until rebuilt).
+  TraceCache(const TraceCache& o) : slots_(o.slots_), stats_(o.stats_) {
+    drop_code_pages();
+  }
   TraceCache& operator=(const TraceCache& o) {
     slots_ = o.slots_;
     stats_ = o.stats_;
     tlb_ = DataTlb{};
+    drop_code_pages();
     return *this;
   }
 
@@ -252,7 +276,7 @@ class TraceCache {
   // Drops every trace, head counter and cached page pointer. Must be
   // called whenever the backing image is replaced (Machine::reset,
   // snapshot restore) — revalidation would catch stale words, but head
-  // heat, rejection flags and the TLB are not word-checked.
+  // heat, rejection flags, code pages and the TLB are not word-checked.
   void clear() {
     for (Slot& s : slots_) s = Slot{};
     tlb_ = DataTlb{};
@@ -268,7 +292,6 @@ class TraceCache {
   }
 
   static constexpr size_t kMaxOps = 64;  // longest trace (<= 256 bytes of code)
-  static constexpr size_t kMinOps = 3;   // below this, dispatch overhead wins
   static constexpr uint8_t kHeat = 2;    // head visits before formation
 
   // Core executor, shared by step_baseline and step_env (public so the
@@ -280,7 +303,7 @@ class TraceCache {
  private:
   struct Slot {
     uint32_t head = 1;      // established trace head (1 = none)
-    bool rejected = false;  // head built but below kMinOps
+    bool rejected = false;  // first word cannot start a trace
     uint32_t cand_pc = 1;   // rival head warming up
     uint8_t cand_heat = 0;
     Trace trace;
@@ -295,6 +318,9 @@ class TraceCache {
 
   bool build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) const;
   bool validate(const Trace& t, const mem::Memory& memory) const;
+  void drop_code_pages() {
+    for (Slot& s : slots_) s.trace.code_page = nullptr;
+  }
 
   std::vector<Slot> slots_;
   DataTlb tlb_;

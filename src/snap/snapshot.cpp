@@ -366,6 +366,11 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
                         "snapshot was taken under a different system configuration");
   }
 
+  // restore_pages replaces the image and frees its pages: drop all
+  // host-side decoded state (decode cache, superblock traces with their
+  // cached page pointers) first, so even a restore that fails below leaves
+  // no pointer into a freed page.
+  SystemAccess::clear_host_caches(system);
   try {
     SystemAccess::memory(system).restore_pages(d.pages);
     SystemAccess::state(system) = d.cpu;
@@ -386,9 +391,6 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
   SystemAccess::set_array_cycle_acc(system, d.array_cycle_acc);
   SystemAccess::set_residency_latch(system, d.has_resident, d.resident_pc,
                                     d.resident_rev, d.resident_lo, d.resident_hi);
-  // restore_pages invalidated every page pointer and replaced the image;
-  // drop all host-side decoded state (decode cache, superblock traces).
-  SystemAccess::clear_host_caches(system);
 }
 
 void restore_snapshot(accel::AcceleratedSystem& system, std::istream& in,

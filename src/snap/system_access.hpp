@@ -109,7 +109,7 @@ struct SystemAccess {
   // invalidates page pointers) — both host-side caches must forget
   // everything they decoded from the old image. Architecture-invisible:
   // they rebuild lazily and revalidate against memory, but the trace
-  // cache's cached page pointer would dangle without this.
+  // cache's code-page and data-TLB pointers would dangle without this.
   static void clear_host_caches(accel::AcceleratedSystem& s) {
     s.decode_cache_.clear();
     s.trace_cache_.clear();

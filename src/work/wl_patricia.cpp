@@ -1,6 +1,9 @@
 // Patricia (MiBench network/patricia): radix-trie insert and lookup over
 // 16-bit keys (routing-table style). Pointer chasing with a branch per
 // bit — no hot kernel, many small basic blocks.
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <set>
 
 #include "work/asmgen.hpp"
@@ -31,19 +34,20 @@ Workload make_patricia(int scale) {
   for (uint32_t q : queries) hits += present.count(q) ? 1 : 0;
 
   // Longest-prefix-match pass (the routing-table lookup patricia exists
-  // for): for each query, the depth of the deepest trie node on its path.
-  // Mirrors the node-per-bit trie the kernel builds.
+  // for): for each query, the depth of the deepest trie node on its path,
+  // i.e. its longest common prefix with any key of the node-per-bit trie
+  // the kernel builds. For fixed-width keys in sorted order that maximum is
+  // reached at the query's sorted neighbours: lower_bound and the key
+  // before it.
+  auto common_bits = [](uint32_t a, uint32_t b) {
+    return static_cast<uint32_t>(std::countl_zero(static_cast<uint16_t>(a ^ b)));
+  };
   uint32_t lpm_sum = 0;
   for (uint32_t q : queries) {
     uint32_t depth = 0;
-    for (uint32_t k : present) {
-      uint32_t common = 0;
-      for (int b = 15; b >= 0; --b) {
-        if (((q >> b) & 1) != ((k >> b) & 1)) break;
-        ++common;
-      }
-      depth = std::max(depth, common);
-    }
+    const auto next = present.lower_bound(q);
+    if (next != present.end()) depth = common_bits(q, *next);
+    if (next != present.begin()) depth = std::max(depth, common_bits(q, *std::prev(next)));
     lpm_sum += depth;
   }
   const uint32_t combined = hits + 17u * lpm_sum;

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "asm/assembler.hpp"
 #include "asm/lexer.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "mem/memory.hpp"
+#include "work/workload.hpp"
 
 namespace dim::asmblr {
 namespace {
@@ -216,6 +222,106 @@ TEST(Assembler, ImageRoundTripThroughDisasm) {
       " neg $t4, $t3\n b main\n beqz $t0, main\n bnez $t0, main\n nop\n subiu $t5, $t4, 3\n");
   for (const auto& i : text) {
     EXPECT_NE(i.op, Op::kInvalid) << isa::disasm(i, 0);
+  }
+}
+
+TEST(Assembler, ErrorMessagesAndLinesPinned) {
+  // Exact what() text and line() of representative errors from every
+  // stage: lexer, operand parser, layout and emission.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"main: nop\n  addiu $t0, $t1, @\n", "line 2: unexpected character: @"},
+      {"nop\n.asciiz \"open\n", "line 2: unterminated string"},
+      {".byte 'ab'\n", "line 1: bad char literal"},
+      {".asciiz \"\\q\"\n", "line 1: unknown escape: \\q"},
+      {"main: bogus $t0\n", "line 1: unknown mnemonic: bogus"},
+      {"main: addu $t0, $t1\n", "line 1: addu: expected 3 operands, got 2"},
+      {"main: addu $t0, 5, $t1\n", "line 1: addu: operand 2 must be a register"},
+      {"main: addu $t0, $zz, $t1\n", "line 1: bad register: $zz"},
+      {"main: lw $t0, 4($qq)\n", "line 1: bad register: $qq"},
+      {"main: lw $t0, 4(7)\n", "line 1: expected base register"},
+      {"main: lw $t0, 4($t1\n", "line 1: expected ')'"},
+      {"main: lw $t0, x+\n", "line 1: expected number after +/-"},
+      {"main: lw $t0, missing($t1)\n", "line 1: undefined symbol: missing"},
+      {"main: j nowhere\n", "line 1: undefined symbol: nowhere"},
+      {"main: addiu $t0, $t1, ,\n", "line 1: unexpected token in operands"},
+      {"x: nop\n\nx: nop\n", "line 3: duplicate label: x"},
+      {".data\nnop\n", "line 2: instruction outside .text"},
+      {".bogus 1\n", "line 1: unknown directive: .bogus"},
+      {"main: 5\n", "line 1: expected mnemonic"},
+  };
+  for (const auto& [source, message] : cases) {
+    try {
+      assemble(source);
+      ADD_FAILURE() << "no error for: " << source;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.what(), message) << source;
+      EXPECT_EQ(e.line(), std::stoi(message.substr(5))) << source;
+    }
+  }
+}
+
+// FNV-1a over a program's entry, segments and symbol table (by name), so a
+// pin covers every byte an assembled kernel loads plus every label.
+uint64_t image_digest(const Program& p) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto byte = [&](uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  auto u32 = [&](uint32_t v) {
+    for (int s = 0; s < 32; s += 8) byte(static_cast<uint8_t>(v >> s));
+  };
+  u32(p.entry);
+  for (const Segment& seg : p.segments) {
+    u32(seg.base);
+    u32(static_cast<uint32_t>(seg.bytes.size()));
+    for (uint8_t b : seg.bytes) byte(b);
+  }
+  std::vector<std::pair<std::string, uint32_t>> symbols(p.symbols.begin(),
+                                                        p.symbols.end());
+  std::sort(symbols.begin(), symbols.end());
+  for (const auto& [name, addr] : symbols) {
+    for (char c : name) byte(static_cast<uint8_t>(c));
+    byte(0);
+    u32(addr);
+  }
+  return h;
+}
+
+TEST(AssemblerGolden, KernelImagesPinned) {
+  // Images and symbol tables of all 18 kernels at scales 1 and 4; any
+  // change to the assembler's output (or to a kernel's source) moves them.
+  struct Pin {
+    const char* name;
+    uint64_t scale1;
+    uint64_t scale4;
+  };
+  const Pin pins[] = {
+      {"rijndael_e", 0xc5da517ca8c27223ull, 0x8e33e0ad9d738ae7ull},
+      {"rijndael_d", 0x2bf230c043c4d875ull, 0x5bbd6c2a9a7dffc2ull},
+      {"gsm_e", 0x73cdd54e54f90667ull, 0x379720e9598dc991ull},
+      {"jpeg_e", 0xa4a75dd9709702daull, 0xc76adabbf06e9d9aull},
+      {"sha", 0x667eb28f7d558c4dull, 0x92a09de0306983bfull},
+      {"susan_s", 0xd7eb3f0cf7ccbf69ull, 0xeb1645acef9dde95ull},
+      {"crc32", 0x3c1a50a7b94bdef4ull, 0x5f0377c3cf9d7fbbull},
+      {"jpeg_d", 0x2382ec01315be432ull, 0x31eacb35533bf0b2ull},
+      {"patricia", 0xa90ffee910fe3fe4ull, 0x173aa06de205464eull},
+      {"susan_c", 0xecad73f83b2691b4ull, 0xe5f480664150b2fcull},
+      {"susan_e", 0x79b08a3d42dae599ull, 0xa8a2a66779de20f7ull},
+      {"dijkstra", 0xa97d70061f77493bull, 0x562420e936cb94efull},
+      {"gsm_d", 0xc9e76172aaa2c6ebull, 0x6a958e34c50dddedull},
+      {"bitcount", 0x3c79ad8fd804c859ull, 0x1124a07034a119e2ull},
+      {"stringsearch", 0x6e6abfe00e64f7e9ull, 0xeac996377578fcd9ull},
+      {"quicksort", 0x15f524a51fe89ef1ull, 0x3a634395c1a66cfbull},
+      {"rawaudio_e", 0xb0cd750c39cf73c2ull, 0x2a1e8dda2b128e29ull},
+      {"rawaudio_d", 0xb270235eaece50b6ull, 0xc5c6e618c173b447ull},
+  };
+  ASSERT_EQ(std::size(pins), work::workload_names().size());
+  for (const Pin& pin : pins) {
+    const uint64_t d1 = image_digest(assemble(work::make_workload(pin.name, 1).source));
+    const uint64_t d4 = image_digest(assemble(work::make_workload(pin.name, 4).source));
+    EXPECT_EQ(d1, pin.scale1) << pin.name << " scale 1: 0x" << std::hex << d1;
+    EXPECT_EQ(d4, pin.scale4) << pin.name << " scale 4: 0x" << std::hex << d4;
   }
 }
 

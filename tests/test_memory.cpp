@@ -57,6 +57,53 @@ TEST(Memory, BlockHelpers) {
   EXPECT_EQ(m.read8(0x2004), 5u);
 }
 
+// write_block must leave exactly the image a byte-by-byte write8 loop
+// leaves: the same bytes and the same allocated pages, all-zero pages
+// included (content_hash and pages_allocated count them).
+void expect_block_matches_bytewise(uint32_t addr, const std::vector<uint8_t>& data) {
+  Memory block;
+  block.write_block(addr, data.data(), data.size());
+  Memory bytewise;
+  for (size_t i = 0; i < data.size(); ++i) {
+    bytewise.write8(addr + static_cast<uint32_t>(i), data[i]);
+  }
+  EXPECT_EQ(block.pages_allocated(), bytewise.pages_allocated());
+  EXPECT_EQ(block.content_hash(), bytewise.content_hash());
+  EXPECT_EQ(block.first_difference(bytewise), std::nullopt);
+}
+
+TEST(Memory, WriteBlockStraddlingPagesMatchesBytewise) {
+  std::vector<uint8_t> data(3 * Memory::kPageSize / 2 + 7);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i * 37 + 1);
+  const uint32_t addr = 5 * Memory::kPageSize - 100;  // spans three pages
+  expect_block_matches_bytewise(addr, data);
+
+  Memory m;
+  m.write_block(addr, data.data(), data.size());
+  EXPECT_EQ(m.pages_allocated(), 3u);
+  EXPECT_EQ(m.read_block(addr, data.size()), data);
+  EXPECT_EQ(m.read8(addr - 1), 0u);
+  EXPECT_EQ(m.read8(addr + static_cast<uint32_t>(data.size())), 0u);
+
+  // A block that wraps past the top of the address space lands at 0.
+  expect_block_matches_bytewise(0xFFFFFFF0u, std::vector<uint8_t>(40, 0xA5));
+}
+
+TEST(Memory, WriteBlockOfZerosAllocatesItsPages) {
+  const std::vector<uint8_t> zeros(Memory::kPageSize + 16, 0);
+  expect_block_matches_bytewise(Memory::kPageSize - 8, zeros);
+
+  Memory m;
+  m.write_block(Memory::kPageSize - 8, zeros.data(), zeros.size());
+  EXPECT_EQ(m.pages_allocated(), 3u);
+  EXPECT_NE(m.content_hash(), Memory{}.content_hash());
+
+  // An empty block allocates nothing.
+  Memory empty;
+  empty.write_block(0x1000, zeros.data(), 0);
+  EXPECT_EQ(empty.pages_allocated(), 0u);
+}
+
 TEST(Memory, ContentHashDetectsChanges) {
   Memory a, b;
   a.write32(0x1000, 42);

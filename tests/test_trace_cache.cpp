@@ -4,10 +4,12 @@
 // stamped event stream. These tests pin that contract on hand-picked edge
 // cases the fuzzer is unlikely to weight: self-modifying code, PC
 // wraparound at 0xFFFFFFFC, page-straddling traces, branches into trace
-// interiors, cache lifecycle across Machine::reset and snapshot restore,
-// and instruction-limit cuts landing mid-trace.
+// interiors, 1- and 2-op blocks, folded HI/LO interlocks, cache lifecycle
+// across Machine::reset, copies and snapshot restore, and
+// instruction-limit cuts landing mid-trace.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,10 +118,10 @@ TEST(TraceCache, FastMatchesSlowUnderNonFoldableTimings) {
 }
 
 TEST(TraceCache, FastMatchesSlowWithHiLoTraces) {
-  // mult/div/mfhi/mflo inside the hot loop: HI/LO latency interacts with
-  // the stall clock, so these traces are never folded — but the timed
-  // path must agree cycle for cycle (incl. div-by-zero semantics).
-  expect_dispatch_identical(R"(
+  // mult/div/mfhi/mflo inside the hot loop: the folded commit replays the
+  // HI/LO interlock and must agree cycle for cycle with per-op retires
+  // (incl. div-by-zero semantics).
+  const asmblr::Program p = asmblr::assemble(R"(
 main:
         li   $t3, 120
         li   $t6, 7
@@ -135,6 +137,178 @@ loop:
         bne   $t3, $zero, loop
         break
 )");
+  expect_dispatch_identical(p);
+
+  Machine m(p);
+  m.run();
+  EXPECT_GT(m.trace_cache().stats().folded_executions, 0u);
+}
+
+// HI/LO results read inside one trace, across a taken jump into the next
+// trace, across a slow-path syscall (a mult ends one trace and an mflo
+// heads the next), and on the slow path after the loop; with load-use
+// stalls in front of a HI/LO writer and a HI/LO mover.
+const char* kHiLoChain = R"(
+main:
+        li    $t3, 30
+        li    $t6, 7
+        la    $t8, buf
+        li    $v0, 11
+        li    $a0, 46
+loop:
+        addiu $t0, $t0, 3
+        div   $t0, $t6
+        mfhi  $t1
+        addu  $t5, $t5, $t1
+        lw    $t7, 0($t8)
+        multu $t7, $t6
+        j     mid
+mid:
+        mflo  $t2
+        sw    $t5, 0($t8)
+        mult  $t0, $t3
+        syscall
+next:
+        mflo  $t2
+        xor   $t5, $t5, $t2
+        lw    $t7, 0($t8)
+        mtlo  $t7
+        divu  $t5, $t6
+        addiu $t3, $t3, -1
+        bne   $t3, $zero, loop
+        mflo  $t4
+        break
+        .data
+buf:    .word 5
+)";
+
+TEST(TraceCache, FoldedHiLoMatchesRetireForEveryLatency) {
+  const asmblr::Program p = asmblr::assemble(kHiLoChain);
+  for (const uint32_t mult : {0u, 1u, 4u, 20u, 37u}) {
+    for (const uint32_t div : {0u, 1u, 4u, 20u, 37u}) {
+      SCOPED_TRACE("mult_latency " + std::to_string(mult) + ", div_latency " +
+                   std::to_string(div));
+      MachineConfig cfg;
+      cfg.timing.mult_latency = mult;
+      cfg.timing.div_latency = div;
+      expect_dispatch_identical(p, cfg);
+
+      Machine m(p, cfg);
+      m.run();
+      const TraceStats& st = m.trace_cache().stats();
+      EXPECT_GT(st.folded_executions, 0u);
+      EXPECT_EQ(st.folded_executions, st.executions);
+      const Trace* mid = m.trace_cache().peek(p.symbol("mid"));
+      const Trace* next = m.trace_cache().peek(p.symbol("next"));
+      ASSERT_NE(mid, nullptr);
+      ASSERT_NE(next, nullptr);
+      EXPECT_EQ(mid->ops.front().instr.op, isa::Op::kMflo);
+      EXPECT_EQ(mid->ops.back().instr.op, isa::Op::kMult);
+      EXPECT_EQ(next->ops.front().instr.op, isa::Op::kMflo);
+    }
+  }
+}
+
+// Runs `program` to halt in calls of at most `chunk` instructions (each
+// run() stops at the limit; the next one continues).
+RunResult run_in_chunks(const asmblr::Program& program, MachineConfig config,
+                        uint64_t chunk) {
+  config.max_instructions = chunk;
+  Machine m(program, config);
+  RunResult r = m.run();
+  uint64_t instructions = r.instructions;
+  while (r.hit_limit) {
+    r = m.run();
+    instructions += r.instructions;
+  }
+  r.instructions = instructions;
+  return r;
+}
+
+TEST(TraceCache, InstructionLimitCutsBetweenHiLoWriterAndReader) {
+  // Cuts at every position through the loop's traces (chunk 1 cuts after
+  // each instruction; the primes shift the cut phase from one iteration to
+  // the next), including the ones between a mult/div and its reader: the
+  // continuation must see the pending HI/LO readiness the cut left behind.
+  const asmblr::Program p = asmblr::assemble(kHiLoChain);
+  MachineConfig cfg;
+  cfg.timing.mult_latency = 20;
+  cfg.timing.div_latency = 37;
+  cfg.host_trace_dispatch = false;
+  const RunResult straight = run_baseline(p, cfg);
+  for (const uint64_t chunk : {1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    cfg.host_trace_dispatch = true;
+    const RunResult fast = run_in_chunks(p, cfg, chunk);
+    EXPECT_EQ(straight.instructions, fast.instructions);
+    EXPECT_EQ(straight.cycles, fast.cycles);
+    EXPECT_EQ(straight.memory_hash, fast.memory_hash);
+    expect_same_state(straight.state, fast.state);
+  }
+}
+
+TEST(TraceCache, OneAndTwoOpBlocksFormTraces) {
+  // The short blocks of control-dominated code: a 2-op block (addiu +
+  // beq) and a 1-op block (a lone j) alternate. Both form traces, fold,
+  // and match the slow path bit for bit.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li    $t3, 60
+loop:
+        addiu $t3, $t3, -1
+        beq   $t3, $zero, done
+back:
+        j     loop
+done:
+        break
+)");
+  const RunResult fast = expect_dispatch_identical(p);
+  EXPECT_FALSE(fast.hit_limit);
+
+  Machine m(p);
+  m.run();
+  const Trace* two = m.trace_cache().peek(p.symbol("loop"));
+  const Trace* one = m.trace_cache().peek(p.symbol("back"));
+  ASSERT_NE(two, nullptr);
+  ASSERT_NE(one, nullptr);
+  EXPECT_EQ(two->ops.size(), 2u);
+  EXPECT_EQ(one->ops.size(), 1u);
+  const TraceStats& st = m.trace_cache().stats();
+  EXPECT_EQ(st.rejected_heads, 0u);
+  EXPECT_EQ(st.folded_executions, st.executions);
+  EXPECT_GT(st.ops_executed, fast.instructions * 9 / 10);
+}
+
+TEST(TraceCache, OnlyUnstartableHeadsAreRejected) {
+  // Syscall heads cannot start a trace and are rejected once each; the
+  // 1-op blocks between them (a straight-line op stopped by the next
+  // syscall, a lone branch) form traces.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li    $t3, 40
+        li    $v0, 11
+        li    $a0, 46
+loop:
+        syscall
+        addiu $t3, $t3, -1
+        syscall
+        bne   $t3, $zero, loop
+        break
+)");
+  const RunResult fast = expect_dispatch_identical(p);
+  EXPECT_EQ(fast.state.output, std::string(80, '.'));
+
+  Machine m(p);
+  m.run();
+  const uint32_t loop = p.symbol("loop");
+  EXPECT_EQ(m.trace_cache().stats().rejected_heads, 2u);
+  EXPECT_EQ(m.trace_cache().peek(loop), nullptr);
+  EXPECT_EQ(m.trace_cache().peek(loop + 8), nullptr);
+  for (const uint32_t head : {loop + 4, loop + 12}) {
+    const Trace* t = m.trace_cache().peek(head);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->ops.size(), 1u);
+  }
 }
 
 TEST(TraceCache, SelfModifyingPatchLoopMatchesSlowPath) {
@@ -328,7 +502,7 @@ mid:
   ASSERT_NE(m.trace_cache().peek(mid), nullptr) << "interior head never formed";
   const Trace* t = m.trace_cache().peek(head);
   if (t != nullptr) {
-    EXPECT_GE(t->ops.size(), TraceCache::kMinOps);
+    EXPECT_GE(t->ops.size(), 1u);
     EXPECT_LE(t->ops.size(), TraceCache::kMaxOps);
   }
 }
@@ -383,6 +557,54 @@ loop:
             reused.trace_cache().stats().traces_built);
   EXPECT_EQ(fresh.trace_cache().stats().executions,
             reused.trace_cache().stats().executions);
+}
+
+TEST(TraceCache, CopiedMachineValidatesAgainstItsOwnMemory) {
+  // A copied Machine (copy-constructed or copy-assigned) carries the
+  // source's hot traces, whose cached code pages belong to the source's
+  // Memory. Patching the copy's code must rebuild the copy's traces from
+  // its own image. The source is destroyed before the copy runs, so a
+  // read of its pages would be a use-after-free.
+  const asmblr::Program p = asmblr::assemble(kHotLoop);
+  isa::Instr subu;  // replaces `xor $t2, $t1, $t3`
+  subu.op = isa::Op::kSubu;
+  subu.rd = 10;
+  subu.rs = 9;
+  subu.rt = 11;
+  const uint32_t site = p.symbol("loop") + 8;
+
+  auto run_patched_copy = [&](bool fast, bool assign, TraceStats* stats) {
+    MachineConfig cfg;
+    cfg.host_trace_dispatch = fast;
+    cfg.max_instructions = 400;  // stop mid-loop with hot traces
+    auto source = std::make_unique<Machine>(p, cfg);
+    source->run();
+    std::unique_ptr<Machine> copy;
+    if (assign) {
+      copy = std::make_unique<Machine>(asmblr::assemble("main: break\n"), cfg);
+      *copy = *source;
+    } else {
+      copy = std::make_unique<Machine>(*source);
+    }
+    source.reset();
+    copy->memory().write32(site, isa::encode(subu));
+    RunResult r = copy->run();
+    while (r.hit_limit) r = copy->run();
+    *stats = copy->trace_cache().stats();
+    return r;
+  };
+
+  for (const bool assign : {false, true}) {
+    SCOPED_TRACE(assign ? "copy assignment" : "copy construction");
+    TraceStats slow_stats;
+    TraceStats fast_stats;
+    const RunResult slow = run_patched_copy(false, assign, &slow_stats);
+    const RunResult fast = run_patched_copy(true, assign, &fast_stats);
+    EXPECT_EQ(slow.cycles, fast.cycles);
+    EXPECT_EQ(slow.memory_hash, fast.memory_hash);
+    expect_same_state(slow.state, fast.state);
+    EXPECT_GT(fast_stats.revalidation_rebuilds, 0u) << "patched word never noticed";
+  }
 }
 
 std::string stats_json(const accel::AccelStats& stats) {

@@ -3,7 +3,10 @@
 // baseline simulator (parameterized over all 18 workloads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <set>
 
 #include "asm/assembler.hpp"
 #include "sim/machine.hpp"
@@ -131,6 +134,42 @@ TEST(Golden, SusanCornersFindsCheckerboardCorners) {
     for (int x = 20; x < 40; ++x) img[static_cast<size_t>(y * 64 + x)] = 200;
   EXPECT_GT(golden::susan_corners(img, 64, 32), 0);
   EXPECT_GT(golden::susan_edges(img, 64, 32), golden::susan_corners(img, 64, 32));
+}
+
+// Patricia's expected output recomputed by brute force: the kernel's trie
+// depth for a query is its longest common prefix with any inserted key, so
+// compare every query with every key. Input generation mirrors
+// wl_patricia.cpp.
+std::string patricia_brute_force(int scale) {
+  uint32_t seed = 0x9A721C1Au;
+  std::vector<uint32_t> keys(static_cast<size_t>(900 * scale));
+  for (auto& k : keys) k = golden::lcg(seed) & 0xFFFF;
+  std::vector<uint32_t> queries(static_cast<size_t>(1800 * scale));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i] = i % 2 == 0 ? keys[golden::lcg(seed) % keys.size()]
+                            : golden::lcg(seed) & 0xFFFF;
+  }
+  const std::set<uint32_t> present(keys.begin(), keys.end());
+  uint32_t hits = 0;
+  uint32_t lpm_sum = 0;
+  for (uint32_t q : queries) {
+    hits += present.count(q) ? 1 : 0;
+    int depth = 0;
+    for (uint32_t k : present) {
+      depth = std::max(depth, std::countl_zero(static_cast<uint16_t>(q ^ k)));
+    }
+    lpm_sum += static_cast<uint32_t>(depth);
+  }
+  return std::to_string(static_cast<int32_t>(hits + 17u * lpm_sum));
+}
+
+TEST(Golden, PatriciaLongestPrefixMatchPinned) {
+  const char* pinned[] = {"400485", "828816", "1267143", "1713443"};
+  for (int scale = 1; scale <= 4; ++scale) {
+    const Workload wl = make_workload("patricia", scale);
+    EXPECT_EQ(wl.expected_output, pinned[scale - 1]) << "scale " << scale;
+    EXPECT_EQ(wl.expected_output, patricia_brute_force(scale)) << "scale " << scale;
+  }
 }
 
 // --- assembly kernels vs golden (all 18) ---------------------------------------
