@@ -21,10 +21,8 @@ bool send_all(int fd, const char* data, size_t size) {
   return true;
 }
 
-// Reads exactly `size` bytes; false on error or on EOF mid-buffer.
-// `clean_eof` distinguishes "the peer closed between frames" (normal
-// worker exit) from "the peer died mid-frame" (SIGKILL mid-write).
-bool recv_exact(int fd, char* data, size_t size, bool* clean_eof) {
+// Reads exactly `size` bytes; false on error or on EOF, even mid-buffer.
+bool recv_exact(int fd, char* data, size_t size) {
   size_t got = 0;
   while (got < size) {
     const ssize_t n = ::recv(fd, data + got, size - got, 0);
@@ -32,10 +30,7 @@ bool recv_exact(int fd, char* data, size_t size, bool* clean_eof) {
       if (errno == EINTR) continue;
       return false;
     }
-    if (n == 0) {
-      if (clean_eof != nullptr) *clean_eof = (got == 0);
-      return false;
-    }
+    if (n == 0) return false;
     got += static_cast<size_t>(n);
   }
   return true;
@@ -85,14 +80,14 @@ bool send_frame(int fd, const std::string& payload) {
 
 bool recv_frame(int fd, std::string& out) {
   char header[4];
-  if (!recv_exact(fd, header, sizeof header, nullptr)) return false;
+  if (!recv_exact(fd, header, sizeof header)) return false;
   const uint32_t size = static_cast<uint32_t>(static_cast<unsigned char>(header[0])) |
                         (static_cast<uint32_t>(static_cast<unsigned char>(header[1])) << 8) |
                         (static_cast<uint32_t>(static_cast<unsigned char>(header[2])) << 16) |
                         (static_cast<uint32_t>(static_cast<unsigned char>(header[3])) << 24);
   if (size > kMaxFrameBytes) return false;
   out.resize(size);
-  return size == 0 || recv_exact(fd, out.data(), size, nullptr);
+  return size == 0 || recv_exact(fd, out.data(), size);
 }
 
 std::string encode_job_frame(uint64_t job_id, const std::string& line) {

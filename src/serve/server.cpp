@@ -1,106 +1,11 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <limits>
-#include <sstream>
-
-#include "accel/stats_io.hpp"
-#include "accel/system.hpp"
-#include "asm/assembler.hpp"
-#include "fuzz/campaign.hpp"
-#include "serve/batcher.hpp"
-#include "snap/codec.hpp"
-#include "snap/io.hpp"
-#include "snap/snapshot.hpp"
-#include "snap/warmstart.hpp"
-#include "work/workload.hpp"
-
 namespace dim::serve {
-namespace {
-
-std::string cancel_key(const RequestId& id) {
-  return (id.is_string ? "s:" : "i:") + id.text;
-}
-
-std::string hex16(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
-
-// --- Session ---------------------------------------------------------------
-
-Server::Session::Session(Server* server, ResponseSink sink)
-    : server_(server), sink_(std::move(sink)) {}
-
-uint64_t Server::Session::allocate_seq() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_++;
-}
-
-void Server::Session::complete(uint64_t seq, std::string response_line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.emplace(seq, std::move(response_line));
-  // Emit every response that is now next in admission order. The sink is
-  // called under the lock, so per-session output is serialized and
-  // ordered by construction.
-  while (!ready_.empty() && ready_.begin()->first == emit_seq_) {
-    const std::string line = std::move(ready_.begin()->second);
-    ready_.erase(ready_.begin());
-    ++emit_seq_;
-    if (sink_) sink_(line);
-  }
-  lock.unlock();
-  drained_.notify_all();
-  {
-    std::lock_guard<std::mutex> clock(server_->counters_mutex_);
-    ++server_->counters_.completed;
-  }
-}
-
-bool Server::Session::submit(const std::string& line) {
-  // Admission decides everything, including the shutting-down rejection
-  // (it knows the request id, so the rejection is still correlatable).
-  server_->admit(shared_from_this(), line);
-  return !server_->shutting_down();
-}
-
-void Server::Session::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  drained_.wait(lock, [this] { return emit_seq_ == next_seq_; });
-}
-
-bool Server::Session::is_canceled(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return canceled_.count(cancel_key(id)) > 0;
-}
-
-void Server::Session::mark_canceled(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  canceled_.insert(cancel_key(id));
-}
-
-void Server::Session::consume_cancel(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  canceled_.erase(cancel_key(id));
-}
-
-// --- Server ----------------------------------------------------------------
 
 Server::Server(ServerOptions options)
-    : options_(options), queue_(options.queue_capacity) {
-  if (options_.checkpoint_interval == 0) options_.checkpoint_interval = 1u << 20;
-  if (!options_.store_dir.empty()) {
-    store_ = std::make_unique<snap::ResultStore>(options_.store_dir + "/cells");
-    std::filesystem::create_directories(options_.store_dir + "/warm");
-  }
+    : SessionHost(options.queue_capacity),
+      options_(options),
+      executor_(options.store_dir, options.worker_threads, options.checkpoint_interval) {
   if (options_.auto_dispatch) {
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
   }
@@ -108,73 +13,61 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { shutdown(); }
 
-std::shared_ptr<SessionHost::Session> Server::open_session(ResponseSink sink) {
-  return std::shared_ptr<Session>(new Session(this, std::move(sink)));
-}
-
 void Server::shutdown() {
-  bool expected = false;
-  if (shutting_down_.compare_exchange_strong(expected, true)) {
-    queue_.close();
-    shutdown_cv_.notify_all();
-  }
+  stop_accepting();
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-void Server::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [this] { return shutting_down_.load(); });
-}
-
 ServerCounters Server::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ServerCounters c = counters_;
-  if (store_ != nullptr) {
-    c.has_store = true;
-    c.store = store_->counters();
-  }
+  ServerCounters c;
+  static_cast<HostCounters&>(c) = host_counters();
+  static_cast<ExecutorCounters&>(c) = executor_.counters();
   return c;
 }
 
 void Server::dispatch_pending() {
-  std::vector<WorkItem> batch;
-  WorkItem item;
-  while (queue_.try_pop(item)) {
-    batch.push_back(std::move(item));
+  std::vector<Ticket> batch;
+  Ticket ticket;
+  while (queue_.try_pop(ticket)) {
+    batch.push_back(std::move(ticket));
     if (batch.size() >= options_.batch_max) {
-      process_batch(std::move(batch));
+      process_batch(batch);
       batch.clear();
     }
   }
-  if (!batch.empty()) process_batch(std::move(batch));
+  if (!batch.empty()) process_batch(batch);
 }
 
 void Server::dispatcher_loop() {
   for (;;) {
-    WorkItem first;
+    Ticket first;
     if (!queue_.pop(first)) return;  // closed and drained
-    std::vector<WorkItem> batch;
+    std::vector<Ticket> batch;
     batch.push_back(std::move(first));
-    WorkItem more;
+    Ticket more;
     while (batch.size() < options_.batch_max && queue_.try_pop(more)) {
       batch.push_back(std::move(more));
     }
-    process_batch(std::move(batch));
+    process_batch(batch);
   }
 }
 
-std::string Server::stats_response(const RequestId& id) const {
-  const ServerCounters c = counters();
-  std::ostringstream out;
-  write_ok_prefix(out, id);
-  out << ", \"kind\": \"stats\""
-      << ", \"accepted\": " << c.accepted
-      << ", \"rejected_overload\": " << c.rejected_overload
-      << ", \"rejected_invalid\": " << c.rejected_invalid
-      << ", \"rejected_deadline\": " << c.rejected_deadline
-      << ", \"completed\": " << c.completed
-      << ", \"canceled\": " << c.canceled
-      << ", \"batches\": " << c.batches
+void Server::process_batch(const std::vector<Ticket>& tickets) {
+  std::vector<Executor::Job> jobs;
+  for (const Ticket& ticket : tickets) {
+    if (!pick_up(ticket)) continue;
+    Executor::Job job;
+    job.request = parse_request(ticket.line).request;  // validated at admission
+    job.respond = [this, &ticket](std::string line) { answer(ticket, std::move(line)); };
+    job.canceled = [this, &ticket] { return take_cancel(ticket); };
+    jobs.push_back(std::move(job));
+  }
+  executor_.run(jobs);
+}
+
+void Server::write_stats_fields(std::ostream& out) const {
+  const ExecutorCounters c = executor_.counters();
+  out << ", \"batches\": " << c.batches
       << ", \"batched_cells\": " << c.batched_cells
       << ", \"direct_runs\": " << c.direct_runs
       << ", \"fuzz_campaigns\": " << c.fuzz_campaigns
@@ -187,428 +80,6 @@ std::string Server::stats_response(const RequestId& id) const {
         << ", \"stores\": " << c.store.stores
         << ", \"corrupt_discards\": " << c.store.corrupt_discards << "}";
   }
-  out << "}\n";
-  return out.str();
-}
-
-void Server::admit(const std::shared_ptr<Session>& session, const std::string& line) {
-  const uint64_t seq = session->allocate_seq();
-  ParseOutcome parsed = parse_request(line);
-  if (!parsed.ok) {
-    std::ostringstream out;
-    write_error_response(out, parsed.id, parsed.error, parsed.detail);
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_invalid;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-
-  Request& req = parsed.request;
-  switch (req.kind) {
-    case RequestKind::kPing: {
-      std::ostringstream out;
-      write_pong_response(out, req.id);
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kStats:
-      session->complete(seq, stats_response(req.id));
-      return;
-    case RequestKind::kCancel: {
-      // The mark takes effect immediately (admission thread), so a
-      // budgeted run in flight sees it at its next checkpoint even while
-      // the dispatcher is busy; only the *response* waits for FIFO order.
-      session->mark_canceled(req.target);
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"cancel\"}\n";
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kShutdown: {
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"shutdown\"}\n";
-      session->complete(seq, out.str());
-      // Close after responding: already-admitted work still drains.
-      bool expected = false;
-      if (shutting_down_.compare_exchange_strong(expected, true)) {
-        queue_.close();
-        shutdown_cv_.notify_all();
-      }
-      return;
-    }
-    case RequestKind::kRun:
-    case RequestKind::kSweep:
-    case RequestKind::kFuzz:
-      break;
-  }
-
-  const RequestId id = req.id;  // survives the move below
-  WorkItem item;
-  item.session = session;
-  item.seq = seq;
-  ScheduleKey key;
-  key.priority = req.priority;
-  if (req.has_deadline) {
-    key.has_deadline = true;
-    key.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(req.deadline_ms);
-    item.has_deadline = true;
-    item.deadline = key.deadline;
-  }
-  item.request = std::move(req);
-  if (!queue_.try_push(std::move(item), key)) {
-    std::ostringstream out;
-    const bool closing = shutting_down();
-    write_error_response(out, id,
-                         closing ? kErrShuttingDown : kErrOverloaded,
-                         closing ? "server is shutting down"
-                                 : "admission queue is full; retry later");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_overload;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.accepted;
-}
-
-Server::ProgramEntry* Server::resolve_program(
-    const std::shared_ptr<Session>& session, uint64_t seq, const Request& request) {
-  const std::string key =
-      request.workload.empty()
-          ? "src:" + std::to_string(std::hash<std::string>{}(request.source))
-          : "wl:" + request.workload + ":" + std::to_string(request.scale);
-  auto it = programs_.find(key);
-  if (it != programs_.end()) return &it->second;
-  try {
-    ProgramEntry entry;
-    if (!request.workload.empty()) {
-      entry.program =
-          asmblr::assemble(work::make_workload(request.workload, request.scale).source);
-    } else {
-      entry.program = asmblr::assemble(request.source);
-    }
-    return &programs_.emplace(key, std::move(entry)).first->second;
-  } catch (const std::invalid_argument& e) {
-    std::ostringstream out;
-    write_error_response(out, request.id, kErrUnknownWorkload, e.what());
-    session->complete(seq, out.str());
-  } catch (const std::exception& e) {
-    std::ostringstream out;
-    write_error_response(out, request.id, kErrBadRequest,
-                         std::string("assembly failed: ") + e.what());
-    session->complete(seq, out.str());
-  }
-  return nullptr;
-}
-
-void Server::process_batch(std::vector<WorkItem> items) {
-  // Partition: grid work (sweeps + unbudgeted cold runs) shares one
-  // SweepEngine call; budgeted/warm runs and fuzz campaigns execute
-  // directly. Canceled and unresolvable requests answer here and drop out.
-  struct GridItem {
-    size_t item_index;
-    BatchSlice slice;
-  };
-  std::vector<accel::SweepPoint> grid;
-  std::vector<GridItem> grid_items;
-  std::vector<size_t> direct_items;
-  std::vector<size_t> fuzz_items;
-
-  for (size_t i = 0; i < items.size(); ++i) {
-    const WorkItem& item = items[i];
-    const Request& req = item.request;
-    if (item.session->is_canceled(req.id)) {
-      item.session->consume_cancel(req.id);
-      std::ostringstream out;
-      write_error_response(out, req.id, kErrCanceled, "canceled before dispatch");
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.canceled;
-      }
-      item.session->complete(item.seq, out.str());
-      continue;
-    }
-    // Expiry is judged here, at pickup, not in the queue: the request is
-    // rejected exactly once, with a response. `>=` makes deadline_ms: 0
-    // expire unconditionally (admission time is the deadline), which is
-    // what pins this path deterministically in tests.
-    if (item.has_deadline && std::chrono::steady_clock::now() >= item.deadline) {
-      std::ostringstream out;
-      write_error_response(out, req.id, kErrDeadlineExpired,
-                           "deadline passed before dispatch");
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.rejected_deadline;
-      }
-      item.session->complete(item.seq, out.str());
-      continue;
-    }
-    if (req.kind == RequestKind::kFuzz) {
-      fuzz_items.push_back(i);
-      continue;
-    }
-    if (req.kind == RequestKind::kRun && (req.budget > 0 || req.warm)) {
-      direct_items.push_back(i);
-      continue;
-    }
-    ProgramEntry* entry = resolve_program(item.session, item.seq, req);
-    if (entry == nullptr) continue;
-    BatchSlice slice;
-    slice.begin = grid.size();
-    std::vector<accel::SweepPoint> points = expand_points(req, entry->program);
-    for (auto& p : points) grid.push_back(std::move(p));
-    slice.end = grid.size();
-    grid_items.push_back({i, slice});
-  }
-
-  if (!grid.empty()) {
-    accel::SweepOptions opts;
-    opts.threads = options_.worker_threads;
-    opts.result_cache = store_.get();
-    std::vector<accel::SweepResult> results;
-    bool engine_failed = false;
-    std::string engine_error;
-    try {
-      results = accel::SweepEngine(opts).run(grid);
-    } catch (const std::exception& e) {
-      engine_failed = true;
-      engine_error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.batches;
-      counters_.batched_cells += grid.size();
-    }
-    for (const GridItem& gi : grid_items) {
-      const WorkItem& item = items[gi.item_index];
-      std::ostringstream out;
-      if (engine_failed) {
-        write_error_response(out, item.request.id, kErrInternal, engine_error);
-      } else if (item.request.kind == RequestKind::kRun) {
-        const accel::SweepResult& r = results[gi.slice.begin];
-        RunResponse resp;
-        resp.accelerated = r.accelerated;
-        resp.has_baseline = r.has_baseline;
-        resp.baseline = r.baseline;
-        resp.transparent = r.transparent;
-        resp.halted = !r.accelerated.hit_limit;
-        write_run_response(out, item.request.id, resp);
-      } else {
-        write_sweep_response(out, item.request.id, split_slice(results, gi.slice));
-      }
-      item.session->complete(item.seq, out.str());
-    }
-  }
-
-  for (const size_t i : direct_items) {
-    ProgramEntry* entry = resolve_program(items[i].session, items[i].seq,
-                                          items[i].request);
-    if (entry == nullptr) continue;
-    execute_direct(items[i], *entry);
-  }
-  for (const size_t i : fuzz_items) execute_fuzz(items[i]);
-}
-
-std::vector<uint8_t>* Server::warm_lookup(uint64_t program_hash,
-                                          uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  auto it = warm_pool_.find({program_hash, fingerprint});
-  if (it != warm_pool_.end()) return &it->second;
-  if (options_.store_dir.empty()) return nullptr;
-  // Lazy disk fill: a previous daemon run (or another worker process
-  // sharing the directory) may have exported this key.
-  const std::string path = options_.store_dir + "/warm/" + hex16(program_hash) +
-                           "-" + hex16(fingerprint) + ".warm";
-  try {
-    std::vector<uint8_t> payload =
-        snap::read_artifact_file(path, snap::ArtifactKind::kWarmStart);
-    auto [pos, inserted] =
-        warm_pool_.emplace(std::make_pair(program_hash, fingerprint),
-                           std::move(payload));
-    (void)inserted;
-    return &pos->second;
-  } catch (const snap::SnapshotError&) {
-    return nullptr;  // absent or unreadable: treated as a cold start
-  }
-}
-
-void Server::warm_insert(uint64_t program_hash, uint64_t fingerprint,
-                         std::vector<uint8_t> payload) {
-  size_t entries = 0;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    auto [it, inserted] = warm_pool_.emplace(
-        std::make_pair(program_hash, fingerprint), std::move(payload));
-    if (!inserted) return;  // identical bytes are already resident
-    entries = warm_pool_.size();
-    if (!options_.store_dir.empty()) {
-      const std::string path = options_.store_dir + "/warm/" +
-                               hex16(program_hash) + "-" + hex16(fingerprint) +
-                               ".warm";
-      try {
-        snap::write_artifact_file(path, snap::ArtifactKind::kWarmStart, it->second);
-      } catch (const snap::SnapshotError&) {
-        // Persistence is an optimization; the in-memory pool still serves.
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.warm_exports;
-  counters_.warm_entries = entries;
-}
-
-void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
-  const Request& req = item.request;
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.direct_runs;
-  }
-  accel::SystemConfig config =
-      config_for(req.shape, req.slots, req.speculation);
-  const uint64_t phash = snap::program_hash(entry.program);
-  const uint64_t fingerprint = snap::system_fingerprint(config);
-
-  accel::AcceleratedSystem system(entry.program, config);
-  RunResponse resp;
-  resp.budget = req.budget;
-  if (req.warm) {
-    if (const std::vector<uint8_t>* payload = warm_lookup(phash, fingerprint)) {
-      try {
-        resp.warm_preloaded =
-            snap::load_warm_start_payload(system, *payload, entry.program);
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.warm_preloads;
-      } catch (const snap::SnapshotError&) {
-        resp.warm_preloaded = 0;  // stale/mismatched entry: run cold
-      }
-    }
-  }
-
-  // Migration resume (worker processes): restore a prior checkpoint's
-  // snapshot AFTER the warm preload — the preload already set
-  // `warm_preloaded` exactly as the uncrashed run did, and the restore
-  // then replaces simulator state wholesale, so the finished response is
-  // byte-identical to a run that never migrated. A payload that fails to
-  // restore (foreign program/config) is discarded: cold restart, same
-  // bytes, just more work.
-  if (hooks_.resume) {
-    const std::vector<uint8_t> payload = hooks_.resume(req);
-    if (!payload.empty()) {
-      try {
-        snap::restore_snapshot_payload(system, payload, entry.program);
-      } catch (const snap::SnapshotError&) {
-      }
-    }
-  }
-
-  // Budgeted execution: run_until checkpoint chunks bound how long a
-  // cancellation can go unnoticed. Shutdown deliberately does NOT stop
-  // the loop: admitted work drains to a complete response (the drain
-  // promise), and a partial run would be nondeterministic anyway. Only an
-  // explicit cancel cuts a run short. hit_limit from the machine's own
-  // cap is surfaced unchanged; hit_budget is ours.
-  const uint64_t budget =
-      req.budget > 0 ? req.budget : std::numeric_limits<uint64_t>::max();
-  accel::AccelStats stats;
-  bool canceled = false;
-  for (;;) {
-    if (item.session->is_canceled(req.id)) {
-      canceled = true;
-      item.session->consume_cancel(req.id);
-      break;
-    }
-    const uint64_t done = system.stats().instructions;
-    if (done >= budget) break;
-    const uint64_t boundary =
-        std::min(budget, done + options_.checkpoint_interval);
-    stats = system.run_until(boundary);
-    if (stats.final_state.halted || stats.hit_limit) break;
-    if (stats.instructions == done) break;  // no forward progress: stop
-    if (hooks_.checkpoint && stats.instructions < budget) {
-      hooks_.checkpoint(req, snap::encode_snapshot(system, entry.program));
-    }
-  }
-  if (canceled) {
-    std::ostringstream out;
-    write_error_response(out, req.id, kErrCanceled, "canceled at a checkpoint");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.canceled;
-    }
-    item.session->complete(item.seq, out.str());
-    return;
-  }
-  stats = system.stats();
-  resp.accelerated = stats;
-  resp.halted = stats.final_state.halted;
-  resp.hit_budget = !resp.halted && req.budget > 0 &&
-                    stats.instructions >= req.budget && !stats.hit_limit;
-
-  if (req.want_baseline) {
-    if (req.budget > 0) {
-      // Budgeted baseline: same instruction allowance on the plain core.
-      sim::MachineConfig machine = config.machine;
-      machine.max_instructions = std::min(machine.max_instructions, req.budget);
-      resp.baseline = accel::baseline_as_stats(entry.program, machine);
-    } else {
-      if (!entry.has_baseline) {
-        entry.baseline = accel::baseline_as_stats(entry.program, config.machine);
-        entry.has_baseline = true;
-      }
-      resp.baseline = entry.baseline;
-    }
-    resp.has_baseline = true;
-    // Transparency is only a meaningful verdict when both sides finished.
-    resp.transparent =
-        !resp.halted || !resp.baseline.final_state.halted
-            ? resp.halted == resp.baseline.final_state.halted
-            : resp.accelerated.final_state.output ==
-                      resp.baseline.final_state.output &&
-                  resp.accelerated.memory_hash == resp.baseline.memory_hash;
-  }
-
-  if (req.warm && resp.halted && resp.warm_preloaded == 0) {
-    warm_insert(phash, fingerprint,
-                snap::encode_warm_start(system, entry.program));
-    resp.warm_exported = true;
-  }
-
-  std::ostringstream out;
-  write_run_response(out, req.id, resp);
-  item.session->complete(item.seq, out.str());
-}
-
-void Server::execute_fuzz(const WorkItem& item) {
-  const Request& req = item.request;
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.fuzz_campaigns;
-  }
-  fuzz::CampaignOptions opts;
-  opts.seed_start = req.seed_start;
-  opts.seeds = req.seeds;
-  opts.threads = options_.worker_threads;
-  opts.matrix = req.matrix == "full" ? fuzz::full_matrix() : fuzz::quick_matrix();
-  opts.shrink = false;  // serve reports counts; repro files are the CLI's job
-  std::ostringstream out;
-  try {
-    const fuzz::CampaignResult result = fuzz::run_campaign(opts);
-    FuzzResponse resp;
-    resp.seeds_run = result.seeds_run;
-    resp.divergent = result.divergent_seeds;
-    resp.inconclusive = result.inconclusive_seeds;
-    write_fuzz_response(out, req.id, resp);
-  } catch (const std::exception& e) {
-    write_error_response(out, req.id, kErrInternal, e.what());
-  }
-  item.session->complete(item.seq, out.str());
 }
 
 }  // namespace dim::serve

@@ -1,13 +1,13 @@
-// The resident simulation service (docs/serving.md).
+// The in-process back end of the simulation service (docs/serving.md).
 //
 // Everything the paper's transparent-acceleration story amortizes —
 // translated configurations, memoized sweep cells, assembled program
-// images — stays warm in one long-lived process. Sessions feed JSONL
-// requests through a bounded admission queue; a dispatcher thread drains
-// the queue in batches, runs every batched grid point through one shared
-// SweepEngine (memoized by a resident snap::ResultStore), executes
-// budgeted runs in run_until checkpoint chunks with cooperative
-// cancellation, and emits responses in per-session admission order.
+// images — stays warm in one long-lived process. The SessionHost front end
+// admits requests; a dispatcher thread drains its queue in batches of up
+// to batch_max and hands each batch to one serve::Executor, which runs
+// every grid point of the batch through one shared SweepEngine (memoized
+// by a resident snap::ResultStore) and budgeted runs in run_until
+// checkpoint chunks, polling cancellation before each chunk.
 //
 // Determinism contract: for a fixed request stream on one session (with a
 // fixed result-store temperature), response bytes are identical for any
@@ -17,25 +17,15 @@
 // this.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "accel/sweep.hpp"
-#include "asm/program.hpp"
+#include "serve/executor.hpp"
 #include "serve/host.hpp"
-#include "serve/protocol.hpp"
-#include "serve/queue.hpp"
-#include "snap/resultstore.hpp"
 
 namespace dim::serve {
 
@@ -56,81 +46,15 @@ struct ServerOptions {
   bool auto_dispatch = true;
 };
 
-struct ServerCounters {
-  uint64_t accepted = 0;           // admitted into the queue
-  uint64_t rejected_overload = 0;  // bounced off the full queue
-  uint64_t rejected_invalid = 0;   // parse/validation failures
-  uint64_t rejected_deadline = 0;  // expired before a dispatcher picked them up
-  uint64_t completed = 0;          // responses emitted (any outcome)
-  uint64_t canceled = 0;           // requests answered `canceled`
-  uint64_t batches = 0;            // dispatcher passes with >= 1 grid item
-  uint64_t batched_cells = 0;      // grid points handed to the SweepEngine
-  uint64_t direct_runs = 0;        // budgeted/warm runs outside the engine
-  uint64_t fuzz_campaigns = 0;
-  uint64_t warm_entries = 0;       // resident warm-start pool size
-  uint64_t warm_preloads = 0;
-  uint64_t warm_exports = 0;
-  bool has_store = false;
-  snap::ResultStore::Counters store;
-};
-
-// Hooks a wrapping process (serve::worker_main) installs so budgeted runs
-// survive the process: `resume` supplies a prior checkpoint's snapshot
-// payload (empty = cold start, taken BEFORE the budget loop but AFTER the
-// warm preload so `warm_preloaded` matches the uncrashed run), and
-// `checkpoint` receives a fresh snapshot payload after every run_until
-// chunk that did not finish the request. Dispatcher-thread only.
-struct MigrationHooks {
-  std::function<std::vector<uint8_t>(const Request&)> resume;
-  std::function<void(const Request&, const std::vector<uint8_t>&)> checkpoint;
-};
+struct ServerCounters : HostCounters, ExecutorCounters {};
 
 class Server : public SessionHost {
  public:
-  using ResponseSink = SessionHost::ResponseSink;
-
   explicit Server(ServerOptions options);
   ~Server() override;  // drains and joins
 
-  class Session : public SessionHost::Session,
-                  public std::enable_shared_from_this<Session> {
-   public:
-    // Feeds one raw request line; the response arrives on the sink (in
-    // submission order, possibly before this returns for immediate
-    // kinds). Returns false once the server is shutting down — queued
-    // kinds have then been answered with a shutting_down rejection.
-    bool submit(const std::string& line) override;
-
-    // Blocks until every submitted request has produced its response.
-    void drain() override;
-
-   private:
-    friend class Server;
-    explicit Session(Server* server, ResponseSink sink);
-
-    uint64_t allocate_seq();
-    void complete(uint64_t seq, std::string response_line);
-    bool is_canceled(const RequestId& id);
-    void mark_canceled(const RequestId& id);
-    void consume_cancel(const RequestId& id);
-
-    Server* server_;
-    ResponseSink sink_;
-    std::mutex mutex_;
-    std::condition_variable drained_;
-    uint64_t next_seq_ = 0;  // next seq to hand out
-    uint64_t emit_seq_ = 0;  // next seq to emit
-    std::map<uint64_t, std::string> ready_;  // completed, waiting for order
-    std::set<std::string> canceled_;         // keyed "s:"/"i:" + id text
-  };
-
-  std::shared_ptr<SessionHost::Session> open_session(ResponseSink sink) override;
-
   // Stops accepting, drains the queue, joins the dispatcher. Idempotent.
   void shutdown() override;
-  bool shutting_down() const override { return shutting_down_.load(); }
-  // Blocks until a shutdown request (or shutdown() call) arrived.
-  void wait_for_shutdown() override;
 
   ServerCounters counters() const;
 
@@ -138,60 +62,13 @@ class Server : public SessionHost {
   // currently queued in batch_max-sized batches.
   void dispatch_pending();
 
-  // Manual-dispatch mode only (worker processes): no locking, the caller
-  // owns the dispatch thread.
-  void set_migration_hooks(MigrationHooks hooks) { hooks_ = std::move(hooks); }
-
  private:
-  struct WorkItem {
-    std::shared_ptr<Session> session;
-    uint64_t seq = 0;
-    Request request;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-  };
-
-  // A cached, already-assembled program plus its lazily computed
-  // unbudgeted baseline (resident across requests).
-  struct ProgramEntry {
-    asmblr::Program program;
-    bool has_baseline = false;
-    accel::AccelStats baseline;
-  };
-
-  void admit(const std::shared_ptr<Session>& session, const std::string& line);
   void dispatcher_loop();
-  void process_batch(std::vector<WorkItem> items);
-  // Dispatcher-thread only (the cache is not locked).
-  ProgramEntry* resolve_program(const std::shared_ptr<Session>& session,
-                                uint64_t seq, const Request& request);
-  void execute_direct(const WorkItem& item, ProgramEntry& entry);
-  void execute_fuzz(const WorkItem& item);
-  std::string stats_response(const RequestId& id) const;
-
-  // Warm-start pool: payload per (program hash, system fingerprint); the
-  // payload for a key is unique (only halted runs export), so concurrent
-  // writers write identical bytes and the pool stays deterministic.
-  std::vector<uint8_t>* warm_lookup(uint64_t program_hash, uint64_t fingerprint);
-  void warm_insert(uint64_t program_hash, uint64_t fingerprint,
-                   std::vector<uint8_t> payload);
+  void process_batch(const std::vector<Ticket>& tickets);
+  void write_stats_fields(std::ostream& out) const override;
 
   ServerOptions options_;
-  std::unique_ptr<snap::ResultStore> store_;  // null without store_dir
-  AdmissionQueue<WorkItem> queue_;
-  MigrationHooks hooks_;
-  std::atomic<bool> shutting_down_{false};
-  mutable std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-
-  mutable std::mutex counters_mutex_;
-  ServerCounters counters_;
-
-  std::map<std::string, ProgramEntry> programs_;  // dispatcher-thread only
-
-  std::mutex warm_mutex_;
-  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> warm_pool_;
-
+  Executor executor_;  // dispatcher-thread only, counters() aside
   std::thread dispatcher_;
 };
 

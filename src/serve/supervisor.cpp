@@ -16,11 +16,7 @@
 namespace dim::serve {
 namespace {
 
-constexpr int kMaxAttempts = 100;  // crash-retry backstop per job
-
-std::string cancel_key(const RequestId& id) {
-  return (id.is_string ? "s:" : "i:") + id.text;
-}
+constexpr int kMaxCrashes = 100;  // crash-retry backstop per job
 
 // Forked children inherit every parent fd: other workers' socketpairs
 // (keeping those open would break the supervisor's EOF-based death
@@ -45,83 +41,11 @@ void close_inherited_fds(int keep) {
 
 }  // namespace
 
-// --- Session ---------------------------------------------------------------
-
-// Same ordering contract as Server::Session: responses complete in any
-// order but emit through the sink in per-session admission order.
-class Supervisor::Session : public SessionHost::Session,
-                            public std::enable_shared_from_this<Session> {
- public:
-  bool submit(const std::string& line) override {
-    supervisor_->admit(shared_from_this(), line);
-    return !supervisor_->shutting_down();
-  }
-
-  void drain() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_.wait(lock, [this] { return emit_seq_ == next_seq_; });
-  }
-
- private:
-  friend class Supervisor;
-  explicit Session(Supervisor* supervisor, ResponseSink sink)
-      : supervisor_(supervisor), sink_(std::move(sink)) {}
-
-  uint64_t allocate_seq() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return next_seq_++;
-  }
-
-  void complete(uint64_t seq, std::string response_line) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.emplace(seq, std::move(response_line));
-    while (!ready_.empty() && ready_.begin()->first == emit_seq_) {
-      const std::string line = std::move(ready_.begin()->second);
-      ready_.erase(ready_.begin());
-      ++emit_seq_;
-      if (sink_) sink_(line);
-    }
-    lock.unlock();
-    drained_.notify_all();
-    {
-      std::lock_guard<std::mutex> clock(supervisor_->counters_mutex_);
-      ++supervisor_->counters_.completed;
-    }
-  }
-
-  bool is_canceled(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return canceled_.count(cancel_key(id)) > 0;
-  }
-
-  void mark_canceled(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    canceled_.insert(cancel_key(id));
-  }
-
-  void consume_cancel(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    canceled_.erase(cancel_key(id));
-  }
-
-  Supervisor* supervisor_;
-  ResponseSink sink_;
-  std::mutex mutex_;
-  std::condition_variable drained_;
-  uint64_t next_seq_ = 0;
-  uint64_t emit_seq_ = 0;
-  std::map<uint64_t, std::string> ready_;
-  std::set<std::string> canceled_;
-};
-
-// --- Supervisor ------------------------------------------------------------
-
 Supervisor::Supervisor(SupervisorOptions options)
-    : options_(options), queue_(options.queue_capacity) {
+    : SessionHost(options.queue_capacity), options_(options) {
   if (options_.workers < 1) options_.workers = 1;
-  if (options_.checkpoint_interval == 0) options_.checkpoint_interval = 1u << 20;
   if (!options_.store_dir.empty()) {
-    std::error_code ec;
+    std::error_code ec;  // best effort: without migrate/, crashed jobs restart cold
     std::filesystem::create_directories(options_.store_dir + "/migrate", ec);
   }
   workers_.resize(static_cast<size_t>(options_.workers));
@@ -134,17 +58,15 @@ Supervisor::Supervisor(SupervisorOptions options)
 
 Supervisor::~Supervisor() { shutdown(); }
 
-std::shared_ptr<SessionHost::Session> Supervisor::open_session(ResponseSink sink) {
-  return std::shared_ptr<Session>(new Session(this, std::move(sink)));
+void Supervisor::wake() {
+  // The scheduler tests queue_ under state_mutex_; taking it here means the
+  // notification cannot fall between that test and the wait.
+  { std::lock_guard<std::mutex> lock(state_mutex_); }
+  state_cv_.notify_all();
 }
 
 void Supervisor::shutdown() {
-  bool expected = false;
-  if (shutting_down_.compare_exchange_strong(expected, true)) {
-    queue_.close();
-    state_cv_.notify_all();
-    shutdown_cv_.notify_all();
-  }
+  stop_accepting();
   std::lock_guard<std::mutex> teardown(teardown_mutex_);
   if (torn_down_) return;
   // The scheduler exits only when everything admitted has been answered
@@ -172,14 +94,11 @@ void Supervisor::shutdown() {
   torn_down_ = true;
 }
 
-void Supervisor::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [this] { return shutting_down_.load(); });
-}
-
 SupervisorCounters Supervisor::counters() const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
-  return counters_;
+  SupervisorCounters c = counters_;
+  static_cast<HostCounters&>(c) = host_counters();
+  return c;
 }
 
 std::vector<pid_t> Supervisor::worker_pids() const {
@@ -191,136 +110,13 @@ std::vector<pid_t> Supervisor::worker_pids() const {
   return pids;
 }
 
-std::string Supervisor::migrate_path(uint64_t job_id) const {
-  return options_.store_dir + "/migrate/job-" + std::to_string(job_id) + ".snap";
-}
-
-std::string Supervisor::stats_response(const RequestId& id) const {
-  const SupervisorCounters c = counters();
-  std::ostringstream out;
-  write_ok_prefix(out, id);
-  out << ", \"kind\": \"stats\""
-      << ", \"workers\": " << options_.workers
-      << ", \"accepted\": " << c.accepted
-      << ", \"rejected_overload\": " << c.rejected_overload
-      << ", \"rejected_invalid\": " << c.rejected_invalid
-      << ", \"rejected_deadline\": " << c.rejected_deadline
-      << ", \"completed\": " << c.completed
-      << ", \"canceled\": " << c.canceled
-      << ", \"dispatched\": " << c.dispatched
-      << ", \"worker_restarts\": " << c.worker_restarts
-      << ", \"migrations\": " << c.migrations
-      << ", \"abandoned\": " << c.abandoned << "}\n";
-  return out.str();
-}
-
-void Supervisor::admit(const std::shared_ptr<Session>& session,
-                       const std::string& line) {
-  const uint64_t seq = session->allocate_seq();
-  ParseOutcome parsed = parse_request(line);
-  if (!parsed.ok) {
-    std::ostringstream out;
-    write_error_response(out, parsed.id, parsed.error, parsed.detail);
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_invalid;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-
-  Request& req = parsed.request;
-  switch (req.kind) {
-    case RequestKind::kPing: {
-      std::ostringstream out;
-      write_pong_response(out, req.id);
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kStats:
-      session->complete(seq, stats_response(req.id));
-      return;
-    case RequestKind::kCancel: {
-      // Queued-only in the multi-process topology: the mark stops the
-      // target at schedule time; a job already on a worker runs to
-      // completion (see the header comment).
-      session->mark_canceled(req.target);
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"cancel\"}\n";
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kShutdown: {
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"shutdown\"}\n";
-      session->complete(seq, out.str());
-      // Close after responding: already-admitted work still drains.
-      bool expected = false;
-      if (shutting_down_.compare_exchange_strong(expected, true)) {
-        queue_.close();
-        state_cv_.notify_all();
-        shutdown_cv_.notify_all();
-      }
-      return;
-    }
-    case RequestKind::kRun:
-    case RequestKind::kSweep:
-    case RequestKind::kFuzz:
-      break;
-  }
-
-  Job job;
-  job.session = session;
-  job.seq = seq;
-  job.id = req.id;
-  job.line = line;
-  ScheduleKey key;
-  key.priority = req.priority;
-  if (req.has_deadline) {
-    key.has_deadline = true;
-    key.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(req.deadline_ms);
-    job.has_deadline = true;
-    job.deadline = key.deadline;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    job.job_id = next_job_id_++;
-  }
-  const RequestId id = job.id;
-  if (!queue_.try_push(std::move(job), key)) {
-    std::ostringstream out;
-    const bool closing = shutting_down();
-    write_error_response(out, id,
-                         closing ? kErrShuttingDown : kErrOverloaded,
-                         closing ? "server is shutting down"
-                                 : "admission queue is full; retry later");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_overload;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.accepted;
-  }
-  state_cv_.notify_all();
-}
-
-void Supervisor::reject(const Job& job, const char* error,
-                        const std::string& detail,
-                        uint64_t SupervisorCounters::*counter) {
-  std::ostringstream out;
-  write_error_response(out, job.id, error, detail);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++(counters_.*counter);
-  }
-  job.session->complete(job.seq, out.str());
+void Supervisor::write_stats_fields(std::ostream& out) const {
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  out << ", \"workers\": " << options_.workers
+      << ", \"dispatched\": " << counters_.dispatched
+      << ", \"worker_restarts\": " << counters_.worker_restarts
+      << ", \"migrations\": " << counters_.migrations
+      << ", \"abandoned\": " << counters_.abandoned;
 }
 
 // state_mutex_ held by the caller.
@@ -331,13 +127,9 @@ void Supervisor::spawn_worker(size_t slot) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     close_inherited_fds(sv[1]);
-    WorkerOptions wopts;
-    wopts.store_dir = options_.store_dir;
-    wopts.checkpoint_interval = options_.checkpoint_interval;
-    wopts.engine_threads = options_.engine_threads;
     // _exit, never exit: the child shares the parent's atexit handlers
     // and sanitizer end-of-process checks, which must run exactly once.
-    ::_exit(worker_main(sv[1], wopts));
+    ::_exit(worker_main(sv[1], options_));
   }
   ::close(sv[1]);
   if (pid < 0) {
@@ -383,9 +175,9 @@ void Supervisor::reader_loop(size_t slot) {
         // The worker removes its checkpoint after responding, but a kill
         // between the two leaves the file; sweep it here as well.
         std::error_code ec;
-        std::filesystem::remove(migrate_path(job_id), ec);
+        std::filesystem::remove(checkpoint_path(options_.store_dir, job_id), ec);
       }
-      job.session->complete(job.seq, response);
+      answer(job.ticket, std::move(response));
     }
     state_cv_.notify_all();
   }
@@ -415,9 +207,10 @@ void Supervisor::handle_worker_death(size_t slot) {
       if (it != inflight_.end()) {
         Job job = std::move(it->second);
         inflight_.erase(it);
+        ++job.crashes;
         const bool has_checkpoint =
             !options_.store_dir.empty() &&
-            std::filesystem::exists(migrate_path(job.job_id));
+            std::filesystem::exists(checkpoint_path(options_.store_dir, job.job_id));
         retry_.push_front(std::move(job));
         std::lock_guard<std::mutex> clock(counters_mutex_);
         if (has_checkpoint) ++counters_.migrations;
@@ -477,49 +270,43 @@ void Supervisor::scheduler_loop() {
         }
       }
     }
-    const int slot = idle_slot();
-    if (slot < 0) continue;
+    if (idle_slot() < 0) continue;
 
     Job job;
-    bool have = false;
     if (!retry_.empty()) {
       job = std::move(retry_.front());
       retry_.pop_front();
-      have = true;
+    } else if (queue_.try_pop(job.ticket)) {
+      job.job_id = next_job_id_++;
     } else {
-      have = queue_.try_pop(job);
+      continue;
     }
-    if (!have) continue;
 
-    if (job.session->is_canceled(job.id)) {
-      job.session->consume_cancel(job.id);
-      lock.unlock();
-      reject(job, kErrCanceled, "canceled before dispatch",
-             &SupervisorCounters::canceled);
-      lock.lock();
-      continue;
+    // The checks answer the client, so they run without state_mutex_; the
+    // idle slot is looked up again afterwards.
+    lock.unlock();
+    bool runnable = pick_up(job.ticket);
+    if (runnable && job.crashes >= kMaxCrashes) {
+      std::ostringstream out;
+      write_error_response(out, job.ticket.id, kErrInternal,
+                           "job abandoned after repeated worker failures");
+      answer(job.ticket, out.str());
+      std::lock_guard<std::mutex> clock(counters_mutex_);
+      ++counters_.abandoned;
+      runnable = false;
     }
-    if (job.has_deadline &&
-        std::chrono::steady_clock::now() >= job.deadline) {
-      lock.unlock();
-      reject(job, kErrDeadlineExpired, "deadline passed before dispatch",
-             &SupervisorCounters::rejected_deadline);
-      lock.lock();
-      continue;
-    }
-    ++job.attempts;
-    if (job.attempts > kMaxAttempts) {
-      lock.unlock();
-      reject(job, kErrInternal, "job abandoned after repeated worker failures",
-             &SupervisorCounters::abandoned);
-      lock.lock();
+    lock.lock();
+    if (!runnable) continue;
+    const int slot = idle_slot();
+    if (slot < 0) {  // the worker died meanwhile: run this job first
+      retry_.push_front(std::move(job));
       continue;
     }
 
     Worker& w = workers_[static_cast<size_t>(slot)];
     w.busy = true;
     w.job_id = job.job_id;
-    const std::string frame = encode_job_frame(job.job_id, job.line);
+    const std::string frame = encode_job_frame(job.job_id, job.ticket.line);
     const int worker_fd = w.fd;
     inflight_.emplace(job.job_id, std::move(job));
     {

@@ -1,10 +1,8 @@
-// The supervisor of the pre-forked worker pool (docs/serving.md).
+// The pre-forked worker-pool back end (docs/serving.md).
 //
-// One supervisor process owns admission, scheduling and fault handling;
-// N forked worker processes own execution. Sessions submit JSONL lines
-// exactly as against serve::Server — immediate kinds (ping/stats/cancel/
-// shutdown) are answered here, queued kinds enter an EDF-within-priority
-// AdmissionQueue and a scheduler thread hands each job to an idle worker
+// The SessionHost front end admits requests in this process, exactly as
+// for serve::Server; N forked worker processes own execution. A scheduler
+// thread hands each queued request, as its raw line, to an idle worker
 // over a socketpair (serve/ipc.hpp framing). All workers share one store
 // directory, so memoized cells and warm-start exports are pooled.
 //
@@ -16,8 +14,8 @@
 // every run_until chunk, so the retry resumes mid-run on another worker
 // and still returns byte-identical response bytes. Admitted work is never
 // lost: every admitted request is answered exactly once, by a worker
-// response or by a supervisor-side rejection (canceled / deadline_expired
-// / internal after the attempt cap).
+// response or by a front-end rejection (canceled / deadline_expired, or
+// internal after the attempt cap).
 //
 // Cancellation is queued-only here: a cancel mark stops a job that is
 // still waiting at schedule time, but a job already on a worker runs to
@@ -29,21 +27,17 @@
 #include <sys/types.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <set>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/host.hpp"
-#include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 
 namespace dim::serve {
 
@@ -58,13 +52,7 @@ struct SupervisorOptions {
   unsigned engine_threads = 0;
 };
 
-struct SupervisorCounters {
-  uint64_t accepted = 0;
-  uint64_t rejected_overload = 0;
-  uint64_t rejected_invalid = 0;
-  uint64_t rejected_deadline = 0;
-  uint64_t completed = 0;          // responses emitted (any outcome)
-  uint64_t canceled = 0;
+struct SupervisorCounters : HostCounters {
   uint64_t dispatched = 0;         // job frames handed to workers
   uint64_t worker_restarts = 0;    // deaths handled (reaped + respawned)
   uint64_t migrations = 0;         // crash re-queues with a checkpoint to resume
@@ -76,10 +64,7 @@ class Supervisor : public SessionHost {
   explicit Supervisor(SupervisorOptions options);
   ~Supervisor() override;  // drains admitted work, then stops the pool
 
-  std::shared_ptr<SessionHost::Session> open_session(ResponseSink sink) override;
   void shutdown() override;
-  bool shutting_down() const override { return shutting_down_.load(); }
-  void wait_for_shutdown() override;
 
   SupervisorCounters counters() const;
 
@@ -87,17 +72,10 @@ class Supervisor : public SessionHost {
   std::vector<pid_t> worker_pids() const;
 
  private:
-  class Session;
-
   struct Job {
+    Ticket ticket;
     uint64_t job_id = 0;
-    std::shared_ptr<Session> session;
-    uint64_t seq = 0;
-    RequestId id;       // for supervisor-side rejections
-    std::string line;   // raw request line, re-parsed by the worker
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-    int attempts = 0;   // dispatches so far (crash retries increment)
+    int crashes = 0;  // workers that died holding this job
   };
 
   struct Worker {
@@ -108,28 +86,21 @@ class Supervisor : public SessionHost {
     std::thread reader;
   };
 
-  void admit(const std::shared_ptr<Session>& session, const std::string& line);
   void scheduler_loop();
   void reader_loop(size_t slot);
   // state_mutex_ held. Forks the replacement and starts its reader.
   void spawn_worker(size_t slot);
   void handle_worker_death(size_t slot);
-  void reject(const Job& job, const char* error, const std::string& detail,
-              uint64_t SupervisorCounters::*counter);
-  std::string stats_response(const RequestId& id) const;
-  std::string migrate_path(uint64_t job_id) const;
+  void write_stats_fields(std::ostream& out) const override;
+  void wake() override;
 
   SupervisorOptions options_;
-  AdmissionQueue<Job> queue_;
-  std::atomic<bool> shutting_down_{false};
   std::atomic<bool> stopping_{false};  // pool teardown (post-drain)
-  mutable std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
   std::mutex teardown_mutex_;  // serializes the shutdown() join sequence
   bool torn_down_ = false;
 
   mutable std::mutex counters_mutex_;
-  SupervisorCounters counters_;
+  SupervisorCounters counters_;  // the pool's own fields; the rest are the host's
 
   // Workers, in-flight jobs and the crash-retry list. retry_ jobs run
   // before anything still in the queue (they were admitted earlier and
@@ -144,8 +115,6 @@ class Supervisor : public SessionHost {
   std::vector<std::thread> reader_graveyard_;  // replaced readers, joined late
 
   std::thread scheduler_;
-
-  friend class Session;
 };
 
 }  // namespace dim::serve

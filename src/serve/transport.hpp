@@ -4,7 +4,7 @@
 // session over an istream/ostream pair (CI pipes, quick local use), and
 // UnixSocketServer accepts local clients on a filesystem socket, one
 // session per connection with a dedicated reader thread. Responses go out
-// through the session sink, which the Server already serializes in
+// through the session sink, which SessionHost already serializes in
 // admission order, so a transport only moves bytes.
 #pragma once
 

@@ -1,83 +1,52 @@
 #include "serve/worker.hpp"
 
 #include <filesystem>
+#include <sstream>
 #include <system_error>
 #include <vector>
 
+#include "serve/executor.hpp"
 #include "serve/ipc.hpp"
-#include "serve/server.hpp"
-#include "snap/format.hpp"
-#include "snap/io.hpp"
 
 namespace dim::serve {
 
-int worker_main(int fd, const WorkerOptions& options) {
-  ServerOptions server_options;
-  server_options.auto_dispatch = false;  // jobs execute on this thread
-  server_options.worker_threads = options.engine_threads;
-  server_options.store_dir = options.store_dir;
-  server_options.checkpoint_interval = options.checkpoint_interval;
-  server_options.batch_max = options.batch_max;
-  server_options.queue_capacity = options.batch_max < 16 ? 16 : options.batch_max;
-  Server server(server_options);
+std::string checkpoint_path(const std::string& store_dir, uint64_t job_id) {
+  return store_dir + "/migrate/job-" + std::to_string(job_id) + ".snap";
+}
 
-  std::string migrate_dir;
-  if (!options.store_dir.empty()) {
-    migrate_dir = options.store_dir + "/migrate";
-    std::error_code ec;
-    std::filesystem::create_directories(migrate_dir, ec);
-    if (ec) migrate_dir.clear();  // no checkpoints; crashed jobs restart cold
-  }
+int worker_main(int fd, const SupervisorOptions& options) {
+  Executor executor(options.store_dir, options.engine_threads,
+                    options.checkpoint_interval);
 
   std::string payload;
   while (recv_frame(fd, payload)) {
+    std::vector<Executor::Job> batch(1);
+    Executor::Job& job = batch[0];
     uint64_t job_id = 0;
     std::string line;
     if (!decode_job_frame(payload, job_id, line)) return 2;
-
-    const std::string snap_path =
-        migrate_dir.empty()
-            ? std::string()
-            : migrate_dir + "/job-" + std::to_string(job_id) + ".snap";
-    MigrationHooks hooks;
-    if (!snap_path.empty()) {
-      hooks.resume = [&snap_path](const Request&) {
-        try {
-          return snap::read_artifact_file(snap_path,
-                                          snap::ArtifactKind::kSnapshot);
-        } catch (const snap::SnapshotError&) {
-          return std::vector<uint8_t>();  // no checkpoint: cold start
-        }
-      };
-      hooks.checkpoint = [&snap_path](const Request&,
-                                      const std::vector<uint8_t>& snapshot) {
-        try {
-          snap::write_artifact_file(snap_path, snap::ArtifactKind::kSnapshot,
-                                    snapshot);
-        } catch (const snap::SnapshotError&) {
-          // Checkpointing is an optimization; a crash then restarts cold.
-        }
-      };
-    }
-    server.set_migration_hooks(std::move(hooks));
-
-    // One submitted line yields exactly one response line, emitted
-    // synchronously by dispatch_pending (manual mode) into `response`.
+    ParseOutcome parsed = parse_request(line);
     std::string response;
-    auto session = server.open_session(
-        [&response](const std::string& out_line) { response += out_line; });
-    session->submit(line);
-    server.dispatch_pending();
-    session->drain();
-    server.set_migration_hooks(MigrationHooks{});
+    if (parsed.ok) {
+      job.request = std::move(parsed.request);
+      job.respond = [&response](std::string out) { response = std::move(out); };
+      if (!options.store_dir.empty()) {
+        job.checkpoint_path = checkpoint_path(options.store_dir, job_id);
+      }
+      executor.run(batch);
+    } else {
+      std::ostringstream out;
+      write_error_response(out, parsed.id, parsed.error, parsed.detail);
+      response = out.str();
+    }
 
     // Respond before discarding the checkpoint: dying between the two
     // leaves only a stale file (the supervisor also removes it), never a
     // lost response.
     if (!send_frame(fd, encode_response_frame(job_id, response))) return 0;
-    if (!snap_path.empty()) {
+    if (!job.checkpoint_path.empty()) {
       std::error_code ec;
-      std::filesystem::remove(snap_path, ec);
+      std::filesystem::remove(job.checkpoint_path, ec);
     }
   }
   return 0;

@@ -1,36 +1,30 @@
 // The worker side of the pre-forked pool: one process, one socketpair fd.
 //
-// A worker is a thin loop around the single-process serve::Server. Each
-// 'J' frame carries one raw request line; the worker runs it to its one
-// response line (manual dispatch, so the job executes on the calling
-// thread) and sends it back as an 'R' frame. Budgeted runs install
-// MigrationHooks that persist a snapshot into the shared store's
-// migrate/ directory after every run_until chunk — if this process is
-// SIGKILLed mid-run, the supervisor re-queues the job and the next worker
-// resumes from that snapshot, returning the byte-identical response the
-// uncrashed run would have produced.
+// Each 'J' frame carries one raw request line that the supervisor has
+// already admitted, scheduled and checked for cancellation and deadline;
+// the worker only executes it, on a serve::Executor of its own, and sends
+// the one response line back as an 'R' frame. Budgeted runs checkpoint a
+// snapshot into the shared store's migrate/ directory after every
+// run_until chunk — if this process is SIGKILLed mid-run, the supervisor
+// re-queues the job and the next worker resumes from that snapshot,
+// returning the byte-identical response the uncrashed run would have
+// produced.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "serve/supervisor.hpp"
+
 namespace dim::serve {
 
-struct WorkerOptions {
-  // Shared persistence root ("" = in-memory; migration checkpoints are
-  // then unavailable and a crashed job simply restarts cold).
-  std::string store_dir;
-  uint64_t checkpoint_interval = 1u << 20;
-  // SweepEngine threads inside this worker (0 = hardware concurrency).
-  unsigned engine_threads = 0;
-  size_t batch_max = 32;
-};
+// The migration snapshot of one job under a store directory.
+std::string checkpoint_path(const std::string& store_dir, uint64_t job_id);
 
 // Runs the frame loop until the supervisor closes its end (EOF) or the fd
 // breaks. Returns the process exit code; the forked child must pass it to
 // _exit (not exit) so atexit handlers and sanitizer leak checks of the
 // parent image don't run twice.
-int worker_main(int fd, const WorkerOptions& options);
+int worker_main(int fd, const SupervisorOptions& options);
 
 }  // namespace dim::serve

@@ -1,11 +1,14 @@
 // The serving subsystem: JSON parsing, protocol validation, the bounded
-// admission queue, and the Server's batching/ordering/overload behavior.
+// admission queue, the Server's batching/ordering/overload behavior, the
+// worker's frame loop, and the front-end contract both back ends share.
 //
 // Server tests run with auto_dispatch=false and drive dispatch_pending()
 // by hand, so exactly when (and in which batches) queued work executes is
 // under test control — admission-order response sequencing, cancellation
 // of queued work and overload rejection all become deterministic.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -17,8 +20,11 @@
 
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "serve/ipc.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
+#include "serve/supervisor.hpp"
+#include "serve/worker.hpp"
 
 namespace dim::serve {
 namespace {
@@ -721,6 +727,152 @@ TEST_F(ServeServerTest, ServeFuzzRequestRunsCampaign) {
   EXPECT_NE(lines[0].find("\"seeds_run\": 2"), std::string::npos);
   EXPECT_NE(lines[0].find("\"clean\": true"), std::string::npos);
   server.shutdown();
+}
+
+// --- worker and back ends ---------------------------------------------------
+
+TEST(ServeWorker, ExecutesWhatItIsHanded) {
+  // The supervisor admits, schedules and judges the deadline of every job
+  // it hands over; the worker only runs it. A worker that judged the
+  // deadline again would answer deadline_expired for this job.
+  const std::string run = R"({"id": "w", "kind": "run", "workload": "crc32")";
+  std::vector<std::string> reference;
+  {
+    ServerOptions options;
+    options.auto_dispatch = false;
+    options.worker_threads = 1;
+    Server server(options);
+    auto session = server.open_session(
+        [&reference](const std::string& line) { reference.push_back(line); });
+    session->submit(run + "}");
+    server.dispatch_pending();
+    session->drain();
+  }
+  ASSERT_EQ(reference.size(), 1u);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SupervisorOptions options;
+  options.engine_threads = 1;
+  int exit_code = -1;
+  std::thread worker([&] { exit_code = worker_main(fds[1], options); });
+  const bool sent = send_frame(fds[0], encode_job_frame(7, run + R"(, "deadline_ms": 0})"));
+  std::string payload;
+  const bool received = sent && recv_frame(fds[0], payload);
+  ::shutdown(fds[0], SHUT_RDWR);  // EOF ends the worker's frame loop
+  worker.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  ASSERT_TRUE(received);
+  uint64_t job_id = 0;
+  std::string response;
+  ASSERT_TRUE(decode_response_frame(payload, job_id, response));
+  EXPECT_EQ(job_id, 7u);
+  EXPECT_EQ(response, reference[0]);
+  EXPECT_EQ(exit_code, 0);
+}
+
+// Object keys of one response line, in order.
+std::vector<std::string> keys_of(const std::string& line) {
+  std::vector<std::string> keys;
+  for (const auto& member : parse_json(line).object) keys.push_back(member.first);
+  return keys;
+}
+
+TEST(ServeFrontEnd, EveryBackEndAnswersTheSameBytes) {
+  // Admission, the immediate kinds, the pickup checks and shutdown all
+  // live in the shared front end, and execution in the shared executor, so
+  // the in-process Server and worker pools of any size must answer one
+  // stream identically. Only `stats` differs: each back end adds its own
+  // counters after the shared ones.
+  const std::vector<std::string> stream = {
+      R"({"id": "ping", "kind": "ping"})",
+      R"({"id": "stats", "kind": "stats"})",
+      R"(not json)",
+      R"({"id": "zero", "kind": "run", "workload": "crc32", "budget": 0})",
+      R"({"id": "prio", "kind": "run", "workload": "crc32", "priority": 10})",
+      R"({"id": "what", "kind": "teleport"})",
+      R"({"id": "cancel", "kind": "cancel", "target": "nobody"})",
+      R"({"id": "late", "kind": "run", "workload": "crc32", "deadline_ms": 0})",
+      R"({"id": "none", "kind": "run", "workload": "nonesuch"})",
+      R"({"id": "run", "kind": "run", "workload": "crc32"})",
+      R"({"id": "sweep", "kind": "sweep", "workload": "bitcount", "slots_axis": [8, 16]})",
+      R"({"id": "budget", "kind": "run", "source": "main: li $t0, 0\nli $t1, 100000\nloop: addiu $t0, $t0, 1\nbne $t0, $t1, loop\nli $v0, 10\nsyscall\n", "budget": 30000})",
+      R"({"id": "bye", "kind": "shutdown"})",
+      R"({"id": "after", "kind": "run", "workload": "crc32"})",
+  };
+  const std::vector<std::string> shared_stats = {
+      "id", "ok", "kind", "accepted", "rejected_overload", "rejected_invalid",
+      "rejected_deadline", "completed", "canceled"};
+  const auto with = [&shared_stats](std::vector<std::string> extra) {
+    std::vector<std::string> keys = shared_stats;
+    keys.insert(keys.end(), extra.begin(), extra.end());
+    return keys;
+  };
+  // Everything but the stats line, which must carry exactly `keys`.
+  const auto split_stats = [](std::vector<std::string> lines,
+                              const std::vector<std::string>& keys) {
+    EXPECT_EQ(lines.size(), 14u);
+    if (lines.size() < 2) return lines;
+    EXPECT_EQ(keys_of(lines[1]), keys);
+    lines.erase(lines.begin() + 1);
+    return lines;
+  };
+
+  std::vector<std::string> reference;
+  {
+    ServerOptions options;
+    options.auto_dispatch = false;
+    options.worker_threads = 2;
+    options.checkpoint_interval = 4096;
+    Server server(options);
+    auto session = server.open_session(
+        [&reference](const std::string& line) { reference.push_back(line); });
+    for (const std::string& line : stream) session->submit(line);
+    server.dispatch_pending();
+    session->drain();
+    server.shutdown();
+    reference = split_stats(reference,
+                            with({"batches", "batched_cells", "direct_runs",
+                                  "fuzz_campaigns", "warm_entries",
+                                  "warm_preloads", "warm_exports"}));
+  }
+  ASSERT_EQ(reference.size(), 13u);
+  EXPECT_EQ(reference[0], "{\"id\": \"ping\", \"ok\": true, \"kind\": \"pong\"}\n");
+  EXPECT_NE(reference[1].find("\"error\": \"parse_error\""), std::string::npos);
+  EXPECT_NE(reference[2].find("\"error\": \"zero_budget\""), std::string::npos);
+  EXPECT_NE(reference[3].find("\"error\": \"bad_request\""), std::string::npos);
+  EXPECT_NE(reference[4].find("\"error\": \"bad_request\""), std::string::npos);
+  EXPECT_NE(reference[5].find("\"kind\": \"cancel\""), std::string::npos);
+  EXPECT_NE(reference[6].find("\"error\": \"deadline_expired\""), std::string::npos);
+  EXPECT_NE(reference[7].find("\"error\": \"unknown_workload\""), std::string::npos);
+  EXPECT_NE(reference[8].find("\"transparent\": true"), std::string::npos);
+  EXPECT_NE(reference[9].find("\"cells\": 2"), std::string::npos);
+  EXPECT_NE(reference[10].find("\"hit_budget\": true"), std::string::npos);
+  EXPECT_NE(reference[11].find("\"kind\": \"shutdown\""), std::string::npos);
+  EXPECT_NE(reference[12].find("\"error\": \"shutting_down\""), std::string::npos);
+
+  for (const int workers : {1, 2}) {
+    SupervisorOptions options;
+    options.workers = workers;
+    options.engine_threads = 1;
+    options.checkpoint_interval = 4096;
+    Supervisor supervisor(options);
+    std::mutex mutex;
+    std::vector<std::string> lines;
+    auto session = supervisor.open_session([&](const std::string& line) {
+      std::lock_guard<std::mutex> lock(mutex);
+      lines.push_back(line);
+    });
+    for (const std::string& line : stream) session->submit(line);
+    session->drain();
+    supervisor.shutdown();
+    EXPECT_EQ(split_stats(lines, with({"workers", "dispatched", "worker_restarts",
+                                       "migrations", "abandoned"})),
+              reference)
+        << workers << " worker(s)";
+  }
 }
 
 }  // namespace

@@ -14,12 +14,14 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <random>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -226,12 +228,37 @@ TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
   }
   ASSERT_GE(supervisor.counters().dispatched, 1u);
 
+  // Kill only once the live worker has checkpointed: a job-*.snap newer
+  // than any on disk when its predecessor was reaped. A fixed kill cadence
+  // lands every kill before the first checkpoint on a slow host.
+  const fs::path migrate_dir = fs::path(options.store_dir) / "migrate";
+  const auto newest_checkpoint = [&migrate_dir] {
+    fs::file_time_type newest = fs::file_time_type::min();
+    std::error_code ec;
+    for (const fs::directory_entry& e : fs::directory_iterator(migrate_dir, ec)) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind("job-", 0) != 0 || e.path().extension() != ".snap") continue;
+      newest = std::max(newest, e.last_write_time(ec));
+    }
+    return newest;
+  };
+  fs::file_time_type reaped_at = fs::file_time_type::min();
   int kills = 0;
   while (!answered.load() && kills < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    if (newest_checkpoint() <= reaped_at) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
     const std::vector<pid_t> pids = supervisor.worker_pids();
-    if (pids.empty()) continue;
-    if (::kill(pids[0], SIGKILL) == 0) ++kills;
+    if (pids.empty() || ::kill(pids[0], SIGKILL) != 0) continue;
+    ++kills;
+    // The replacement is forked from this multi-threaded process in the
+    // same critical section that counts the restart; worker_pids() waits
+    // for that section to end. Under ASan, a fork while this thread is in
+    // malloc can leave the child deadlocked on the allocator lock.
+    wait_for_restarts(supervisor, static_cast<uint64_t>(kills));
+    supervisor.worker_pids();
+    reaped_at = newest_checkpoint();
   }
   session->drain();
 
@@ -243,9 +270,7 @@ TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
       << "migrated run diverged from the uncrashed reference";
   EXPECT_GE(kills, 1);
   EXPECT_GE(c.worker_restarts, 1u);
-  // Each mid-run kill after the first checkpoint re-queues with a snapshot
-  // to resume from; with a 30ms kill cadence against ~20k-instruction
-  // checkpoint chunks at least one retry migrates rather than restarting.
+  // Every kill lands after a checkpoint, so its retry resumes mid-run.
   EXPECT_GE(c.migrations, 1u);
   EXPECT_EQ(c.abandoned, 0u);
   fs::remove_all(base);

@@ -2,7 +2,7 @@
 """Diff the committed BENCH_*.json metrics between two git revisions.
 
 The repo pins benchmark results as small JSON files (BENCH_simulator.json,
-BENCH_serve.json, BENCH_table2.json, ...). This tool compares every numeric
+BENCH_table2.json, ...). This tool compares every numeric
 leaf between a baseline revision (default: HEAD) and the working tree — or
 any two revisions — and reports regressions and improvements with their
 relative change.

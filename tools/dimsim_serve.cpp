@@ -12,10 +12,10 @@
 // answers `overloaded` instead of buffering without bound.
 //
 // With --procs N the daemon instead runs as a supervised pre-forked pool
-// of N worker processes (serve::Supervisor): same protocol and transports,
-// plus priority/deadline scheduling and crash-tolerant execution — a
-// SIGKILLed worker is respawned and its in-flight request re-runs (from a
-// migration snapshot when --store is set) with byte-identical responses.
+// of N worker processes (serve::Supervisor): same protocol, front end and
+// transports, plus crash-tolerant execution — a SIGKILLed worker is
+// respawned and its in-flight request re-runs (from a migration snapshot
+// when --store is set) with byte-identical responses.
 //
 // Usage:
 //   dimsim-serve (--socket PATH | --stdio) [--workers N] [--procs N]
