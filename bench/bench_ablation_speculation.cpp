@@ -2,8 +2,8 @@
 // misspeculation penalty, the flush rule (the paper flushes when the
 // branch counter reaches the opposite saturation; a naive small misspec
 // cap destroys loop configurations on every loop exit) — and the
-// control-flow ablation: speculation vs if-conversion (predication +
-// loop residency) over the full workload set, exported as
+// control-flow ablation: speculation vs if-conversion (predication) over
+// the full workload set, exported as
 // BENCH_ablation_controlflow.json via --json for tools/bench_diff.py.
 #include <cstdio>
 #include <string>
@@ -18,9 +18,7 @@ using namespace dim::bench;
 namespace {
 
 // The four control-flow policies: neither, speculation only (paper
-// setting), if-conversion only, and both combined. Predication rides with
-// loop residency — the two halves of the "keep the hot hammock loop on the
-// array" story.
+// setting), if-conversion only, and both combined.
 struct ControlFlowVariant {
   const char* name;
   bool speculation;
@@ -38,7 +36,6 @@ accel::SystemConfig variant_config(const ControlFlowVariant& v) {
   accel::SystemConfig cfg =
       accel::SystemConfig::with(rra::ArrayShape::config2(), 64, v.speculation);
   cfg.predication = v.predication;
-  if (v.predication) cfg.residency = accel::Residency::kLoop;
   return cfg;
 }
 

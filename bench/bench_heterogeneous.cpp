@@ -5,19 +5,19 @@
 //
 // We emulate the multi-application device: the four applications are linked
 // at disjoint addresses and executed in a round-robin of time slices, with
-// ONE persistent reconfiguration cache shared across all of them (saved and
-// restored between slices — the translation state survives task switches).
+// ONE persistent reconfiguration cache shared across all of them (carried
+// between slices with ReconfigCache::export_entries / preload — the
+// translation state survives task switches, and a carried configuration is
+// not counted as a new insertion).
 // Sweeping the slot count exposes the capacity pressure that a single
 // kernel cannot: exactly the effect behind the slot columns of Table 2.
 #include <cstdio>
-#include <sstream>
 #include <vector>
 
 #include "accel/system.hpp"
 #include "asm/assembler.hpp"
 #include "bench/bench_util.hpp"
 #include "rra/array_shape.hpp"
-#include "rra/config_io.hpp"
 
 using namespace dim;
 using namespace dim::bench;
@@ -63,21 +63,18 @@ int main() {
     uint64_t accel_total = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
-    std::string cache_image;
+    std::vector<rra::Configuration> carried;
 
     const int passes = 3;
     for (int pass = 0; pass < passes; ++pass) {
       for (const App& app : apps) {
         accel::SystemConfig cfg = accel::SystemConfig::with(rra::ArrayShape::config2(), slots, true);
         accel::AcceleratedSystem system(app.program, cfg);
-        if (!cache_image.empty()) {
-          std::istringstream in(cache_image);
-          rra::load_cache(in, system.rcache());
+        for (rra::Configuration& config : carried) {
+          system.rcache().preload(std::move(config));
         }
         const accel::AccelStats st = system.run();
-        std::ostringstream out;
-        rra::save_cache(out, system.rcache());
-        cache_image = out.str();
+        carried = system.rcache().export_entries();
 
         base_total += app.baseline_cycles;
         accel_total += st.cycles;

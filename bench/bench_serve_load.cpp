@@ -3,9 +3,9 @@
 // workload, not here.
 //
 // Replays a fixed, deterministic request mix (sweeps, plain runs, budgeted
-// runs, warm runs) through a serve::Server twice — a cold pass that fills
-// the resident result store and a warm pass that must be served from it.
-// The warm pass asserts the store counters moved by zero stores and zero
+// runs) through a serve::Server twice — a cold pass that fills the
+// resident result store and a warm pass that must be served from it. The
+// warm pass asserts the store counters moved by zero stores and zero
 // misses: repeated requests re-simulate nothing.
 //
 // Modes:
@@ -14,20 +14,12 @@
 //                    run the stream through an in-process serve::Supervisor
 //                    with N forked workers and a fresh store, and compare
 //                    every response byte-for-byte against a single-process
-//                    reference (warm requests are excluded from this
-//                    stream: concurrent warm exports on different workers
-//                    would make warm_exported/warm_preloaded
-//                    order-dependent)
+//                    reference
 //   --connect PATH   drive an already-running dimsim-serve over its socket
-//   --check FILE     also dump every response line (stats excluded) to
-//                    FILE; diffing two dumps pins byte-determinism across
-//                    worker counts / daemon restarts (CI serve job)
-//   --check-pass P   which passes the dump covers: cold|warm|both
-//                    (default both). Fresh-store daemons compare `both`;
-//                    a restart comparison uses `warm`, because the first
-//                    pass after a restart finds the persisted caches warm
-//                    (warm_preloaded where the fresh daemon said
-//                    warm_exported) while warm passes match bytewise.
+//   --check FILE     also dump every response line of both passes (stats
+//                    excluded) to FILE; diffing two dumps pins
+//                    byte-determinism across worker counts and daemon
+//                    restarts (CI serve job)
 //
 // Other flags: --requests N (default 30), --workers N, --store DIR
 // (default: a store under /tmp so the warm pass has something to hit).
@@ -52,15 +44,14 @@ struct Options {
   unsigned workers = 0;
   std::string store_dir;
   std::string check_path;
-  std::string check_pass = "both";
   std::string connect_path;
   std::vector<int> procs;  // multi-process mode when non-empty
 };
 
-// Deterministic mix: half sweeps over two fast workloads, the rest plain,
-// budgeted and warm-started runs. Ids are stable ("q<i>") so two replays
-// of the stream produce byte-identical response dumps.
-std::vector<std::string> build_stream(size_t n, bool allow_warm = true) {
+// Deterministic mix: half sweeps over two fast workloads, the rest plain
+// and budgeted runs. Ids are stable ("q<i>") so two replays of the stream
+// produce byte-identical response dumps.
+std::vector<std::string> build_stream(size_t n) {
   std::vector<std::string> stream;
   stream.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -84,13 +75,8 @@ std::vector<std::string> build_stream(size_t n, bool allow_warm = true) {
                "\", \"budget\": 100000}";
         break;
       default:
-        // Warm runs are order-sensitive across worker processes; the
-        // multi-process stream swaps them for budgeted runs instead.
-        line = allow_warm
-                   ? "{" + id + ", \"kind\": \"run\", \"workload\": \"" +
-                         workload + "\", \"warm\": true}"
-                   : "{" + id + ", \"kind\": \"run\", \"workload\": \"" +
-                         workload + "\", \"budget\": 200000}";
+        line = "{" + id + ", \"kind\": \"run\", \"workload\": \"" + workload +
+               "\", \"budget\": 200000}";
         break;
     }
     stream.push_back(std::move(line));
@@ -180,8 +166,7 @@ void dump_check(const std::string& path, const std::vector<Pass>& passes) {
 // single-process reference pass. Every topology must return byte-identical
 // responses — that is the whole point of the exercise.
 int run_procs_mode(const Options& opt) {
-  const std::vector<std::string> stream =
-      build_stream(opt.requests, /*allow_warm=*/false);
+  const std::vector<std::string> stream = build_stream(opt.requests);
   const std::string store_base = opt.store_dir.empty()
                                      ? std::string("/tmp/dimsim-bench-serve-procs")
                                      : opt.store_dir;
@@ -234,7 +219,6 @@ int main(int argc, char** argv) {
     else if (arg == "--workers") opt.workers = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
     else if (arg == "--store") opt.store_dir = value();
     else if (arg == "--check") opt.check_path = value();
-    else if (arg == "--check-pass") opt.check_pass = value();
     else if (arg == "--connect") opt.connect_path = value();
     else if (arg == "--procs") {
       std::string list = value();
@@ -259,12 +243,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opt.check_pass != "cold" && opt.check_pass != "warm" &&
-      opt.check_pass != "both") {
-    std::fprintf(stderr, "--check-pass must be cold|warm|both\n");
-    return 2;
-  }
-
   if (!opt.procs.empty()) return run_procs_mode(opt);
 
   const std::vector<std::string> stream = build_stream(opt.requests);
@@ -314,12 +292,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!opt.check_path.empty()) {
-    std::vector<Pass> dump;
-    if (opt.check_pass != "warm") dump.push_back(cold);
-    if (opt.check_pass != "cold") dump.push_back(warm);
-    dump_check(opt.check_path, dump);
-  }
+  if (!opt.check_path.empty()) dump_check(opt.check_path, {cold, warm});
 
   std::printf("serve load: %zu requests, workers=%u: %s\n", stream.size(), opt.workers,
               before_warm.present ? "warm pass re-simulated nothing"

@@ -12,8 +12,10 @@
 //   --scale N              workload scale factor (default 1)
 //   --trace N              print the first N retired instructions
 //   --json                 emit run statistics as JSON
-//   --save-cache FILE      dump translated configurations after the run
-//   --load-cache FILE      pre-load configurations (persistent translation)
+//   --save-cache FILE      write a warm-start file of the translated
+//                          configurations after the run
+//   --load-cache FILE      preload a warm-start file (persistent translation;
+//                          checked against the program and array settings)
 //   --list                 list bundled workloads
 #include <cstdio>
 #include <cstring>
@@ -25,9 +27,10 @@
 #include "accel/stats_io.hpp"
 #include "accel/system.hpp"
 #include "asm/assembler.hpp"
-#include "rra/config_io.hpp"
 #include "sim/machine.hpp"
 #include "sim/tracer.hpp"
+#include "snap/format.hpp"
+#include "snap/warmstart.hpp"
 #include "work/workload.hpp"
 
 namespace {
@@ -42,7 +45,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string name = "crc32";
-  std::string asm_file, save_cache, load_cache;
+  std::string asm_file, save_path, load_path;
   int config_id = 2, scale = 1;
   size_t slots = 64;
   bool spec = true, lru = false, json = false;
@@ -77,9 +80,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--asm") {
       asm_file = next();
     } else if (arg == "--save-cache") {
-      save_cache = next();
+      save_path = next();
     } else if (arg == "--load-cache") {
-      load_cache = next();
+      load_path = next();
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -132,18 +135,14 @@ int main(int argc, char** argv) {
   if (lru) cfg.cache_replacement = dim::bt::Replacement::kLru;
 
   dim::accel::AcceleratedSystem system(program, cfg);
-  if (!load_cache.empty()) {
-    std::ifstream in(load_cache);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", load_cache.c_str());
-      return 1;
-    }
-    dim::rra::load_cache(in, system.rcache());
-  }
-  const dim::accel::AccelStats st = system.run();
-  if (!save_cache.empty()) {
-    std::ofstream out(save_cache);
-    dim::rra::save_cache(out, system.rcache());
+  dim::accel::AccelStats st;
+  try {
+    if (!load_path.empty()) dim::snap::load_warm_start_file(system, load_path, program);
+    st = system.run();
+    if (!save_path.empty()) dim::snap::save_warm_start_file(save_path, system, program);
+  } catch (const dim::snap::SnapshotError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
   // --- report ---

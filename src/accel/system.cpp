@@ -29,8 +29,6 @@ AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
   tparams.max_output_regs = config_.max_output_regs;
   tparams.allowed_starts = config_.allowed_starts;
   tparams.predication = config_.predication;
-  tparams.max_hammock_ops = config_.max_hammock_ops;
-  tparams.max_pred_slots = config_.max_pred_slots;
   tparams.fault = config_.fault_injection;
   tparams.exec_mode = config_.exec_mode;
   exec_model_ = rra::make_execution_model(config_.exec_mode);
@@ -69,7 +67,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
 
   const uint32_t config_pc = config->start_pc;
 
-  // Loop residency: the configuration from the previous dispatch may still
+  // Residency: the configuration from the previous dispatch may still
   // be latched on the array. Valid only when both the start PC and the
   // rcache revision stamp match — any rewrite of the entry (extension,
   // re-translation after a flush) bumped the revision.
@@ -151,23 +149,15 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
 
   // Latch update — what the array holds after this dispatch. Done before the
   // misspeculation exit: a partially-committed run still loaded (or kept)
-  // the configuration bits. Backward-closed configs resume at their own
-  // start PC, which is what makes them loop-resident under kLoop.
-  const bool latchable =
-      config_.residency == Residency::kAny ||
-      (config_.residency == Residency::kLoop && config->end_pc == config_pc);
-  if (latchable) {
-    if (!resident) {
-      uint32_t hi = config_pc;
-      for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
-      has_resident_ = true;
-      resident_pc_ = config_pc;
-      resident_rev_ = config->revision;
-      resident_lo_ = config_pc;
-      resident_hi_ = hi + 4;
-    }
-  } else {
-    has_resident_ = false;
+  // the configuration bits.
+  if (config_.residency && !resident) {
+    uint32_t hi = config_pc;
+    for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
+    has_resident_ = true;
+    resident_pc_ = config_pc;
+    resident_rev_ = config->revision;
+    resident_lo_ = config_pc;
+    resident_hi_ = hi + 4;
   }
 
   // Self-modifying code from inside the array: a committed store into the
@@ -241,7 +231,7 @@ struct AcceleratedSystem::TraceEnv {
   rra::Configuration* hit = nullptr;  // set when pre_dispatch stops the trace
 
   bool pre_dispatch(uint32_t pc) {
-    if (sys->config_.array_enabled && !sys->translator_->extending()) {
+    if (!sys->translator_->extending()) {
       if (rra::Configuration* config = sys->rcache_->lookup(pc)) {
         hit = config;  // the caller dispatches it; re-probing would double-count
         return true;
@@ -297,7 +287,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
          stats.instructions < instruction_boundary) {
     // Probe the reconfiguration cache (unless an extension capture is in
     // flight — DIM must then observe the raw stream).
-    if (config_.array_enabled && !translator_->extending()) {
+    if (!translator_->extending()) {
       if (rra::Configuration* config = rcache_->lookup(state_.pc)) {
         execute_on_array(config, stats);
         continue;

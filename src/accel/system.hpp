@@ -32,16 +32,6 @@ struct SystemAccess;  // snapshot serializer (snap/snapshot.cpp)
 
 namespace dim::accel {
 
-// Loop-residency policy: which fully-committed configurations may stay
-// latched on the array across dispatches. A resident re-dispatch skips the
-// configuration-word reload (rra::resident_stall_cycles); timing only —
-// architectural state is identical with residency on or off.
-enum class Residency : uint8_t {
-  kOff,   // every dispatch reloads the configuration (paper default)
-  kLoop,  // only backward-branch-closed configs (end_pc == start_pc)
-  kAny,   // any fully-committed configuration stays latched
-};
-
 struct SystemConfig {
   sim::MachineConfig machine;          // baseline core timing + run limits
   rra::ArrayShape shape = rra::ArrayShape::config1();
@@ -62,10 +52,12 @@ struct SystemConfig {
   // If-conversion (see bt::TranslatorParams): merge short hammocks into one
   // configuration under predicate bits instead of speculating the branch.
   bool predication = false;
-  int max_hammock_ops = 4;
-  int max_pred_slots = rra::kMaxPredSlots;
-  // Loop residency (see enum above). Strictly a timing knob.
-  Residency residency = Residency::kOff;
+  // Residency: the last dispatched configuration stays latched on the
+  // array, so re-dispatching it skips the configuration-word reload
+  // (rra::resident_stall_cycles). Off (the paper) reloads on every
+  // dispatch. Strictly a timing knob: architectural state is identical
+  // either way.
+  bool residency = false;
   // Array execution personality (src/rra/exec_mode/): row-sync (paper) or
   // elastic dataflow. Strictly a timing/stats knob — the transparency
   // contract holds for every mode.
@@ -80,7 +72,6 @@ struct SystemConfig {
   // runs in parallel, free). Nonzero emulates software binary translation
   // (warp-processing-style CAD) — see bench_ablation_btcost.
   uint64_t translation_cost_per_instr = 0;
-  bool array_enabled = true;  // false = plain baseline run (for A/B tests)
   // Planted translator bug for fuzzer self-tests (bt::FaultInjection);
   // kNone outside tests.
   bt::FaultInjection fault_injection = bt::FaultInjection::kNone;
@@ -166,7 +157,7 @@ class AcceleratedSystem : private obs::RunClock {
   uint32_t extension_config_pc_ = 0;
   uint32_t extension_branch_pc_ = 0;
 
-  // Loop-residency latch: the configuration currently held on the array.
+  // Residency latch: the configuration currently held on the array.
   // Valid only while the cached entry's revision still matches (the rcache
   // stamps every write); resident_lo_/hi_ cover the translated code bytes
   // so stores into them (SMC) drop the latch.

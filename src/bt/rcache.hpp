@@ -26,7 +26,7 @@ struct RcacheCounters {
   uint64_t evictions = 0;
   uint64_t flushes = 0;
   uint64_t words_written = 0;
-  // Monotone stamp source for Configuration::revision (loop residency): a
+  // Monotone stamp source for Configuration::revision (residency): a
   // resident dispatch is valid only while the cached entry's revision
   // matches the one latched in the array. Serialized so a resumed run can
   // never reissue a stamp an old latch still holds.

@@ -32,7 +32,6 @@
 #include "prof/bb_profiler.hpp"
 #include "rra/array_exec.hpp"
 #include "rra/array_shape.hpp"
-#include "rra/config_io.hpp"
 #include "rra/configuration.hpp"
 #include "rra/datapath.hpp"
 #include "sim/cpu_state.hpp"

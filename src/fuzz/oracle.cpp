@@ -65,20 +65,17 @@ std::vector<MatrixPoint> full_matrix() {
   add_shape_points(out, "shape1", rra::ArrayShape::config1());
   add_shape_points(out, "shape2", rra::ArrayShape::config2());
   add_shape_points(out, "tiny", rra::ArrayShape{6, 3, 1, 1});
-  // The predication axis: every point again with if-conversion and loop
-  // residency on. Residency alternates between closed loops only
-  // ("…/pred", kLoop) and any fully-committed configuration ("…/pred-any",
-  // kAny), so latched straight-line and hammock configurations are
-  // exercised too. Residency is timing-only and predication must be
-  // transparent, so every such point answers to the same oracles as its
-  // base point.
+  // The predication axis: every point again with if-conversion and
+  // residency on, so latched straight-line, loop and hammock
+  // configurations are all exercised. Residency is timing-only and
+  // predication must be transparent, so every such point answers to the
+  // same oracles as its base point.
   const size_t base_points = out.size();
   for (size_t i = 0; i < base_points; ++i) {
     MatrixPoint p = out[i];
-    const bool any = i % 2 == 1;
-    p.label += any ? "/pred-any" : "/pred";
+    p.label += "/pred";
     p.config.predication = true;
-    p.config.residency = any ? accel::Residency::kAny : accel::Residency::kLoop;
+    p.config.residency = true;
     out.push_back(std::move(p));
   }
   // The execution-mode axis (src/rra/exec_mode/): every base point again
@@ -118,12 +115,12 @@ std::vector<MatrixPoint> quick_matrix() {
   p.label = "shape1/fifo4/spec3/pred";
   p.config = make_config(rra::ArrayShape::config1(), 4, bt::Replacement::kFifo, true, 3);
   p.config.predication = true;
-  p.config.residency = accel::Residency::kLoop;
+  p.config.residency = true;
   out.push_back(p);
   p.label = "shape2/lru64/nospec/pred";
   p.config = make_config(rra::ArrayShape::config2(), 64, bt::Replacement::kLru, false, 3);
   p.config.predication = true;
-  p.config.residency = accel::Residency::kLoop;
+  p.config.residency = true;
   out.push_back(p);
   p.label = "shape1/fifo4/spec3/elastic";
   p.config = make_config(rra::ArrayShape::config1(), 4, bt::Replacement::kFifo, true, 3);
@@ -131,10 +128,10 @@ std::vector<MatrixPoint> quick_matrix() {
   p.config.exec_mode.mode = rra::ExecMode::kElastic;
   p.config.exec_mode.fifo_capacity = 1;
   out.push_back(p);
-  p.label = "shape2/lru64/spec3/pred-any";
+  p.label = "shape2/lru64/spec3/pred";
   p.config = make_config(rra::ArrayShape::config2(), 64, bt::Replacement::kLru, true, 3);
   p.config.predication = true;
-  p.config.residency = accel::Residency::kAny;
+  p.config.residency = true;
   out.push_back(p);
   return out;
 }

@@ -66,7 +66,7 @@ struct Configuration {
   int misspec_count = 0;
   bool no_extend = false;  // speculation extension failed; don't retry
 
-  // Monotone stamp assigned by the rcache on insert/preload; a loop-resident
+  // Monotone stamp assigned by the rcache on insert/preload; a resident
   // dispatch is valid only while the cached entry's revision still matches.
   uint64_t revision = 0;
 
@@ -93,7 +93,7 @@ uint64_t reconfig_stall_cycles(const Configuration& config,
                                const ArrayTimingParams& timing);
 
 // Stall for re-dispatching a configuration that is already resident in the
-// array (loop residency): the configuration bits need no reload, only the
+// array (residency): the configuration bits need no reload, only the
 // input operands are fetched again.
 uint64_t resident_stall_cycles(const Configuration& config,
                                const ArrayTimingParams& timing);

@@ -40,8 +40,6 @@ namespace dim::rra {
 enum class ExecMode : uint8_t {
   kRowSync = 0,
   kElastic = 1,
-  // 2 is retired (a removed personality). Do not reuse it: snapshots taken
-  // under it must keep failing the fingerprint check (src/snap/codec.cpp).
 };
 
 struct ExecModeParams {

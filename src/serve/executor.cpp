@@ -1,43 +1,24 @@
 #include "serve/executor.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <limits>
 #include <sstream>
 
 #include "accel/system.hpp"
 #include "asm/assembler.hpp"
 #include "fuzz/campaign.hpp"
 #include "serve/batcher.hpp"
-#include "snap/codec.hpp"
 #include "snap/io.hpp"
 #include "snap/snapshot.hpp"
-#include "snap/warmstart.hpp"
 #include "work/workload.hpp"
 
 namespace dim::serve {
-namespace {
-
-std::string warm_path(const std::string& store_dir, uint64_t program_hash,
-                      uint64_t fingerprint) {
-  char name[48];
-  std::snprintf(name, sizeof name, "%016llx-%016llx.warm",
-                static_cast<unsigned long long>(program_hash),
-                static_cast<unsigned long long>(fingerprint));
-  return store_dir + "/warm/" + name;
-}
-
-}  // namespace
 
 Executor::Executor(const std::string& store_dir, unsigned threads,
                    uint64_t checkpoint_interval)
-    : store_dir_(store_dir),
-      threads_(threads),
+    : threads_(threads),
       checkpoint_interval_(checkpoint_interval == 0 ? 1u << 20 : checkpoint_interval) {
-  if (!store_dir_.empty()) {
-    store_ = std::make_unique<snap::ResultStore>(store_dir_ + "/cells");
-    std::filesystem::create_directories(store_dir_ + "/warm");
+  if (!store_dir.empty()) {
+    store_ = std::make_unique<snap::ResultStore>(store_dir + "/cells");
   }
 }
 
@@ -51,7 +32,7 @@ ExecutorCounters Executor::counters() const {
   return c;
 }
 
-Executor::ProgramEntry* Executor::resolve_program(const Job& job) {
+const asmblr::Program* Executor::resolve_program(const Job& job) {
   const Request& request = job.request;
   const std::string key =
       request.workload.empty()
@@ -61,14 +42,14 @@ Executor::ProgramEntry* Executor::resolve_program(const Job& job) {
   if (it != programs_.end()) return &it->second;
   std::ostringstream out;
   try {
-    ProgramEntry entry;
+    asmblr::Program program;
     if (!request.workload.empty()) {
-      entry.program =
+      program =
           asmblr::assemble(work::make_workload(request.workload, request.scale).source);
     } else {
-      entry.program = asmblr::assemble(request.source);
+      program = asmblr::assemble(request.source);
     }
-    return &programs_.emplace(key, std::move(entry)).first->second;
+    return &programs_.emplace(key, std::move(program)).first->second;
   } catch (const std::invalid_argument& e) {
     write_error_response(out, request.id, kErrUnknownWorkload, e.what());
   } catch (const std::exception& e) {
@@ -80,9 +61,9 @@ Executor::ProgramEntry* Executor::resolve_program(const Job& job) {
 }
 
 void Executor::run(const std::vector<Job>& batch) {
-  // Partition: grid work (sweeps + unbudgeted cold runs) shares one
-  // SweepEngine call; budgeted/warm runs and fuzz campaigns execute
-  // directly. Unresolvable requests answer here and drop out.
+  // Partition: grid work (sweeps + unbudgeted runs) shares one SweepEngine
+  // call; budgeted runs and fuzz campaigns execute directly. Unresolvable
+  // requests answer here and drop out.
   struct GridItem {
     size_t job_index;
     BatchSlice slice;
@@ -98,15 +79,15 @@ void Executor::run(const std::vector<Job>& batch) {
       fuzz_items.push_back(i);
       continue;
     }
-    if (req.kind == RequestKind::kRun && (req.budget > 0 || req.warm)) {
+    if (req.kind == RequestKind::kRun && req.budget > 0) {
       direct_items.push_back(i);
       continue;
     }
-    ProgramEntry* entry = resolve_program(batch[i]);
-    if (entry == nullptr) continue;
+    const asmblr::Program* program = resolve_program(batch[i]);
+    if (program == nullptr) continue;
     BatchSlice slice;
     slice.begin = grid.size();
-    std::vector<accel::SweepPoint> points = expand_points(req, entry->program);
+    std::vector<accel::SweepPoint> points = expand_points(req, *program);
     for (auto& p : points) grid.push_back(std::move(p));
     slice.end = grid.size();
     grid_items.push_back({i, slice});
@@ -152,94 +133,36 @@ void Executor::run(const std::vector<Job>& batch) {
   }
 
   for (const size_t i : direct_items) {
-    ProgramEntry* entry = resolve_program(batch[i]);
-    if (entry == nullptr) continue;
-    execute_direct(batch[i], *entry);
+    const asmblr::Program* program = resolve_program(batch[i]);
+    if (program == nullptr) continue;
+    execute_direct(batch[i], *program);
   }
   for (const size_t i : fuzz_items) execute_fuzz(batch[i]);
 }
 
-std::vector<uint8_t>* Executor::warm_lookup(uint64_t program_hash,
-                                            uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  auto it = warm_pool_.find({program_hash, fingerprint});
-  if (it != warm_pool_.end()) return &it->second;
-  if (store_dir_.empty()) return nullptr;
-  // Lazy disk fill: a previous daemon run (or another worker process
-  // sharing the directory) may have exported this key.
-  try {
-    std::vector<uint8_t> payload = snap::read_artifact_file(
-        warm_path(store_dir_, program_hash, fingerprint), snap::ArtifactKind::kWarmStart);
-    return &warm_pool_.emplace(std::make_pair(program_hash, fingerprint),
-                               std::move(payload))
-                .first->second;
-  } catch (const snap::SnapshotError&) {
-    return nullptr;  // absent or unreadable: treated as a cold start
-  }
-}
-
-void Executor::warm_insert(uint64_t program_hash, uint64_t fingerprint,
-                           std::vector<uint8_t> payload) {
-  size_t entries = 0;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    auto [it, inserted] = warm_pool_.emplace(
-        std::make_pair(program_hash, fingerprint), std::move(payload));
-    if (!inserted) return;  // identical bytes are already resident
-    entries = warm_pool_.size();
-    if (!store_dir_.empty()) {
-      try {
-        snap::write_artifact_file(warm_path(store_dir_, program_hash, fingerprint),
-                                  snap::ArtifactKind::kWarmStart, it->second);
-      } catch (const snap::SnapshotError&) {
-        // Persistence is an optimization; the in-memory pool still serves.
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.warm_exports;
-  counters_.warm_entries = entries;
-}
-
-void Executor::execute_direct(const Job& job, ProgramEntry& entry) {
+void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
   const Request& req = job.request;
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
     ++counters_.direct_runs;
   }
-  accel::SystemConfig config =
+  const accel::SystemConfig config =
       config_for(req.shape, req.slots, req.speculation);
-  const uint64_t phash = snap::program_hash(entry.program);
-  const uint64_t fingerprint = snap::system_fingerprint(config);
 
-  accel::AcceleratedSystem system(entry.program, config);
+  accel::AcceleratedSystem system(program, config);
   RunResponse resp;
   resp.budget = req.budget;
-  if (req.warm) {
-    if (const std::vector<uint8_t>* payload = warm_lookup(phash, fingerprint)) {
-      try {
-        resp.warm_preloaded =
-            snap::load_warm_start_payload(system, *payload, entry.program);
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.warm_preloads;
-      } catch (const snap::SnapshotError&) {
-        resp.warm_preloaded = 0;  // stale/mismatched entry: run cold
-      }
-    }
-  }
 
-  // Migration resume: restore a prior checkpoint's snapshot AFTER the warm
-  // preload — the preload already set `warm_preloaded` exactly as the
-  // uncrashed run did, and the restore then replaces simulator state
-  // wholesale, so the finished response is byte-identical to a run that
-  // never migrated. An absent file or a payload that fails to restore
+  // Migration resume: a prior checkpoint's snapshot replaces simulator
+  // state wholesale, so the finished response is byte-identical to a run
+  // that never migrated. An absent file or a payload that fails to restore
   // (foreign program/config) means a cold start: same bytes, more work.
   if (!job.checkpoint_path.empty()) {
     try {
       snap::restore_snapshot_payload(
           system,
           snap::read_artifact_file(job.checkpoint_path, snap::ArtifactKind::kSnapshot),
-          entry.program);
+          program);
     } catch (const snap::SnapshotError&) {
     }
   }
@@ -250,8 +173,6 @@ void Executor::execute_direct(const Job& job, ProgramEntry& entry) {
   // promise), and a partial run would be nondeterministic anyway. Only an
   // explicit cancel cuts a run short. hit_limit from the machine's own
   // cap is surfaced unchanged; hit_budget is ours.
-  const uint64_t budget =
-      req.budget > 0 ? req.budget : std::numeric_limits<uint64_t>::max();
   accel::AccelStats stats;
   for (;;) {
     if (job.canceled && job.canceled()) {
@@ -261,15 +182,15 @@ void Executor::execute_direct(const Job& job, ProgramEntry& entry) {
       return;
     }
     const uint64_t done = system.stats().instructions;
-    if (done >= budget) break;
-    const uint64_t boundary = std::min(budget, done + checkpoint_interval_);
+    if (done >= req.budget) break;
+    const uint64_t boundary = std::min(req.budget, done + checkpoint_interval_);
     stats = system.run_until(boundary);
     if (stats.final_state.halted || stats.hit_limit) break;
     if (stats.instructions == done) break;  // no forward progress: stop
-    if (!job.checkpoint_path.empty() && stats.instructions < budget) {
+    if (!job.checkpoint_path.empty() && stats.instructions < req.budget) {
       try {
         snap::write_artifact_file(job.checkpoint_path, snap::ArtifactKind::kSnapshot,
-                                  snap::encode_snapshot(system, entry.program));
+                                  snap::encode_snapshot(system, program));
       } catch (const snap::SnapshotError&) {
         // Checkpointing is an optimization; a crash then restarts cold.
       }
@@ -278,22 +199,14 @@ void Executor::execute_direct(const Job& job, ProgramEntry& entry) {
   stats = system.stats();
   resp.accelerated = stats;
   resp.halted = stats.final_state.halted;
-  resp.hit_budget = !resp.halted && req.budget > 0 &&
-                    stats.instructions >= req.budget && !stats.hit_limit;
+  resp.hit_budget =
+      !resp.halted && stats.instructions >= req.budget && !stats.hit_limit;
 
   if (req.want_baseline) {
-    if (req.budget > 0) {
-      // Budgeted baseline: same instruction allowance on the plain core.
-      sim::MachineConfig machine = config.machine;
-      machine.max_instructions = std::min(machine.max_instructions, req.budget);
-      resp.baseline = accel::baseline_as_stats(entry.program, machine);
-    } else {
-      if (!entry.has_baseline) {
-        entry.baseline = accel::baseline_as_stats(entry.program, config.machine);
-        entry.has_baseline = true;
-      }
-      resp.baseline = entry.baseline;
-    }
+    // Budgeted baseline: same instruction allowance on the plain core.
+    sim::MachineConfig machine = config.machine;
+    machine.max_instructions = std::min(machine.max_instructions, req.budget);
+    resp.baseline = accel::baseline_as_stats(program, machine);
     resp.has_baseline = true;
     // Transparency is only a meaningful verdict when both sides finished.
     resp.transparent =
@@ -302,12 +215,6 @@ void Executor::execute_direct(const Job& job, ProgramEntry& entry) {
             : resp.accelerated.final_state.output ==
                       resp.baseline.final_state.output &&
                   resp.accelerated.memory_hash == resp.baseline.memory_hash;
-  }
-
-  if (req.warm && resp.halted && resp.warm_preloaded == 0) {
-    warm_insert(phash, fingerprint,
-                snap::encode_warm_start(system, entry.program));
-    resp.warm_exported = true;
   }
 
   std::ostringstream out;

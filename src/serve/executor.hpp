@@ -3,11 +3,10 @@
 // process of the Supervisor's pool hands it one job at a time.
 //
 // It keeps what execution amortizes across requests — assembled programs
-// and their unbudgeted baselines, the result store that memoizes grid
-// cells, the warm-start pool — and runs a batch in three groups: every
-// sweep and plain run of the batch shares one SweepEngine grid, budgeted
-// and warm runs execute directly in run_until checkpoint chunks, and fuzz
-// campaigns fan out over the same thread count.
+// and the result store that memoizes grid cells — and runs a batch in
+// three groups: every sweep and unbudgeted run of the batch shares one
+// SweepEngine grid, budgeted runs execute directly in run_until checkpoint
+// chunks, and fuzz campaigns fan out over the same thread count.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "accel/stats.hpp"
@@ -29,11 +27,8 @@ namespace dim::serve {
 struct ExecutorCounters {
   uint64_t batches = 0;            // batches with >= 1 grid item
   uint64_t batched_cells = 0;      // grid points handed to the SweepEngine
-  uint64_t direct_runs = 0;        // budgeted/warm runs outside the engine
+  uint64_t direct_runs = 0;        // budgeted runs outside the engine
   uint64_t fuzz_campaigns = 0;
-  uint64_t warm_entries = 0;       // resident warm-start pool size
-  uint64_t warm_preloads = 0;
-  uint64_t warm_exports = 0;
   bool has_store = false;
   snap::ResultStore::Counters store;
 };
@@ -41,7 +36,7 @@ struct ExecutorCounters {
 class Executor {
  public:
   // `store_dir` is the persistence root ("" = fully in-memory): result-store
-  // cells go to <store_dir>/cells, warm-start exports to <store_dir>/warm.
+  // cells go to <store_dir>/cells.
   // `threads` sizes the SweepEngine and fuzz pools (0 = hardware
   // concurrency); `checkpoint_interval` is the run_until chunk of a direct
   // run, and so its cancellation latency.
@@ -68,34 +63,17 @@ class Executor {
   ExecutorCounters counters() const;
 
  private:
-  // A cached, already-assembled program plus its lazily computed
-  // unbudgeted baseline.
-  struct ProgramEntry {
-    asmblr::Program program;
-    bool has_baseline = false;
-    accel::AccelStats baseline;
-  };
-
-  ProgramEntry* resolve_program(const Job& job);
-  void execute_direct(const Job& job, ProgramEntry& entry);
+  // The job's assembled program (cached per workload/scale or source), or
+  // null after answering the job with the assembly error.
+  const asmblr::Program* resolve_program(const Job& job);
+  void execute_direct(const Job& job, const asmblr::Program& program);
   void execute_fuzz(const Job& job);
 
-  // Warm-start pool: payload per (program hash, system fingerprint); the
-  // payload for a key is unique (only halted runs export), so concurrent
-  // writers write identical bytes and the pool stays deterministic.
-  std::vector<uint8_t>* warm_lookup(uint64_t program_hash, uint64_t fingerprint);
-  void warm_insert(uint64_t program_hash, uint64_t fingerprint,
-                   std::vector<uint8_t> payload);
-
-  const std::string store_dir_;
   const unsigned threads_;
   const uint64_t checkpoint_interval_;
   std::unique_ptr<snap::ResultStore> store_;  // null without store_dir
 
-  std::map<std::string, ProgramEntry> programs_;  // run() thread only
-
-  std::mutex warm_mutex_;
-  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> warm_pool_;
+  std::map<std::string, asmblr::Program> programs_;  // run() thread only
 
   mutable std::mutex counters_mutex_;
   ExecutorCounters counters_;

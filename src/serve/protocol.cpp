@@ -165,7 +165,6 @@ ParseOutcome parse_request(const std::string& line) {
           return outcome;
         }
       }
-      req.warm = get_bool(doc, "warm", false);
       parse_scheduling(doc, req);
     } else if (kind == "sweep") {
       req.kind = RequestKind::kSweep;
@@ -280,8 +279,6 @@ void write_run_response(std::ostream& out, const RequestId& id, const RunRespons
   out << ", \"kind\": \"run\", \"halted\": " << (r.halted ? "true" : "false")
       << ", \"hit_budget\": " << (r.hit_budget ? "true" : "false");
   if (r.budget > 0) out << ", \"budget\": " << r.budget;
-  if (r.warm_preloaded > 0) out << ", \"warm_preloaded\": " << r.warm_preloaded;
-  if (r.warm_exported) out << ", \"warm_exported\": true";
   if (r.has_baseline) {
     out << ", \"transparent\": " << (r.transparent ? "true" : "false")
         << ", \"speedup\": ";

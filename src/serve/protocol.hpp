@@ -22,10 +22,10 @@ namespace dim::serve {
 
 enum class RequestKind {
   kPing,      // liveness probe
-  kRun,       // one accelerated run (optionally budgeted / warm-started)
+  kRun,       // one accelerated run (optionally budgeted)
   kSweep,     // a grid of points, batched into the shared SweepEngine
   kFuzz,      // a differential fuzz campaign
-  kStats,     // server counters (admission, batches, store, warm pool)
+  kStats,     // server counters (admission, batches, store)
   kCancel,    // best-effort cancellation of a queued or budgeted request
   kShutdown,  // stop accepting, drain, exit
 };
@@ -72,7 +72,6 @@ struct Request {
   bool speculation = true;
   bool want_baseline = true;
   uint64_t budget = 0;  // 0 = no per-request budget (machine default cap)
-  bool warm = false;    // preload/export the resident warm-start pool
 
   // scheduling (run/sweep/fuzz). `priority` in [0, kMaxPriority], higher
   // pops first; `deadline_ms` is a relative admission deadline — if the
@@ -133,8 +132,6 @@ struct RunResponse {
   bool halted = false;
   bool hit_budget = false;  // stopped by the per-request budget
   uint64_t budget = 0;
-  size_t warm_preloaded = 0;  // configurations preloaded from the warm pool
-  bool warm_exported = false; // this run's rcache was exported to the pool
 };
 void write_run_response(std::ostream& out, const RequestId& id, const RunResponse& r);
 

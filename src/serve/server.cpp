@@ -70,10 +70,7 @@ void Server::write_stats_fields(std::ostream& out) const {
   out << ", \"batches\": " << c.batches
       << ", \"batched_cells\": " << c.batched_cells
       << ", \"direct_runs\": " << c.direct_runs
-      << ", \"fuzz_campaigns\": " << c.fuzz_campaigns
-      << ", \"warm_entries\": " << c.warm_entries
-      << ", \"warm_preloads\": " << c.warm_preloads
-      << ", \"warm_exports\": " << c.warm_exports;
+      << ", \"fuzz_campaigns\": " << c.fuzz_campaigns;
   if (c.has_store) {
     out << ", \"store\": {\"hits\": " << c.store.hits
         << ", \"misses\": " << c.store.misses

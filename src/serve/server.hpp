@@ -1,13 +1,13 @@
 // The in-process back end of the simulation service (docs/serving.md).
 //
-// Everything the paper's transparent-acceleration story amortizes —
-// translated configurations, memoized sweep cells, assembled program
-// images — stays warm in one long-lived process. The SessionHost front end
-// admits requests; a dispatcher thread drains its queue in batches of up
-// to batch_max and hands each batch to one serve::Executor, which runs
-// every grid point of the batch through one shared SweepEngine (memoized
-// by a resident snap::ResultStore) and budgeted runs in run_until
-// checkpoint chunks, polling cancellation before each chunk.
+// What repeated requests amortize — memoized sweep cells and assembled
+// program images — stays resident in one long-lived process. The
+// SessionHost front end admits requests; a dispatcher thread drains its
+// queue in batches of up to batch_max and hands each batch to one
+// serve::Executor, which runs every grid point of the batch through one
+// shared SweepEngine (memoized by a resident snap::ResultStore) and
+// budgeted runs in run_until checkpoint chunks, polling cancellation
+// before each chunk.
 //
 // Determinism contract: for a fixed request stream on one session (with a
 // fixed result-store temperature), response bytes are identical for any
@@ -37,7 +37,7 @@ struct ServerOptions {
   // Max requests merged into one dispatcher batch.
   size_t batch_max = 32;
   // Persistence root ("" = fully in-memory): result-store cells go to
-  // <store_dir>/cells, warm-start exports to <store_dir>/warm.
+  // <store_dir>/cells.
   std::string store_dir;
   // run_until chunk for budgeted runs: the cancellation latency bound.
   uint64_t checkpoint_interval = 1u << 20;

@@ -4,7 +4,7 @@
 // for serve::Server; N forked worker processes own execution. A scheduler
 // thread hands each queued request, as its raw line, to an idle worker
 // over a socketpair (serve/ipc.hpp framing). All workers share one store
-// directory, so memoized cells and warm-start exports are pooled.
+// directory, so memoized cells are pooled.
 //
 // Fault model: a worker death (crash, SIGKILL) is detected as EOF on its
 // socketpair by that worker's reader thread, which reaps the child,

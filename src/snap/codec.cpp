@@ -60,8 +60,6 @@ void encode_translation_knobs(Writer& w, const accel::SystemConfig& c) {
   w.u64(starts.size());
   for (uint32_t pc : starts) w.u32(pc);
   w.boolean(c.predication);
-  w.i32(c.max_hammock_ops);
-  w.i32(c.max_pred_slots);
   w.u8(static_cast<uint8_t>(c.fault_injection));
 }
 
@@ -94,19 +92,15 @@ uint64_t system_fingerprint(const accel::SystemConfig& config) {
   w.i32(config.array_timing.misspec_penalty);
   w.u64(config.cache_slots);
   w.u8(static_cast<uint8_t>(config.cache_replacement));
-  w.u8(static_cast<uint8_t>(config.residency));
+  w.boolean(config.residency);
   w.i32(config.misspec_flush_threshold);
   w.u64(config.translation_cost_per_instr);
-  w.boolean(config.array_enabled);
-  // The execution-mode personality changes timing/stats, so it must key
-  // the fingerprint — but it is appended ONLY when non-default, following
-  // the host_trace_dispatch precedent above: every row-sync fingerprint
-  // (including the committed golden .snap files) keeps its exact pre-mode
-  // value.
+  // The execution-mode personality changes timing/stats, so it keys the
+  // fingerprint. fifo_capacity only matters under elastic, so row-sync
+  // systems that differ in it alone share a fingerprint.
   if (config.exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u8(static_cast<uint8_t>(config.exec_mode.mode));
     w.i32(config.exec_mode.fifo_capacity);
-    w.i32(4);  // reserved slot (codec.hpp)
   }
   return fnv1a64(w.bytes());
 }
@@ -216,15 +210,11 @@ bool has_exec_stats(const accel::AccelStats& stats) {
 void put_exec_stats(Writer& w, const accel::AccelStats& stats) {
   w.u64(stats.fifo_stall_cycles);
   w.u64(stats.elastic_deadlock_fallbacks);
-  w.u64(0);  // reserved slots (codec.hpp)
-  w.u64(0);
 }
 
 void get_exec_stats(Reader& r, accel::AccelStats& stats) {
   stats.fifo_stall_cycles = r.u64();
   stats.elastic_deadlock_fallbacks = r.u64();
-  r.u64();  // reserved slots (codec.hpp)
-  r.u64();
 }
 
 void put_array_op(Writer& w, const rra::ArrayOp& op) {

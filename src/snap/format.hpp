@@ -30,7 +30,7 @@ inline constexpr uint32_t kMagic = 0x534D4944u;
 // Bumped whenever the payload layout of any artifact kind changes. The
 // golden-format test (tests/test_snapshot.cpp) fails when serialized bytes
 // change under an unchanged version, enforcing the bump.
-inline constexpr uint16_t kFormatVersion = 2;
+inline constexpr uint16_t kFormatVersion = 3;
 
 // Version component of every result-store cell key: bump to invalidate all
 // memoized sweep cells when simulator *semantics* change without a format

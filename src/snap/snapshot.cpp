@@ -25,12 +25,10 @@ constexpr uint16_t kSecXlate = 7;   // translator stats + in-flight capture
 constexpr uint16_t kSecStats = 8;   // accumulated AccelStats
 constexpr uint16_t kSecSys = 9;     // extension latch + array cycle acc
 // Optional trailing section, present ONLY when a non-row-sync execution
-// personality is active (SystemConfig::exec_mode): a reserved u32 (the
-// retired SIMT warp fill, see codec.hpp) and the execution-mode stats
-// counters. Row-sync snapshots omit it and keep their exact pre-mode bytes
-// (pinned by the committed format goldens); readers default the fields to
-// zero when the section is absent.
-constexpr uint16_t kSecExec = 10;   // reserved u32 + exec-mode counters
+// personality is active (SystemConfig::exec_mode): the execution-mode
+// stats counters. Row-sync snapshots omit it; readers default the fields
+// to zero when the section is absent.
+constexpr uint16_t kSecExec = 10;   // exec-mode counters
 
 void expect_section(Reader& r, uint16_t id) {
   const uint16_t got = r.u16();
@@ -235,7 +233,6 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
 
   if (!r.done()) {
     expect_section(r, kSecExec);
-    r.u32();  // reserved slot
     get_exec_stats(r, d.stats);
   }
 
@@ -331,7 +328,6 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
 
   if (SystemAccess::config(system).exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u16(kSecExec);
-    w.u32(0);  // reserved slot
     put_exec_stats(w, SystemAccess::stats(system));
   }
 

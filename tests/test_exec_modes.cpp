@@ -10,10 +10,8 @@
 //   3. Build-time rejection: a deadlocking configuration falls back to
 //      row-sync execution at dispatch (transparent, counted, evented).
 //   4. Per-mode snapshots: resume-equals-straight-run holds bit-for-bit
-//      under elastic, the elastic snapshot bytes (which carry the optional
-//      exec section) are frozen by a committed golden, and a committed
-//      snapshot from the retired SIMT personality parses but restores
-//      nowhere.
+//      under elastic, and the elastic snapshot bytes (which carry the
+//      optional exec section) are frozen by a committed golden.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -342,59 +340,15 @@ TEST(ExecModesGolden, ElasticSnapshotFormatFrozen) {
         << "elastic snapshot bytes changed under unchanged kFormatVersion — "
         << "bump snap::kFormatVersion and regenerate";
   } else {
+    // The tree moved to a new version: the old golden must be rejected as
+    // such, not misparsed.
     std::istringstream old(golden);
-    EXPECT_THROW(snap::read_container(old, snap::ArtifactKind::kSnapshot),
-                 snap::SnapshotError);
-  }
-}
-
-// A snapshot taken under the retired SIMT personality (mode value 2, 4
-// lanes, predication on) before that mode was removed. Its exec section
-// still parses — the reserved slots are skipped — but no system today has
-// its fingerprint, so every restore fails with kMismatch before touching
-// the target. The program is tiny; the file is mostly the one 64 KiB
-// memory page that holds its code.
-const char* kRetiredSimtProgram = R"(
-        .text
-main:   li $t1, 200
-        li $t2, 0
-        li $t3, 7
-loop:   addu $t2, $t2, $t1
-        xor $t4, $t2, $t3
-        andi $t5, $t1, 1
-        beqz $t5, skip
-        addiu $t2, $t2, 3
-skip:   addiu $t1, $t1, -1
-        bnez $t1, loop
-        move $a0, $t2
-        li $v0, 1
-        syscall
-        li $v0, 10
-        syscall
-)";
-
-TEST(ExecModesGolden, RetiredSimtSnapshotFailsFingerprint) {
-  const auto program = asmblr::assemble(kRetiredSimtProgram);
-  const std::string path = golden_path("retired_simt.snap");
-  const snap::SnapshotInfo info = snap::inspect_snapshot_file(path);
-  // Same program image, so only the fingerprint can reject it.
-  EXPECT_EQ(info.program_hash, snap::program_hash(program));
-  EXPECT_GT(info.stats.array_activations, 0u);
-
-  accel::SystemConfig row_sync = accel::SystemConfig::with(ArrayShape::config1(), 8, true);
-  row_sync.predication = true;
-  accel::SystemConfig elastic = row_sync;
-  elastic.exec_mode.mode = ExecMode::kElastic;
-  for (const accel::SystemConfig& cfg : {row_sync, elastic}) {
-    EXPECT_NE(info.system_fingerprint, snap::system_fingerprint(cfg));
-    accel::AcceleratedSystem system(program, cfg);
     try {
-      snap::restore_snapshot_file(system, path, program);
-      ADD_FAILURE() << "restored a snapshot taken under a retired mode";
+      snap::read_container(old, snap::ArtifactKind::kSnapshot);
+      ADD_FAILURE() << "old-version golden loaded";
     } catch (const snap::SnapshotError& e) {
-      EXPECT_EQ(e.code(), snap::SnapErrc::kMismatch) << e.what();
+      EXPECT_EQ(e.code(), snap::SnapErrc::kBadVersion);
     }
-    EXPECT_EQ(system.stats().instructions, 0u);
   }
 }
 

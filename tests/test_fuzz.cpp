@@ -79,27 +79,36 @@ TEST(FuzzOracle, RejectsUnassemblableSource) {
 }
 
 TEST(FuzzOracle, MatrixAxes) {
-  // 18 base points, each again with predication + residency (kLoop and
-  // kAny alternating) and under elastic. The kAny points are the only ones
-  // that keep configurations other than closed loops latched.
+  // 18 base points, each again with predication + residency ("…/pred") and
+  // under elastic ("…/elastic"). Residency is on exactly at the "/pred"
+  // points.
+  const auto is_pred_point = [](const MatrixPoint& p) {
+    const std::string suffix = "/pred";
+    return p.label.size() > suffix.size() &&
+           p.label.compare(p.label.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
   const std::vector<MatrixPoint> full = full_matrix();
   ASSERT_EQ(full.size(), 54u);
   std::set<std::string> labels;
-  int loop = 0, any = 0, elastic = 0;
+  int pred = 0, elastic = 0;
   for (const MatrixPoint& p : full) {
     labels.insert(p.label);
-    loop += p.config.residency == accel::Residency::kLoop;
-    any += p.config.residency == accel::Residency::kAny;
+    EXPECT_EQ(p.config.residency, is_pred_point(p)) << p.label;
+    pred += is_pred_point(p) && p.config.predication;
     elastic += p.config.exec_mode.mode == rra::ExecMode::kElastic;
   }
   EXPECT_EQ(labels.size(), full.size());
-  EXPECT_EQ(loop, 9);
-  EXPECT_EQ(any, 9);
+  EXPECT_EQ(pred, 18);
   EXPECT_EQ(elastic, 18);
 
   const std::vector<MatrixPoint> quick = quick_matrix();
   ASSERT_EQ(quick.size(), 8u);
-  EXPECT_EQ(quick.back().config.residency, accel::Residency::kAny);
+  int quick_pred = 0;
+  for (const MatrixPoint& p : quick) {
+    EXPECT_EQ(p.config.residency, is_pred_point(p)) << p.label;
+    quick_pred += is_pred_point(p) && p.config.predication;
+  }
+  EXPECT_EQ(quick_pred, 3);
 }
 
 TEST(FuzzOracle, ReportsDivergenceWithContext) {
@@ -347,7 +356,7 @@ TEST(FuzzGenerator, HammockModeEmitsMergeEligibleDiamonds) {
   accel::SystemConfig cfg =
       accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
   cfg.predication = true;
-  cfg.residency = accel::Residency::kLoop;
+  cfg.residency = true;
   cfg.machine.max_instructions = 300000;
   const int seeds = seed_budget(20);
   uint64_t merged = 0;

@@ -236,14 +236,14 @@ TEST(ObsEvents, EventKindNamesAreUnique) {
   EXPECT_EQ(names.size(), std::size(kinds));
 }
 
-// --- Loop residency lifecycle ------------------------------------------------
+// --- Residency lifecycle -----------------------------------------------------
 
 // A loop shaped so the speculative extension closes the capture exactly at
 // the loop head (end_pc == start_pc): with one ALU per line and five lines,
 // the four-op dependence chain plus the merged backward branch fill the
 // array, so the next iteration's first op does not fit and the extension
-// finalizes at the loop-start PC. That is the backward-branch-closed shape
-// Residency::kLoop latches.
+// finalizes at the loop-start PC. Every iteration then re-dispatches the
+// latched configuration.
 const char* kResidentLoop = R"(
 main:   li $s1, 300
 loop:   addiu $s1, $s1, -1
@@ -258,7 +258,7 @@ loop:   addiu $s1, $s1, -1
         syscall
 )";
 
-accel::SystemConfig narrow_config(accel::Residency residency) {
+accel::SystemConfig narrow_config(bool residency) {
   accel::SystemConfig cfg =
       accel::SystemConfig::with(rra::ArrayShape{5, 1, 1, 1}, 64, true);
   cfg.residency = residency;
@@ -272,7 +272,7 @@ accel::SystemConfig narrow_config(accel::Residency residency) {
 
 TEST(ObsResidency, HotLoopConfigIsReusedWithoutReload) {
   const auto prog = asmblr::assemble(kResidentLoop);
-  accel::SystemConfig cfg = narrow_config(accel::Residency::kLoop);
+  accel::SystemConfig cfg = narrow_config(true);
   obs::RecordingSink sink;
   cfg.event_sink = &sink;
   const auto on = accel::run_accelerated(prog, cfg);
@@ -299,7 +299,7 @@ TEST(ObsResidency, HotLoopConfigIsReusedWithoutReload) {
 
   // Residency is strictly a timing knob: identical architectural results,
   // strictly fewer configuration words loaded, never slower.
-  const auto off = accel::run_accelerated(prog, narrow_config(accel::Residency::kOff));
+  const auto off = accel::run_accelerated(prog, narrow_config(false));
   EXPECT_EQ(off.residency_hits, 0u);
   EXPECT_EQ(on.final_state.output, off.final_state.output);
   EXPECT_EQ(on.final_state.reg_hash(), off.final_state.reg_hash());
@@ -331,7 +331,7 @@ site:   addiu $s1, $s1, 0
         syscall
 )";
   const auto prog = asmblr::assemble(patcher);
-  accel::SystemConfig cfg = narrow_config(accel::Residency::kLoop);
+  accel::SystemConfig cfg = narrow_config(true);
   obs::RecordingSink sink;
   cfg.event_sink = &sink;
   const auto st = accel::run_accelerated(prog, cfg);
@@ -345,21 +345,21 @@ site:   addiu $s1, $s1, 0
   EXPECT_EQ(drop_events, st.residency_drops);
 
   // Transparent despite the code-page stores.
-  const auto off = accel::run_accelerated(prog, narrow_config(accel::Residency::kOff));
+  const auto off = accel::run_accelerated(prog, narrow_config(false));
   EXPECT_EQ(st.final_state.output, off.final_state.output);
   EXPECT_EQ(st.final_state.reg_hash(), off.final_state.reg_hash());
   EXPECT_EQ(st.memory_hash, off.memory_hash);
 }
 
 TEST(ObsResidency, RcacheRewriteDropsStaleLatch) {
-  // Residency::kAny latches every fully-committed configuration. The
-  // speculative extension rewrites the hot config in place (fresh revision
-  // stamp), so the next dispatch must detect the stale latch and drop it
-  // instead of reusing the old contents.
+  // Residency latches every dispatched configuration. The speculative
+  // extension rewrites the hot config in place (fresh revision stamp), so
+  // the next dispatch must detect the stale latch and drop it instead of
+  // reusing the old contents.
   const auto prog = asmblr::assemble(kHotLoop);
   accel::SystemConfig cfg =
       accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
-  cfg.residency = accel::Residency::kAny;
+  cfg.residency = true;
   obs::RecordingSink sink;
   cfg.event_sink = &sink;
   const auto st = accel::run_accelerated(prog, cfg);
@@ -367,7 +367,7 @@ TEST(ObsResidency, RcacheRewriteDropsStaleLatch) {
   EXPECT_GT(st.residency_hits, 0u);
   EXPECT_GT(st.residency_drops, 0u) << "rewrite never invalidated the latch";
 
-  // Timing-only, as always: kAny matches the plain run architecturally.
+  // Timing-only, as always: residency matches the plain run architecturally.
   const auto plain = accel::run_accelerated(
       prog, accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true));
   EXPECT_EQ(st.final_state.output, plain.final_state.output);

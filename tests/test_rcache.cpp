@@ -195,7 +195,7 @@ TEST(ReconfigCache, ContainsDoesNotCountStats) {
   EXPECT_EQ(rc.misses(), 0u);
 }
 
-// --- Revision stamping (loop residency) -------------------------------------
+// --- Revision stamping (residency) ------------------------------------------
 // Every cache write stamps a fresh monotone revision so an array-resident
 // copy of an entry's old contents is detectable as stale at dispatch.
 

@@ -14,6 +14,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -476,24 +479,47 @@ TEST_F(ServeServerTest, ExpiredDeadlineRejectsAtDispatchWithDedicatedCode) {
   server.shutdown();
 }
 
+// A back end that only records execution order: it pops the queue the way
+// Server::dispatch_pending does and answers each request with a bare ok.
+class ExecutionOrderHost : public SessionHost {
+ public:
+  ExecutionOrderHost() : SessionHost(16) {}
+  void shutdown() override { stop_accepting(); }
+
+  // Executes everything queued; returns the ids in execution order.
+  std::vector<std::string> dispatch_pending() {
+    std::vector<std::string> order;
+    Ticket ticket;
+    while (queue_.try_pop(ticket)) {
+      if (!pick_up(ticket)) continue;
+      order.push_back(ticket.id.text);
+      std::ostringstream out;
+      write_ok_prefix(out, ticket.id);
+      out << "}\n";
+      answer(ticket, out.str());
+    }
+    return order;
+  }
+
+ private:
+  void write_stats_fields(std::ostream&) const override {}
+};
+
 TEST_F(ServeServerTest, SchedulingOrdersExecutionNotResponses) {
   // EDF-within-priority is about *execution* order; responses still emit
-  // in admission order. Execution order is made observable through the
-  // warm pool: with batch_max=1, the first warm run to execute exports
-  // and every later one preloads. Admitted low-priority first, it must
-  // nonetheless preload — the high-priority deadlined run ran before it.
-  ServerOptions options = manual_options();
-  options.batch_max = 1;  // one job per batch, so batches execute in pop order
-  Server server(options);
+  // in admission order. Admitted low-priority first, "first" must
+  // nonetheless execute last.
+  ExecutionOrderHost host;
   std::vector<std::string> lines;
-  auto session = session_into(server, lines);
+  auto session =
+      host.open_session([&lines](const std::string& line) { lines.push_back(line); });
   session->submit(
-      R"({"id": "first", "kind": "run", "workload": "crc32", "warm": true, "priority": 0})");
+      R"({"id": "first", "kind": "run", "workload": "crc32", "priority": 0})");
   session->submit(
-      R"({"id": "urgent", "kind": "run", "workload": "crc32", "warm": true, "priority": 9, "deadline_ms": 60000})");
+      R"({"id": "urgent", "kind": "run", "workload": "crc32", "priority": 9, "deadline_ms": 60000})");
   session->submit(
-      R"({"id": "soon", "kind": "run", "workload": "crc32", "warm": true, "priority": 9})");
-  server.dispatch_pending();
+      R"({"id": "soon", "kind": "run", "workload": "crc32", "priority": 9})");
+  const std::vector<std::string> order = host.dispatch_pending();
   session->drain();
   ASSERT_EQ(lines.size(), 3u);
   // Wire order is admission order...
@@ -501,11 +527,8 @@ TEST_F(ServeServerTest, SchedulingOrdersExecutionNotResponses) {
   EXPECT_NE(lines[1].find("\"id\": \"urgent\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"id\": \"soon\""), std::string::npos);
   // ...but execution order was urgent (p9 + deadline), soon (p9), first (p0).
-  EXPECT_NE(lines[1].find("\"warm_exported\": true"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"warm_preloaded\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"warm_preloaded\""), std::string::npos);
-  EXPECT_EQ(lines[0].find("\"warm_exported\""), std::string::npos);
-  server.shutdown();
+  EXPECT_EQ(order, (std::vector<std::string>{"urgent", "soon", "first"}));
+  host.shutdown();
 }
 
 TEST_F(ServeServerTest, CancelStopsQueuedRequestBeforeDispatch) {
@@ -563,25 +586,6 @@ TEST_F(ServeServerTest, BudgetedRunReportsHitBudget) {
   server.shutdown();
 }
 
-TEST_F(ServeServerTest, WarmRunExportsThenPreloads) {
-  Server server(manual_options());
-  std::vector<std::string> lines;
-  auto session = session_into(server, lines);
-  session->submit(R"({"id": 1, "kind": "run", "workload": "crc32", "warm": true})");
-  server.dispatch_pending();
-  session->submit(R"({"id": 2, "kind": "run", "workload": "crc32", "warm": true})");
-  server.dispatch_pending();
-  session->drain();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"warm_exported\": true"), std::string::npos);
-  EXPECT_EQ(lines[0].find("\"warm_preloaded\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"warm_preloaded\""), std::string::npos);
-  const ServerCounters c = server.counters();
-  EXPECT_EQ(c.warm_exports, 1u);
-  EXPECT_EQ(c.warm_preloads, 1u);
-  server.shutdown();
-}
-
 TEST_F(ServeServerTest, RestartWithPersistedStoreRecomputesNothing) {
   // Two server lifetimes over one store directory: the second must serve
   // the identical sweep purely from disk (hits only, zero stores) and
@@ -623,43 +627,6 @@ TEST_F(ServeServerTest, RestartWithPersistedStoreRecomputesNothing) {
     server.shutdown();
   }
   EXPECT_EQ(first, second);
-  fs::remove_all(dir);
-}
-
-TEST_F(ServeServerTest, WarmPoolSurvivesRestartOnDisk) {
-  const std::string dir =
-      (fs::temp_directory_path() / "dimsim-serve-warm-restart").string();
-  fs::remove_all(dir);
-  const std::string warm_run =
-      R"({"id": "w", "kind": "run", "workload": "crc32", "warm": true})";
-
-  {
-    ServerOptions options = manual_options();
-    options.store_dir = dir;
-    Server server(options);
-    std::vector<std::string> lines;
-    auto session = session_into(server, lines);
-    session->submit(warm_run);
-    server.dispatch_pending();
-    session->drain();
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_NE(lines[0].find("\"warm_exported\": true"), std::string::npos);
-    server.shutdown();
-  }
-  {
-    ServerOptions options = manual_options();
-    options.store_dir = dir;
-    Server server(options);
-    std::vector<std::string> lines;
-    auto session = session_into(server, lines);
-    session->submit(warm_run);
-    server.dispatch_pending();
-    session->drain();
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_NE(lines[0].find("\"warm_preloaded\""), std::string::npos)
-        << "restarted daemon did not preload the persisted warm pool";
-    server.shutdown();
-  }
   fs::remove_all(dir);
 }
 
@@ -833,10 +800,8 @@ TEST(ServeFrontEnd, EveryBackEndAnswersTheSameBytes) {
     server.dispatch_pending();
     session->drain();
     server.shutdown();
-    reference = split_stats(reference,
-                            with({"batches", "batched_cells", "direct_runs",
-                                  "fuzz_campaigns", "warm_entries",
-                                  "warm_preloads", "warm_exports"}));
+    reference = split_stats(reference, with({"batches", "batched_cells",
+                                             "direct_runs", "fuzz_campaigns"}));
   }
   ASSERT_EQ(reference.size(), 13u);
   EXPECT_EQ(reference[0], "{\"id\": \"ping\", \"ok\": true, \"kind\": \"pong\"}\n");
@@ -873,6 +838,56 @@ TEST(ServeFrontEnd, EveryBackEndAnswersTheSameBytes) {
               reference)
         << workers << " worker(s)";
   }
+}
+
+TEST(ServeFrontEnd, WarmKeyIsIgnoredLikeAnyUnknownKey) {
+  // `"warm": true` once preloaded and exported a resident warm-start pool,
+  // so a run's answer depended on what ran before it. It is now an unknown
+  // key like any other: each answer equals, byte for byte, the answer to
+  // the same line without it, in process and from a worker pool, the first
+  // time and the second.
+  const auto run_line = [](int id, bool warm) {
+    return R"({"id": )" + std::to_string(id) + R"(, "kind": "run", "workload": "crc32")" +
+           (warm ? R"(, "warm": true})" : "}");
+  };
+  // Submits run 1, waits for its answer, then does the same for run 2.
+  const auto answers = [&run_line](SessionHost& host, bool warm,
+                                   const std::function<void()>& dispatch) {
+    std::mutex mutex;
+    std::vector<std::string> lines;
+    auto session = host.open_session([&](const std::string& line) {
+      std::lock_guard<std::mutex> lock(mutex);
+      lines.push_back(line);
+    });
+    for (const int id : {1, 2}) {
+      session->submit(run_line(id, warm));
+      dispatch();
+      session->drain();
+    }
+    return lines;
+  };
+  const auto in_process = [&answers](bool warm) {
+    ServerOptions options;
+    options.auto_dispatch = false;
+    options.worker_threads = 2;
+    Server server(options);
+    std::vector<std::string> lines =
+        answers(server, warm, [&server] { server.dispatch_pending(); });
+    server.shutdown();
+    return lines;
+  };
+
+  const std::vector<std::string> plain = in_process(false);
+  ASSERT_EQ(plain.size(), 2u);
+  EXPECT_NE(plain[0].find("\"transparent\": true"), std::string::npos);
+  EXPECT_EQ(in_process(true), plain);
+
+  SupervisorOptions options;
+  options.workers = 2;
+  options.engine_threads = 1;
+  Supervisor supervisor(options);
+  EXPECT_EQ(answers(supervisor, true, [] {}), plain);
+  supervisor.shutdown();
 }
 
 }  // namespace

@@ -187,9 +187,9 @@ join:   addiu $s2, $s2, 1
 }
 
 TEST(Snapshot, ResumeMatchesStraightRunWithResidencyLatched) {
-  // Loop residency on, shaped so the loop config closes at its own head
-  // (see tests/test_obs.cpp): checkpoints land while the residency latch
-  // is live, so the latch fields must round-trip byte-exactly.
+  // Residency on, with a loop whose config closes at its own head (see
+  // tests/test_obs.cpp): checkpoints land while the residency latch is
+  // live, so the latch fields must round-trip byte-exactly.
   const char* resident_loop = R"(
 main:   li $s1, 300
 loop:   addiu $s1, $s1, -1
@@ -206,7 +206,7 @@ loop:   addiu $s1, $s1, -1
   const auto program = asmblr::assemble(resident_loop);
   accel::SystemConfig cfg =
       accel::SystemConfig::with(rra::ArrayShape{5, 1, 1, 1}, 8, true);
-  cfg.residency = accel::Residency::kLoop;
+  cfg.residency = true;
   const accel::AccelStats full = accel::run_accelerated(program, cfg);
   ASSERT_GT(full.residency_hits, 0u) << "test program must latch the loop";
   for (uint64_t boundary :

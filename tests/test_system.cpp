@@ -9,7 +9,7 @@
 namespace dim::accel {
 namespace {
 
-const char* kLoopProgram = R"(
+const char* kCountingLoop = R"(
         .data
 arr:    .word 0
         .space 2048
@@ -42,7 +42,7 @@ void expect_transparent(const SpeedupResult& r) {
 }
 
 TEST(System, TransparentAndFasterOnLoop) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   for (bool spec : {false, true}) {
     const auto r = measure_speedup(prog, SystemConfig::with(rra::ArrayShape::config2(), 64, spec));
     expect_transparent(r);
@@ -51,7 +51,7 @@ TEST(System, TransparentAndFasterOnLoop) {
 }
 
 TEST(System, SpeculationBeatsNoSpeculationOnBiasedLoop) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto ns = run_accelerated(prog, SystemConfig::with(rra::ArrayShape::config3(), 64, false));
   const auto sp = run_accelerated(prog, SystemConfig::with(rra::ArrayShape::config3(), 64, true));
   EXPECT_LT(sp.cycles, ns.cycles);
@@ -59,9 +59,11 @@ TEST(System, SpeculationBeatsNoSpeculationOnBiasedLoop) {
 }
 
 TEST(System, ArrayDisabledMatchesBaselineCycles) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  // The array is off when no configuration can be stored: on the default
+  // configuration the run must then cost and output exactly the baseline.
+  const auto prog = asmblr::assemble(kCountingLoop);
   SystemConfig cfg;
-  cfg.array_enabled = false;
+  cfg.cache_slots = 0;
   const auto st = run_accelerated(prog, cfg);
   const auto base = baseline_as_stats(prog, cfg.machine);
   EXPECT_EQ(st.cycles, base.cycles);
@@ -73,7 +75,7 @@ TEST(System, InstructionConservation) {
   // Committed instructions must be identical between baseline and
   // accelerated runs — the array replaces instructions, it never adds or
   // drops any.
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto r = measure_speedup(prog, SystemConfig::with(rra::ArrayShape::config2(), 64, false));
   EXPECT_EQ(r.baseline.instructions, r.accelerated.instructions);
   EXPECT_EQ(r.accelerated.instructions,
@@ -81,7 +83,7 @@ TEST(System, InstructionConservation) {
 }
 
 TEST(System, SpeculativeRunMayReplayButNeverDropsWork) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto r = measure_speedup(prog, SystemConfig::with(rra::ArrayShape::config2(), 64, true));
   // Misspeculated slots re-execute on the processor, so the committed count
   // can only match or exceed the baseline's (never drop below).
@@ -89,7 +91,7 @@ TEST(System, SpeculativeRunMayReplayButNeverDropsWork) {
 }
 
 TEST(System, CyclesDecomposeExactly) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto st = run_accelerated(prog, SystemConfig::with(rra::ArrayShape::config2(), 64, true));
   EXPECT_EQ(st.cycles, st.proc_cycles + st.array_cycles);
   EXPECT_GT(st.array_activations, 0u);
@@ -97,15 +99,18 @@ TEST(System, CyclesDecomposeExactly) {
 }
 
 TEST(System, ZeroSlotCacheDegradesToBaseline) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  // With nowhere to store a configuration the array never fires, so the
+  // system is exactly the plain baseline core.
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto st = run_accelerated(prog, SystemConfig::with(rra::ArrayShape::config2(), 0, true));
   const auto base = baseline_as_stats(prog, sim::MachineConfig{});
   EXPECT_EQ(st.cycles, base.cycles);
   EXPECT_EQ(st.array_activations, 0u);
+  EXPECT_EQ(st.final_state.output, base.final_state.output);
 }
 
 TEST(System, TinyArrayStillTransparent) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   rra::ArrayShape tiny{4, 2, 1, 1};
   const auto r = measure_speedup(prog, SystemConfig::with(tiny, 8, true));
   expect_transparent(r);
@@ -160,7 +165,7 @@ next:   addiu $s1, $s1, 1
 }
 
 TEST(System, MisspecFlushThresholdAblation) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   SystemConfig aggressive = SystemConfig::with(rra::ArrayShape::config3(), 64, true);
   aggressive.misspec_flush_threshold = 1;  // flush on first misspeculation
   const auto st = run_accelerated(prog, aggressive);
@@ -170,7 +175,7 @@ TEST(System, MisspecFlushThresholdAblation) {
 }
 
 TEST(System, StatsAreInternallyConsistent) {
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   const auto st = run_accelerated(prog, SystemConfig::with(rra::ArrayShape::config2(), 64, true));
   // Every processor retirement is observed by DIM except branches absorbed
   // directly into a speculation extension.
@@ -188,7 +193,7 @@ TEST(System, ZeroSlotCacheChargesNoTranslationCost) {
   // Regression: with cache_slots = 0 nothing is ever stored, so software-BT
   // emulation (cycles per written configuration word) must charge nothing —
   // the accelerated run must cost exactly the baseline.
-  const auto prog = asmblr::assemble(kLoopProgram);
+  const auto prog = asmblr::assemble(kCountingLoop);
   SystemConfig cfg = SystemConfig::with(rra::ArrayShape::config2(), 0, true);
   cfg.translation_cost_per_instr = 50;
   const auto st = run_accelerated(prog, cfg);

@@ -6,6 +6,7 @@
 // cycles). Preloading itself is silent: no events, no counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,15 +30,22 @@ accel::SystemConfig warm_config() {
 }
 
 TEST(WarmStart, ColdAndWarmRunsAreArchitecturallyIdentical) {
-  for (const char* name : {"crc32", "quicksort", "bitcount"}) {
-    SCOPED_TRACE(name);
-    const auto program = asmblr::assemble(work::make_workload(name).source);
+  struct Case {
+    const char* name;
+    bool predication;
+  };
+  for (const Case& c : {Case{"crc32", false}, Case{"quicksort", false},
+                        Case{"bitcount", false}, Case{"rawaudio_d", true}}) {
+    SCOPED_TRACE(c.name);
+    const auto program = asmblr::assemble(work::make_workload(c.name).source);
+    accel::SystemConfig config = warm_config();
+    config.predication = c.predication;
 
-    accel::AcceleratedSystem cold(program, warm_config());
+    accel::AcceleratedSystem cold(program, config);
     const accel::AccelStats cold_stats = cold.run();
     const std::vector<uint8_t> payload = snap::encode_warm_start(cold, program);
 
-    accel::AcceleratedSystem warm(program, warm_config());
+    accel::AcceleratedSystem warm(program, config);
     const size_t preloaded = snap::load_warm_start_payload(warm, payload, program);
     ASSERT_GT(preloaded, 0u);
     // Byte stability: right after preload the cache holds exactly the
@@ -45,6 +53,16 @@ TEST(WarmStart, ColdAndWarmRunsAreArchitecturallyIdentical) {
     // file. (Checked before the run — running may legitimately extend
     // configurations.)
     EXPECT_EQ(snap::encode_warm_start(warm, program), payload);
+    if (c.predication) {
+      // If-converted configurations travel with their predicate fields:
+      // the cold run merged hammocks, and the file preloaded at least one
+      // predicated configuration.
+      EXPECT_GT(cold_stats.hammocks_merged, 0u);
+      const std::vector<rra::Configuration> entries = warm.rcache().export_entries();
+      EXPECT_TRUE(std::any_of(entries.begin(), entries.end(), [](const auto& e) {
+        return e.pred_slots > 0;
+      }));
+    }
     const accel::AccelStats warm_stats = warm.run();
 
     // Architectural state: identical, bit for bit.
@@ -55,13 +73,17 @@ TEST(WarmStart, ColdAndWarmRunsAreArchitecturallyIdentical) {
     EXPECT_EQ(warm_stats.final_state.pc, cold_stats.final_state.pc);
 
     // Translation phase: strictly cheaper or equal. Every preloaded
-    // sequence skips its detection iteration, so the warm run sees fewer
-    // misses and inserts at most what the cold run inserted; the array
-    // can only take over earlier.
-    EXPECT_LE(warm_stats.rcache_misses, cold_stats.rcache_misses);
+    // sequence skips its detection iteration, so the warm run inserts at
+    // most what the cold run inserted and finishes no later. Without
+    // if-conversion it also sees fewer misses and the array can only take
+    // over earlier; with it the probe counts may move either way
+    // (rawaudio_d: 6 more misses and 2 fewer activations than cold).
     EXPECT_LE(warm_stats.rcache_insertions, cold_stats.rcache_insertions);
-    EXPECT_GE(warm_stats.array_activations, cold_stats.array_activations);
     EXPECT_LE(warm_stats.cycles, cold_stats.cycles);
+    if (!c.predication) {
+      EXPECT_LE(warm_stats.rcache_misses, cold_stats.rcache_misses);
+      EXPECT_GE(warm_stats.array_activations, cold_stats.array_activations);
+    }
   }
 }
 

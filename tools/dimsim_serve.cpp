@@ -1,9 +1,8 @@
 // dimsim-serve: the long-lived batching simulation daemon (docs/serving.md).
 //
-// Everything the transparent-acceleration story amortizes stays resident
-// in one process: assembled programs, lazily computed baselines, memoized
-// sweep cells (snap::ResultStore under --store), and exported warm-start
-// rcache images. Clients speak one JSON object per line — over a Unix
+// What repeated requests amortize stays resident in one process:
+// assembled programs and memoized sweep cells (snap::ResultStore under
+// --store). Clients speak one JSON object per line — over a Unix
 // socket (--socket) or stdin/stdout (--stdio) — and get one response line
 // per request in per-session admission order. Compatible sweep work
 // drained in one dispatcher pass merges into a single SweepEngine grid;
