@@ -11,7 +11,7 @@ namespace dim::accel {
 
 AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
                                      const SystemConfig& config)
-    : config_(config), pipeline_(config.machine.timing) {
+    : config_(config), pipeline_(config.machine.timing), exec_model_(config.exec_mode) {
   program.load_into(memory_);
   state_.pc = program.entry;
   state_.regs[29] = config_.machine.initial_sp;
@@ -31,7 +31,6 @@ AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
   tparams.predication = config_.predication;
   tparams.fault = config_.fault_injection;
   tparams.exec_mode = config_.exec_mode;
-  exec_model_ = rra::make_execution_model(config_.exec_mode);
   rcache_ = std::make_unique<bt::ReconfigCache>(config_.cache_slots,
                                                 config_.cache_replacement);
   translator_ = std::make_unique<bt::Translator>(tparams, rcache_.get(), &predictor_);
@@ -80,29 +79,11 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
     }
   }
 
-  // Elastic deadlock fallback: a configuration whose bounded-FIFO handshake
-  // graph is cyclic cannot fire elastically and executes row-synchronously.
-  // The translator classifies at config-build time; entries arriving via
-  // snapshot restore or warm-start preload carry no memo and are
-  // classified lazily on first dispatch.
-  bool elastic_fallback = false;
-  if (config_.exec_mode.mode == rra::ExecMode::kElastic) {
-    if (config->elastic_memo < 0) {
-      config->elastic_memo = exec_model_->admits(*config) ? 1 : 0;
-    }
-    elastic_fallback = config->elastic_memo == 0;
-  }
-  if (elastic_fallback) ++stats.elastic_deadlock_fallbacks;
-
-  const rra::ArrayExecOutcome outcome =
-      elastic_fallback
-          ? rra::execute_configuration(*config, state_, memory_,
-                                       &pipeline_.dcache(), config_.array_timing,
-                                       resident)
-          : exec_model_->execute(*config, state_, memory_, &pipeline_.dcache(),
-                                 config_.array_timing, resident);
+  const rra::ArrayExecOutcome outcome = exec_model_.execute(
+      *config, state_, memory_, &pipeline_.dcache(), config_.array_timing, resident);
 
   ++stats.array_activations;
+  if (outcome.elastic_fallback) ++stats.elastic_deadlock_fallbacks;
   stats.array_instructions += static_cast<uint64_t>(outcome.committed_ops);
   stats.instructions += static_cast<uint64_t>(outcome.committed_ops);
   array_cycle_acc_ += outcome.total_cycles();
@@ -219,15 +200,40 @@ AccelStats AcceleratedSystem::run() {
   return run_until(std::numeric_limits<uint64_t>::max());
 }
 
-// Trace-dispatch env: reproduces the slow loop's per-retirement body —
-// counters, pipeline retire, translator observation (with the software-BT
-// cost charge) — and the loop-top rcache probe for trace-interior PCs.
-// Event stamps read stats_.instructions / pipeline cycles, so the update
-// order here must match the slow loop exactly.
+// Both retire helpers are inline: they run once per core-retired
+// instruction, and an out-of-line call each costs the trace hot path.
+inline void AcceleratedSystem::retire_on_core(sim::RetireRecord rec,
+                                              const sim::StepInfo& info) {
+  ++stats_.instructions;
+  ++stats_.proc_instructions;
+  rec.pc = info.pc;
+  rec.mem_access = info.mem_access;
+  rec.mem_addr = info.mem_addr;
+  rec.taken = info.taken;
+  pipeline_.retire(rec);
+  if (info.mem_access) ++stats_.proc_mem_accesses;
+  // Processor store into the resident code range (SMC): drop the latch.
+  // Conservative 4-byte width — sub-word stores still hit their word.
+  if (has_resident_ && info.mem_access && isa::is_store(info.instr.op) &&
+      info.mem_addr < resident_hi_ && info.mem_addr + 4 > resident_lo_) {
+    drop_residency(stats_, resident_pc_);
+  }
+}
+
+inline void AcceleratedSystem::observe_retired(const sim::StepInfo& info) {
+  // Software-BT emulation: inserting a configuration costs the processor
+  // time proportional to its size (0 per word for the paper's hardware DIM).
+  const uint64_t words_before = rcache_->words_written();
+  translator_->observe(info);
+  pipeline_.charge((rcache_->words_written() - words_before) *
+                   config_.translation_cost_per_instr);
+}
+
+// Trace-dispatch env: the slow loop's retire body for every trace op, and
+// the loop-top rcache probe for trace-interior PCs.
 struct AcceleratedSystem::TraceEnv {
   static constexpr bool kDispatchProbe = true;
   AcceleratedSystem* sys;
-  AccelStats* stats;
   rra::Configuration* hit = nullptr;  // set when pre_dispatch stops the trace
 
   bool pre_dispatch(uint32_t pc) {
@@ -242,21 +248,6 @@ struct AcceleratedSystem::TraceEnv {
 
   void retired(const sim::TraceOp& op, uint32_t next_pc, bool taken,
                bool mem_access, uint32_t mem_addr) {
-    ++stats->instructions;
-    ++stats->proc_instructions;
-    sim::RetireRecord rec = op.rec;
-    rec.mem_access = mem_access;
-    rec.mem_addr = mem_addr;
-    rec.taken = taken;
-    sys->pipeline_.retire(rec);
-    if (mem_access) ++stats->proc_mem_accesses;
-    // Processor store into the resident code range (SMC): drop the latch.
-    // Conservative 4-byte width — sub-word stores still hit their word.
-    if (sys->has_resident_ && mem_access && isa::is_store(op.instr.op) &&
-        mem_addr < sys->resident_hi_ && mem_addr + 4 > sys->resident_lo_) {
-      sys->drop_residency(*stats, sys->resident_pc_);
-    }
-
     sim::StepInfo info;
     info.instr = op.instr;
     info.pc = op.pc;
@@ -266,16 +257,8 @@ struct AcceleratedSystem::TraceEnv {
     info.mem_access = mem_access;
     info.mem_addr = mem_addr;
     info.halted = false;  // halting ops never enter a trace
-    if (sys->config_.translation_cost_per_instr > 0) {
-      const uint64_t words_before = sys->rcache_->words_written();
-      sys->translator_->observe(info);
-      const uint64_t inserted = sys->rcache_->words_written() - words_before;
-      if (inserted > 0) {
-        sys->pipeline_.charge(inserted * sys->config_.translation_cost_per_instr);
-      }
-    } else {
-      sys->translator_->observe(info);
-    }
+    sys->retire_on_core(op.rec, info);
+    sys->observe_retired(info);
   }
 };
 
@@ -301,7 +284,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
     // state is consumed by the slow path's next retirement.
     if (config_.machine.host_trace_dispatch && !extension_candidate_) {
       const uint64_t limit = std::min(max_instructions, instruction_boundary);
-      TraceEnv env{this, &stats};
+      TraceEnv env{this};
       const sim::TraceExecResult res =
           trace_cache_.step_env(state_, memory_, limit - stats.instructions, env);
       if (res.dispatch_stop && env.hit != nullptr) {
@@ -315,16 +298,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
     extension_candidate_ = false;
 
     const sim::StepInfo info = sim::step(state_, memory_, &decode_cache_);
-    ++stats.instructions;
-    ++stats.proc_instructions;
-    pipeline_.retire(info);
-    if (info.mem_access) ++stats.proc_mem_accesses;
-    // Mirror of TraceEnv::retired — SMC into the resident range drops the
-    // latch regardless of which path retired the store.
-    if (has_resident_ && info.mem_access && isa::is_store(info.instr.op) &&
-        info.mem_addr < resident_hi_ && info.mem_addr + 4 > resident_lo_) {
-      drop_residency(stats, resident_pc_);
-    }
+    retire_on_core(sim::RetireRecord::classify(info.instr), info);
 
     // Extension: the branch at the end of a fully-committed configuration
     // just retired. If its counter is saturated in the direction it went,
@@ -350,20 +324,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
       }
     }
 
-    if (!branch_absorbed_by_extension) {
-      if (config_.translation_cost_per_instr > 0) {
-        // Software-BT emulation: inserting a configuration costs the
-        // processor time proportional to its size.
-        const uint64_t words_before = rcache_->words_written();
-        translator_->observe(info);
-        const uint64_t inserted = rcache_->words_written() - words_before;
-        if (inserted > 0) {
-          pipeline_.charge(inserted * config_.translation_cost_per_instr);
-        }
-      } else {
-        translator_->observe(info);
-      }
-    }
+    if (!branch_absorbed_by_extension) observe_retired(info);
   }
 
   // Derived fields are recomputed from the live components on every exit,

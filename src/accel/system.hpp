@@ -132,6 +132,15 @@ class AcceleratedSystem : private obs::RunClock {
 
   void execute_on_array(rra::Configuration* config, AccelStats& stats);
 
+  // The one retire body of a core-retired instruction, shared by the slow
+  // loop and trace dispatch. retire_on_core counts it, charges the
+  // pipeline (`rec` carries the static classification; its dynamic fields
+  // come from `info`) and drops the residency latch on a store into the
+  // resident code. observe_retired feeds DIM and charges the software-BT
+  // cost of any configuration the observation inserted.
+  void retire_on_core(sim::RetireRecord rec, const sim::StepInfo& info);
+  void observe_retired(const sim::StepInfo& info);
+
   // Drops the residency latch (SMC overwrite or config rewrite detected):
   // clears the latch, counts the drop and emits kResidencyDropped for `pc`.
   void drop_residency(AccelStats& stats, uint32_t pc);
@@ -167,8 +176,8 @@ class AcceleratedSystem : private obs::RunClock {
   uint32_t resident_lo_ = 0;
   uint32_t resident_hi_ = 0;  // exclusive
 
-  // The active execution personality (never null; row-sync by default).
-  std::unique_ptr<rra::ExecutionModel> exec_model_;
+  // The array's execution personality (row-sync by default).
+  rra::ExecutionModel exec_model_;
 
   uint64_t array_cycle_acc_ = 0;  // array cycles (outside the pipeline model)
 

@@ -39,20 +39,25 @@ FuKind fu_for(const Instr& i, bool is_branch) {
   return isa::fu_kind(i.op);
 }
 
-// Can this instruction live inside an if-converted hammock arm? Same
-// restrictions as try_add, plus: no control flow (arms are straight-line).
-bool arm_op_allowed(const Instr& i, const TranslatorParams& p) {
-  if (isa::is_branch(i.op) || isa::is_jump(i.op)) return false;
+// Can the array host this instruction? Translatable, and not barred by
+// the related-work restrictions (CCA-style arrays; see TranslatorParams).
+bool op_allowed(const Instr& i, const TranslatorParams& p) {
   if (!translatable(i.op)) return false;
   if (!p.allow_mem && (isa::is_load(i.op) || isa::is_store(i.op))) return false;
   if (!p.allow_shifts && isa::is_shift(i.op)) return false;
-  if (!p.allow_mult &&
-      (i.op == Op::kMult || i.op == Op::kMultu || i.op == Op::kMfhi ||
-       i.op == Op::kMflo)) {
-    return false;
-  }
-  return true;
+  return p.allow_mult || (i.op != Op::kMult && i.op != Op::kMultu &&
+                          i.op != Op::kMfhi && i.op != Op::kMflo);
 }
+
+// Can this instruction live inside an if-converted hammock arm? Same
+// restrictions as try_add, plus: no control flow (arms are straight-line).
+bool arm_op_allowed(const Instr& i, const TranslatorParams& p) {
+  return !isa::is_branch(i.op) && !isa::is_jump(i.op) && op_allowed(i, p);
+}
+
+// Longest hammock the if-conversion path merges: total arm instructions
+// (the join jump is free).
+constexpr int kMaxHammockOps = 4;
 
 // The diamond's internal unconditional jump: `b join` assembles to
 // `beq $0, $0, disp`.
@@ -145,10 +150,6 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   std::bitset<rra::kNumCtxRegs> new_written = written_;
   for (int k = 0; k < ndst; ++k) new_written.set(static_cast<size_t>(dests[k]));
   if (new_written.count() > static_cast<size_t>(params_.max_output_regs)) return false;
-  if (params_.max_immediates > 0 && uses_immediate(instr) &&
-      immediates_ >= params_.max_immediates) {
-    return false;
-  }
 
   // Resource table: first line >= min_row with a free unit of this group.
   const int per_line = kind == FuKind::kAlu    ? params_.shape.alus_per_line
@@ -219,16 +220,7 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
 }
 
 bool ConfigBuilder::try_add(const Instr& instr, uint32_t pc) {
-  if (!translatable(instr.op)) return false;
-  // Related-work restrictions (CCA-style arrays; see TranslatorParams).
-  if (!params_.allow_mem && (isa::is_load(instr.op) || isa::is_store(instr.op))) return false;
-  if (!params_.allow_shifts && isa::is_shift(instr.op)) return false;
-  if (!params_.allow_mult &&
-      (instr.op == Op::kMult || instr.op == Op::kMultu || instr.op == Op::kMfhi ||
-       instr.op == Op::kMflo)) {
-    return false;
-  }
-  return place(instr, pc, PlaceOpts{});
+  return op_allowed(instr, params_) && place(instr, pc, PlaceOpts{});
 }
 
 bool ConfigBuilder::try_add_branch(const Instr& instr, uint32_t pc,
@@ -249,9 +241,8 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
                                       const std::vector<HammockOp>& not_taken_arm,
                                       const HammockOp* join_jump,
                                       const std::vector<HammockOp>& taken_arm) {
-  const int cap = std::min(params_.max_pred_slots, rra::kMaxPredSlots);
   const int slot = pred_slots_;
-  if (slot >= cap) return false;
+  if (slot >= rra::kMaxPredSlots) return false;
 
   PlaceOpts def;
   def.is_branch = true;
@@ -361,8 +352,8 @@ void Translator::finalize_capture(uint32_t end_pc) {
     }
     rra::Configuration config = builder_->finalize(end_pc);
     if (params_.exec_mode.mode == rra::ExecMode::kElastic) {
-      // Config-build-time deadlock-freedom check: the dispatcher trusts the
-      // memo and never re-analyzes a cached configuration.
+      // Config-build-time deadlock-freedom check: the execution model
+      // trusts the memo and never re-analyzes a cached configuration.
       config.elastic_memo =
           rra::elastic_admissible(config, params_.exec_mode.fifo_capacity) ? 1 : 0;
       if (config.elastic_memo == 0) {
@@ -447,10 +438,9 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
   const uint32_t target = sim::branch_target(branch, branch_pc);
   if (target <= branch_pc + 4) return false;  // backward or degenerate
 
-  const int max_arm = params_.max_hammock_ops;
   const int fall_len = static_cast<int>((target - branch_pc) / 4) - 1;
   if (fall_len == 0) return false;  // branch-to-next: nothing to convert
-  if (fall_len > max_arm + 1) {
+  if (fall_len > kMaxHammockOps + 1) {
     // Even a diamond (whose fall-through region carries one join jump on
     // top of the arm) cannot fit — the cap fallback the tests exercise.
     ++stats_.hammock_rejects;
@@ -493,7 +483,7 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
       return false;
     }
     const int taken_len = static_cast<int>((join_pc - target) / 4);
-    if (fall_len - 1 + taken_len > max_arm) {
+    if (fall_len - 1 + taken_len > kMaxHammockOps) {
       ++stats_.hammock_rejects;
       return false;
     }
@@ -509,7 +499,7 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
     }
     not_taken.pop_back();
     join_jump = last;
-  } else if (fall_len > max_arm) {
+  } else if (fall_len > kMaxHammockOps) {
     ++stats_.hammock_rejects;
     return false;
   }

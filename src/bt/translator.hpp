@@ -62,7 +62,6 @@ struct TranslatorParams {
   int min_instructions = 4;  // "more than three instructions"
   int max_input_regs = rra::kNumCtxRegs;
   int max_output_regs = rra::kNumCtxRegs;
-  int max_immediates = 0;  // 0 = unlimited
 
   // Related-work emulation knobs (paper §2.2). The CCA of Clark et al.
   // "does not support memory operations or shifts, limiting its field of
@@ -79,9 +78,9 @@ struct TranslatorParams {
   // configuration guarded by a predicate slot, and the branch becomes a
   // predicate-defining op that can never misspeculate. Oversized or
   // non-straight-line hammocks fall back to the speculation path untouched.
+  // Arms hold at most 4 instructions in total (the join jump is free), and
+  // a configuration holds at most rra::kMaxPredSlots hammocks.
   bool predication = false;
-  int max_hammock_ops = 4;  // total arm instructions (the join jump is free)
-  int max_pred_slots = 8;   // hammocks per configuration (<= rra::kMaxPredSlots)
 
   // Warp-processing-style kernel-only optimization: when non-empty, only
   // sequences starting at these PCs (the profiled hot spots) are
@@ -91,7 +90,7 @@ struct TranslatorParams {
   // Array execution personality (src/rra/exec_mode/). The translator
   // consults it at config-build time: under the elastic mode every
   // finalized configuration is classified for deadlock freedom
-  // (Configuration::elastic_memo) so the dispatcher can fall back to
+  // (Configuration::elastic_memo) so the execution model can fall back to
   // row-sync without re-analyzing on the hot path.
   rra::ExecModeParams exec_mode;
 

@@ -44,6 +44,9 @@ struct ArrayExecOutcome {
   // backpressure (bounded-capacity makespan minus unbounded makespan). A
   // subset of exec_cycles, NOT a sixth component of total_cycles().
   uint64_t fifo_stall_cycles = 0;
+  // Elastic execution only: the handshake graph deadlocks at the model's
+  // FIFO capacity, so the activation kept its row-sync timing.
+  bool elastic_fallback = false;
   uint64_t total_cycles() const {
     return exec_cycles + reconfig_stall_cycles + dcache_stall_cycles +
            finalize_cycles + misspec_penalty_cycles;
@@ -62,8 +65,8 @@ struct ArrayExecOutcome {
   uint32_t store_hi = 0;  // exclusive
 };
 
-// Per-op record of one evaluation walk, consumed by the non-row-sync
-// execution models (src/rra/exec_mode/) to retime the activation. Entry k
+// Per-op record of one evaluation walk, consumed by the elastic
+// execution model (src/rra/exec_mode/) to retime the activation. Entry k
 // describes the k-th *evaluated* op — a misspeculation-truncated walk
 // leaves trailing ops unrecorded.
 struct ArrayExecTrace {

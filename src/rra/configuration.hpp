@@ -73,8 +73,8 @@ struct Configuration {
   // Elastic-admissibility memo (-1 unknown, 0 rejected, 1 admissible).
   // Derived from ops + fifo_capacity, so it is NOT serialized: entries
   // arriving via snapshot restore or warm-start preload are reclassified
-  // lazily on first dispatch. Mutable because classification happens
-  // through the rcache's const-ish lookup path.
+  // lazily on first dispatch. Mutable because the execution model
+  // classifies through a const reference (rra::ExecutionModel::execute).
   mutable int8_t elastic_memo = -1;
 
   int instruction_count() const { return static_cast<int>(ops.size()); }

@@ -1,19 +1,17 @@
-// Pluggable array execution strategies ("personalities").
+// Array execution personalities: *when ops fire and what that costs*.
 //
 // The paper's array is row-synchronous: a row fires when the whole previous
 // row has fired, long-latency ops (multiplies, cache misses) stall every
-// row behind them. That is one point in a larger CGRA design space. This
-// subsystem abstracts *when ops fire and what that costs* behind the
-// ExecutionModel interface, keeping *what ops compute* in the shared
-// functional core (rra::execute_configuration). Because every model runs
-// the same functional core, the transparency contract — bit-identical
-// architectural state versus pure software — holds for all of them by
-// construction; models differ only in timing and stats.
+// row behind them. That is one point in a larger CGRA design space.
+// ExecutionModel times an activation under one of two personalities and
+// keeps *what ops compute* in the shared functional core
+// (rra::execute_configuration). Because both run the same functional core,
+// the transparency contract — bit-identical architectural state versus
+// pure software — holds for each by construction; they differ only in
+// timing and stats (docs/execution-modes.md has the full writeup):
 //
-// Two personalities (docs/execution-modes.md has the full writeup):
-//
-//   kRowSync — the paper's array, delegating to the classic row-chained
-//              timing in rra/configuration.cpp. The reference model.
+//   kRowSync — the paper's array: the functional core's own row-chained
+//              timing (rra/configuration.cpp). The reference model.
 //   kElastic — STRELA-style dataflow firing. Ops fire when their operands
 //              arrive over per-edge valid/ready handshakes; each row's
 //              results enter a bounded in-order output queue of
@@ -21,8 +19,7 @@
 //              still held by an unconsumed older result stalls
 //              (backpressure). Cache-miss latency rides the dependence
 //              edges instead of stalling rows. Configurations whose
-//              handshake graph can deadlock are rejected at config-build
-//              time and execute row-synchronously.
+//              handshake graph can deadlock execute row-synchronously.
 #pragma once
 
 #include <cstdint>
@@ -47,27 +44,28 @@ struct ExecModeParams {
   // Elastic: tokens each per-row output queue holds before producers on
   // that row see backpressure. Capacity 1 is the fully serialized
   // handshake; it still runs pure dependence chains at full throughput.
+  // A capacity <= 0 means unbounded queues (no backpressure, no deadlock).
   int fifo_capacity = 4;
 };
 
 class ExecutionModel {
  public:
-  virtual ~ExecutionModel() = default;
-
-  // Build-time admissibility. A configuration a model cannot execute
-  // (today: elastic deadlock) is still inserted into the rcache but
-  // dispatches row-synchronously. Must be stable for a given
-  // configuration — the translator memoizes it (Configuration::elastic_memo).
-  virtual bool admits(const Configuration& config) const = 0;
+  explicit ExecutionModel(const ExecModeParams& params) : params_(params) {}
 
   // Executes the configuration against architectural state. Semantics are
-  // identical across models (all delegate to execute_configuration); only
-  // the timing fields of the outcome differ.
-  virtual ArrayExecOutcome execute(const Configuration& config,
-                                   sim::CpuState& state, mem::Memory& memory,
-                                   mem::Cache* dcache,
-                                   const ArrayTimingParams& timing,
-                                   bool resident) const = 0;
+  // identical across modes (both run execute_configuration); only the
+  // timing fields of the outcome differ. Under elastic, a configuration
+  // whose handshake graph deadlocks at `fifo_capacity` keeps its row-sync
+  // timing and reports elastic_fallback. The verdict is memoized in
+  // Configuration::elastic_memo: the translator sets it at build time, and
+  // entries that arrive without one (snapshots, warm-start files) are
+  // classified here on first dispatch.
+  ArrayExecOutcome execute(const Configuration& config, sim::CpuState& state,
+                           mem::Memory& memory, mem::Cache* dcache,
+                           const ArrayTimingParams& timing, bool resident) const;
+
+ private:
+  ExecModeParams params_;
 };
 
 std::unique_ptr<ExecutionModel> make_execution_model(const ExecModeParams& params);

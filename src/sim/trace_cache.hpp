@@ -4,10 +4,9 @@
 // beats re-interpreting instruction by instruction; this applies the same
 // trick to the simulator itself. Straight-line runs of pre-decoded
 // instructions between control transfers are recorded once and then
-// executed as whole traces via threaded dispatch (computed goto where the
-// compiler supports it, a jump-table switch behind -DDIMSIM_PORTABLE_DISPATCH
-// otherwise), with the pipeline timing model folded into per-trace
-// precomputed cycle prefixes whenever the timing parameters permit.
+// executed as whole traces via computed-goto threaded dispatch, with the
+// pipeline timing model folded into per-trace precomputed cycle prefixes
+// whenever the timing parameters permit.
 //
 // Transparency contract (pinned by tests/test_trace_cache.cpp and the
 // dimsim-fuzz --cmp-dispatch campaign): a run with the trace cache enabled
@@ -329,15 +328,11 @@ class TraceCache {
 
 // --- Core trace executor -----------------------------------------------
 //
-// One copy of every handler; the two dispatch builds differ only in how
-// the next handler is reached. With computed goto (GCC/Clang, default)
-// each handler jumps straight to the next op's handler; the portable
-// build (-DDIMSIM_PORTABLE_DISPATCH or other compilers) routes through a
-// jump-table switch.
-#if !defined(DIMSIM_PORTABLE_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define DIMSIM_TRACE_THREADED 1
-#else
-#define DIMSIM_TRACE_THREADED 0
+// Each handler jumps straight to the next op's handler through a
+// computed goto, a GCC/Clang extension; every compiler that builds the
+// POSIX serve layer provides it.
+#if defined(DIMSIM_PORTABLE_DISPATCH) || !(defined(__GNUC__) || defined(__clang__))
+#error "the trace engine needs computed goto (GCC or Clang) and has no switch dispatch"
 #endif
 
 template <class Env>
@@ -367,11 +362,7 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
 #define DIMSIM_RETIRE(next_pc, taken, memacc, addr) \
   env.retired(*op, (next_pc), (taken), (memacc), (addr))
 
-#if DIMSIM_TRACE_THREADED
 #define DIMSIM_GOTO_KIND() goto* kLabels[static_cast<size_t>(op->kind)]
-#else
-#define DIMSIM_GOTO_KIND() goto dispatch_switch
-#endif
 
 #define DIMSIM_NEXT()                          \
   do {                                         \
@@ -407,7 +398,6 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
     DIMSIM_NEXT();                                                            \
   } while (0)
 
-#if DIMSIM_TRACE_THREADED
   static const void* const kLabels[] = {
       &&H_TAddu, &&H_TSubu, &&H_TAnd, &&H_TOr, &&H_TXor, &&H_TNor, &&H_TSlt,
       &&H_TSltu, &&H_TSllK, &&H_TSrlK, &&H_TSraK, &&H_TSllv, &&H_TSrlv,
@@ -418,55 +408,6 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
       &&H_TJ, &&H_TJal, &&H_TJr, &&H_TJalr,
   };
   DIMSIM_GOTO_KIND();
-#else
-dispatch_switch:
-  switch (op->kind) {
-    case TKind::kTAddu: goto H_TAddu;
-    case TKind::kTSubu: goto H_TSubu;
-    case TKind::kTAnd: goto H_TAnd;
-    case TKind::kTOr: goto H_TOr;
-    case TKind::kTXor: goto H_TXor;
-    case TKind::kTNor: goto H_TNor;
-    case TKind::kTSlt: goto H_TSlt;
-    case TKind::kTSltu: goto H_TSltu;
-    case TKind::kTSllK: goto H_TSllK;
-    case TKind::kTSrlK: goto H_TSrlK;
-    case TKind::kTSraK: goto H_TSraK;
-    case TKind::kTSllv: goto H_TSllv;
-    case TKind::kTSrlv: goto H_TSrlv;
-    case TKind::kTSrav: goto H_TSrav;
-    case TKind::kTAddiu: goto H_TAddiu;
-    case TKind::kTSlti: goto H_TSlti;
-    case TKind::kTSltiu: goto H_TSltiu;
-    case TKind::kTAndi: goto H_TAndi;
-    case TKind::kTOri: goto H_TOri;
-    case TKind::kTXori: goto H_TXori;
-    case TKind::kTLui: goto H_TLui;
-    case TKind::kTMult: goto H_TMult;
-    case TKind::kTMultu: goto H_TMultu;
-    case TKind::kTDiv: goto H_TDiv;
-    case TKind::kTDivu: goto H_TDivu;
-    case TKind::kTMfhi: goto H_TMfhi;
-    case TKind::kTMflo: goto H_TMflo;
-    case TKind::kTMthi: goto H_TMthi;
-    case TKind::kTMtlo: goto H_TMtlo;
-    case TKind::kTLb: goto H_TLb;
-    case TKind::kTLbu: goto H_TLbu;
-    case TKind::kTLh: goto H_TLh;
-    case TKind::kTLhu: goto H_TLhu;
-    case TKind::kTLw: goto H_TLw;
-    case TKind::kTSb: goto H_TSb;
-    case TKind::kTSh: goto H_TSh;
-    case TKind::kTSw: goto H_TSw;
-    case TKind::kTBr: goto H_TBr;
-    case TKind::kTBrLink: goto H_TBrLink;
-    case TKind::kTJ: goto H_TJ;
-    case TKind::kTJal: goto H_TJal;
-    case TKind::kTJr: goto H_TJr;
-    case TKind::kTJalr: goto H_TJalr;
-  }
-  goto out_budget;  // unreachable; silences -Wimplicit-fallthrough
-#endif
 
 // --- straight-line ALU --------------------------------------------------
 H_TAddu:

@@ -1,17 +1,20 @@
-// The execution-mode subsystem (src/rra/exec_mode/): elastic dataflow
-// firing with bounded per-row FIFOs, behind the rra::ExecutionModel
-// interface that row-sync also implements.
+// The execution modes (src/rra/exec_mode/): rra::ExecutionModel times an
+// activation row-synchronously or as elastic dataflow firing with bounded
+// per-row FIFOs.
 //   1. Admissibility: a pure dependence chain fits capacity-1 FIFOs; two
 //      independent same-row producers with a joint consumer deadlock at
-//      capacity 1 and become admissible at capacity 2.
+//      capacity 1 and become admissible at capacity 2 or with unbounded
+//      queues (capacity 0).
 //   2. Backpressure is timing-only: the same configuration under elastic
 //      retires the same architectural state as row-sync, stalls at
 //      capacity 1 and stops stalling once the FIFOs are deep enough.
-//   3. Build-time rejection: a deadlocking configuration falls back to
-//      row-sync execution at dispatch (transparent, counted, evented).
+//   3. Deadlock fallback: the model executes a deadlocking configuration
+//      with row-sync timing (transparent, counted, evented); deep or
+//      unbounded queues run the same program with no fallback.
 //   4. Per-mode snapshots: resume-equals-straight-run holds bit-for-bit
-//      under elastic, and the elastic snapshot bytes (which carry the
-//      optional exec section) are frozen by a committed golden.
+//      under elastic at capacities 0, 1 and 4, and the elastic snapshot
+//      bytes (which carry the optional exec section) are frozen by a
+//      committed golden.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -205,12 +208,15 @@ TEST(ExecModes, DeadlockedConfigFallsBackToRowSync) {
   }
   EXPECT_TRUE(saw_rejected);
 
-  // The same program with deep FIFOs runs elastically: no fallbacks.
-  accel::AcceleratedSystem deep(program, elastic_config(8));
-  const accel::AccelStats st_deep = deep.run();
-  EXPECT_EQ(st_deep.elastic_deadlock_fallbacks, 0u);
-  EXPECT_EQ(st_deep.final_state.output, base.final_state.output);
-  EXPECT_EQ(st_deep.memory_hash, base.memory_hash);
+  // The same program with deep or unbounded (capacity 0) FIFOs runs
+  // elastically: no fallbacks.
+  for (const int capacity : {8, 0}) {
+    accel::AcceleratedSystem deep(program, elastic_config(capacity));
+    const accel::AccelStats st_deep = deep.run();
+    EXPECT_EQ(st_deep.elastic_deadlock_fallbacks, 0u) << "capacity " << capacity;
+    EXPECT_EQ(st_deep.final_state.output, base.final_state.output);
+    EXPECT_EQ(st_deep.memory_hash, base.memory_hash);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -277,6 +283,7 @@ void expect_resume_equals_straight(const accel::SystemConfig& config,
 
 TEST(ExecModes, SnapshotResumeEqualsStraightRunPerMode) {
   for (const uint64_t boundary : {250u, 1200u}) {
+    expect_resume_equals_straight(elastic_config(0), boundary);
     expect_resume_equals_straight(elastic_config(1), boundary);
     expect_resume_equals_straight(elastic_config(4), boundary);
   }

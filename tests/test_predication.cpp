@@ -138,14 +138,19 @@ TEST(Predication, SquashedOpsToggleFusButDoNotRetire) {
 }
 
 TEST(Predication, PredSlotCapRejectsMerge) {
-  bt::TranslatorParams p = pred_params();
-  p.max_pred_slots = 0;
-  bt::ConfigBuilder b(0x100, p);
+  // A configuration has kMaxPredSlots predicate slots; once all of them
+  // guard a hammock, the next one is not merged.
+  bt::ConfigBuilder b(0x100, pred_params());
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
-  const std::vector<bt::HammockOp> arm = {{imm(Op::kAddiu, 9, 0, 1), 0x108}};
-  EXPECT_FALSE(b.try_merge_hammock(imm(Op::kBeq, 17, 16, 1), 0x104, arm,
-                                   nullptr, {}));
-  EXPECT_EQ(b.pred_slots(), 0);
+  uint32_t pc = 0x104;
+  for (int k = 0; k < kMaxPredSlots; ++k, pc += 8) {
+    const std::vector<bt::HammockOp> arm = {{imm(Op::kAddiu, 18 + k, 0, 1), pc + 4}};
+    ASSERT_TRUE(b.try_merge_hammock(imm(Op::kBeq, 17, 16, 1), pc, arm, nullptr, {}))
+        << "hammock " << k;
+  }
+  const std::vector<bt::HammockOp> arm = {{imm(Op::kAddiu, 26, 0, 1), pc + 4}};
+  EXPECT_FALSE(b.try_merge_hammock(imm(Op::kBeq, 17, 16, 1), pc, arm, nullptr, {}));
+  EXPECT_EQ(b.pred_slots(), kMaxPredSlots);
 }
 
 TEST(Predication, ArmRejectsControlFlowAndUnsupportedOps) {
@@ -230,7 +235,7 @@ TEST(Predication, PredicationBeatsAlternatingBranchSpeculation) {
 }
 
 TEST(Predication, OversizedArmFallsBackToSpeculation) {
-  // The fall-through arm is 6 instructions — over max_hammock_ops = 4 — so
+  // The fall-through arm is 6 instructions — over the 4-instruction cap — so
   // the hammock is rejected and the run must stay transparent via the
   // plain speculation path.
   const char* wide_arm = R"(

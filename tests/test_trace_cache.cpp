@@ -616,30 +616,48 @@ std::string stats_json(const accel::AccelStats& stats) {
 TEST(TraceCache, AcceleratedStatsAndEventsIdentical) {
   // On the accelerated system the fast path threads through the same
   // retire/observe sequence as the slow loop; the stats document and the
-  // stamped event stream (instruction/cycle stamps included) must match.
+  // stamped event stream (instruction/cycle stamps included) must match,
+  // with and without a software-BT charge and a residency latch.
   const asmblr::Program p = asmblr::assemble(kHotLoop);
-  accel::SystemConfig base = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
+  for (const bool residency : {false, true}) {
+    uint64_t free_proc_cycles = 0;
+    for (const uint64_t bt_cost : {0u, 4u}) {
+      SCOPED_TRACE("translation_cost_per_instr " + std::to_string(bt_cost) +
+                   (residency ? ", residency on" : ", residency off"));
+      accel::SystemConfig base =
+          accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
+      base.translation_cost_per_instr = bt_cost;
+      base.residency = residency;
 
-  obs::RecordingSink slow_sink;
-  accel::SystemConfig slow_cfg = base;
-  slow_cfg.machine.host_trace_dispatch = false;
-  slow_cfg.event_sink = &slow_sink;
-  accel::AcceleratedSystem slow(p, slow_cfg);
-  const accel::AccelStats slow_stats = slow.run();
+      obs::RecordingSink slow_sink;
+      accel::SystemConfig slow_cfg = base;
+      slow_cfg.machine.host_trace_dispatch = false;
+      slow_cfg.event_sink = &slow_sink;
+      accel::AcceleratedSystem slow(p, slow_cfg);
+      const accel::AccelStats slow_stats = slow.run();
 
-  obs::RecordingSink fast_sink;
-  accel::SystemConfig fast_cfg = base;
-  fast_cfg.machine.host_trace_dispatch = true;
-  fast_cfg.event_sink = &fast_sink;
-  accel::AcceleratedSystem fast(p, fast_cfg);
-  const accel::AccelStats fast_stats = fast.run();
+      obs::RecordingSink fast_sink;
+      accel::SystemConfig fast_cfg = base;
+      fast_cfg.machine.host_trace_dispatch = true;
+      fast_cfg.event_sink = &fast_sink;
+      accel::AcceleratedSystem fast(p, fast_cfg);
+      const accel::AccelStats fast_stats = fast.run();
 
-  EXPECT_EQ(stats_json(slow_stats), stats_json(fast_stats));
-  ASSERT_EQ(slow_sink.events().size(), fast_sink.events().size());
-  for (size_t i = 0; i < slow_sink.events().size(); ++i) {
-    EXPECT_EQ(obs::format_event(slow_sink.events()[i]),
-              obs::format_event(fast_sink.events()[i]))
-        << "event " << i;
+      EXPECT_EQ(stats_json(slow_stats), stats_json(fast_stats));
+      ASSERT_EQ(slow_sink.events().size(), fast_sink.events().size());
+      for (size_t i = 0; i < slow_sink.events().size(); ++i) {
+        EXPECT_EQ(obs::format_event(slow_sink.events()[i]),
+                  obs::format_event(fast_sink.events()[i]))
+            << "event " << i;
+      }
+
+      // The charge is live: every inserted configuration word costs the
+      // processor bt_cost cycles on top of the free-translation run.
+      ASSERT_GT(slow_stats.config_words_written, 0u);
+      if (bt_cost == 0) free_proc_cycles = slow_stats.proc_cycles;
+      EXPECT_EQ(slow_stats.proc_cycles,
+                free_proc_cycles + bt_cost * slow_stats.config_words_written);
+    }
   }
 }
 

@@ -201,16 +201,6 @@ TEST(ConfigBuilder, ZeroRegisterIsNeverContext) {
   EXPECT_EQ(c.input_regs, 0);
 }
 
-TEST(ConfigBuilder, ImmediateCapacity) {
-  TranslatorParams p = params_with(rra::ArrayShape::config1());
-  p.max_immediates = 2;
-  ConfigBuilder b(0x100, p);
-  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
-  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
-  EXPECT_FALSE(b.try_add(imm(Op::kAddiu, 10, 0, 3), 0x108));
-  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x108));  // no immediate: ok
-}
-
 TEST(ConfigBuilder, BranchOpensSpeculativeBlock) {
   ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
