@@ -42,8 +42,8 @@ struct AccelStats {
 
   // Execution-mode extensions (src/rra/exec_mode/). All zero under the
   // default row-sync personality, which is why serialized formats carry
-  // them in optional trailing sections (snap/) — old row-sync artifacts
-  // keep their exact bytes and keep loading.
+  // them in optional trailing sections (snap/), so row-sync artifacts keep
+  // their v3 bytes. (Older versions are rejected with kBadVersion.)
   uint64_t fifo_stall_cycles = 0;           // elastic: backpressure share of
                                             // array_exec_cycles (a subset,
                                             // not a sixth taxonomy term)

@@ -17,23 +17,9 @@ AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
   state_.regs[29] = config_.machine.initial_sp;
   state_.regs[28] = config_.machine.initial_gp;
 
-  bt::TranslatorParams tparams;
-  tparams.shape = config_.shape;
-  tparams.speculation = config_.speculation;
-  tparams.max_spec_bbs = config_.max_spec_bbs;
-  tparams.min_instructions = config_.min_instructions;
-  tparams.allow_mem = config_.allow_mem;
-  tparams.allow_shifts = config_.allow_shifts;
-  tparams.allow_mult = config_.allow_mult;
-  tparams.max_input_regs = config_.max_input_regs;
-  tparams.max_output_regs = config_.max_output_regs;
-  tparams.allowed_starts = config_.allowed_starts;
-  tparams.predication = config_.predication;
-  tparams.fault = config_.fault_injection;
-  tparams.exec_mode = config_.exec_mode;
   rcache_ = std::make_unique<bt::ReconfigCache>(config_.cache_slots,
                                                 config_.cache_replacement);
-  translator_ = std::make_unique<bt::Translator>(tparams, rcache_.get(), &predictor_);
+  translator_ = std::make_unique<bt::Translator>(config_, rcache_.get(), &predictor_);
   // Hammock detection must read ahead of the retired stream (the not-taken
   // arm has not retired yet when the branch is observed). Raw decode, not
   // the decode cache: a translation-time peek is not a fetch.

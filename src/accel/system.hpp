@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "asm/program.hpp"
 #include "bt/predictor.hpp"
@@ -26,42 +26,35 @@
 #include "sim/machine.hpp"
 #include "sim/pipeline.hpp"
 
-namespace dim::snap {
-struct SystemAccess;  // snapshot serializer (snap/snapshot.cpp)
+namespace dim::accel {
+class AcceleratedSystem;
 }
+
+namespace dim::snap {
+// Checkpoint save/restore (snap/snapshot.hpp): friends of the system.
+std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
+                                     const asmblr::Program& program);
+void restore_snapshot_payload(accel::AcceleratedSystem& system,
+                              const std::vector<uint8_t>& payload,
+                              const asmblr::Program& program);
+}  // namespace dim::snap
 
 namespace dim::accel {
 
-struct SystemConfig {
+// The translator's knobs (shape, speculation, related-work restrictions,
+// predication, exec_mode, fault injection — see bt::TranslatorParams) plus
+// the system's own.
+struct SystemConfig : bt::TranslatorParams {
   sim::MachineConfig machine;          // baseline core timing + run limits
-  rra::ArrayShape shape = rra::ArrayShape::config1();
   rra::ArrayTimingParams array_timing;
   size_t cache_slots = 64;
   bt::Replacement cache_replacement = bt::Replacement::kFifo;  // paper: FIFO
-  bool speculation = true;
-  int max_spec_bbs = 3;  // speculative blocks beyond the first (see TranslatorParams)
-  int min_instructions = 4;
-  // Related-work emulation (see bt::TranslatorParams): CCA-style FU
-  // restrictions and warp-style kernel-only translation.
-  bool allow_mem = true;
-  bool allow_shifts = true;
-  bool allow_mult = true;
-  int max_input_regs = rra::kNumCtxRegs;
-  int max_output_regs = rra::kNumCtxRegs;
-  std::unordered_set<uint32_t> allowed_starts;
-  // If-conversion (see bt::TranslatorParams): merge short hammocks into one
-  // configuration under predicate bits instead of speculating the branch.
-  bool predication = false;
   // Residency: the last dispatched configuration stays latched on the
   // array, so re-dispatching it skips the configuration-word reload
   // (rra::resident_stall_cycles). Off (the paper) reloads on every
   // dispatch. Strictly a timing knob: architectural state is identical
   // either way.
   bool residency = false;
-  // Array execution personality (src/rra/exec_mode/): row-sync (paper) or
-  // elastic dataflow. Strictly a timing/stats knob — the transparency
-  // contract holds for every mode.
-  rra::ExecModeParams exec_mode;
   // A configuration is flushed when its mispredicted branch reaches the
   // opposite counter saturation (paper rule). Optionally also after this
   // many misspeculations (0 = disabled; kept for the ablation bench — a
@@ -72,9 +65,6 @@ struct SystemConfig {
   // runs in parallel, free). Nonzero emulates software binary translation
   // (warp-processing-style CAD) — see bench_ablation_btcost.
   uint64_t translation_cost_per_instr = 0;
-  // Planted translator bug for fuzzer self-tests (bt::FaultInjection);
-  // kNone outside tests.
-  bt::FaultInjection fault_injection = bt::FaultInjection::kNone;
   // Configuration-lifecycle event tracing (see obs/event.hpp). Not owned;
   // must outlive the system. Null (the default) disables tracing at the
   // cost of one pointer test per event site — observation only, so the
@@ -115,16 +105,23 @@ class AcceleratedSystem : private obs::RunClock {
   // Statistics accumulated so far (the counters the next run_until
   // continues from; derived fields are refreshed on every run_until exit).
   const AccelStats& stats() const { return stats_; }
+  const SystemConfig& config() const { return config_; }
+  // The reconfiguration cache: warm-start export and preload, and tests.
+  bt::ReconfigCache& rcache() { return *rcache_; }
+  const bt::ReconfigCache& rcache() const { return *rcache_; }
 
   // Introspection for tests.
-  bt::ReconfigCache& rcache() { return *rcache_; }
   bt::BimodalPredictor& predictor() { return predictor_; }
   sim::CpuState& state() { return state_; }
   mem::Memory& memory() { return memory_; }
   const sim::TraceCache& trace_cache() const { return trace_cache_; }
 
  private:
-  friend struct snap::SystemAccess;  // checkpoint save/restore
+  friend std::vector<uint8_t> snap::encode_snapshot(const AcceleratedSystem&,
+                                                     const asmblr::Program&);
+  friend void snap::restore_snapshot_payload(AcceleratedSystem&,
+                                             const std::vector<uint8_t>&,
+                                             const asmblr::Program&);
 
   // Per-op hooks the superblock trace engine calls so a trace-dispatched
   // stretch retires exactly like the slow loop (defined in system.cpp).

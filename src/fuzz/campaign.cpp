@@ -80,7 +80,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       p.program = &programs[static_cast<size_t>(s)];
       p.config = m.config;
       p.config.machine = machine;
-      p.config.fault_injection = options.oracle.fault;
+      p.config.fault = options.oracle.fault;
       p.run_baseline = true;
       points.push_back(std::move(p));
       point_seed.push_back(static_cast<size_t>(s));

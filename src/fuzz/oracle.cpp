@@ -288,7 +288,7 @@ OracleResult check_dispatch_program(const std::string& source,
     accel::SystemConfig slow_sys_cfg = point.config;
     slow_sys_cfg.machine = slow_cfg;
     slow_sys_cfg.event_sink = &slow_sink;
-    slow_sys_cfg.fault_injection = options.fault;
+    slow_sys_cfg.fault = options.fault;
     accel::SystemConfig fast_sys_cfg = slow_sys_cfg;
     fast_sys_cfg.machine = fast_cfg;
     fast_sys_cfg.event_sink = &fast_sink;
@@ -384,7 +384,7 @@ OracleResult check_program(const std::string& source,
     accel::SystemConfig config = point.config;
     config.machine = machine;
     config.event_sink = &sink;
-    config.fault_injection = options.fault;
+    config.fault = options.fault;
     accel::AcceleratedSystem system(program, config);
     const accel::AccelStats accel = system.run();
 

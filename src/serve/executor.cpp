@@ -1,6 +1,7 @@
 #include "serve/executor.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "accel/system.hpp"
@@ -149,20 +150,23 @@ void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
   const accel::SystemConfig config =
       config_for(req.shape, req.slots, req.speculation);
 
-  accel::AcceleratedSystem system(program, config);
+  std::optional<accel::AcceleratedSystem> system(std::in_place, program, config);
   RunResponse resp;
   resp.budget = req.budget;
 
   // Migration resume: a prior checkpoint's snapshot replaces simulator
   // state wholesale, so the finished response is byte-identical to a run
-  // that never migrated. An absent file or a payload that fails to restore
-  // (foreign program/config) means a cold start: same bytes, more work.
+  // that never migrated. An absent file, a payload that fails to restore
+  // (foreign program/config), or a checkpoint past this budget means a cold
+  // start: same bytes, more work. The last is a stale job-N.snap left by
+  // another daemon (job ids restart at 1), not a prefix of this run.
   if (!job.checkpoint_path.empty()) {
     try {
       snap::restore_snapshot_payload(
-          system,
+          *system,
           snap::read_artifact_file(job.checkpoint_path, snap::ArtifactKind::kSnapshot),
           program);
+      if (system->stats().instructions > req.budget) system.emplace(program, config);
     } catch (const snap::SnapshotError&) {
     }
   }
@@ -181,22 +185,22 @@ void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
       job.respond(out.str());
       return;
     }
-    const uint64_t done = system.stats().instructions;
+    const uint64_t done = system->stats().instructions;
     if (done >= req.budget) break;
     const uint64_t boundary = std::min(req.budget, done + checkpoint_interval_);
-    stats = system.run_until(boundary);
+    stats = system->run_until(boundary);
     if (stats.final_state.halted || stats.hit_limit) break;
     if (stats.instructions == done) break;  // no forward progress: stop
     if (!job.checkpoint_path.empty() && stats.instructions < req.budget) {
       try {
         snap::write_artifact_file(job.checkpoint_path, snap::ArtifactKind::kSnapshot,
-                                  snap::encode_snapshot(system, program));
+                                  snap::encode_snapshot(*system, program));
       } catch (const snap::SnapshotError&) {
         // Checkpointing is an optimization; a crash then restarts cold.
       }
     }
   }
-  stats = system.stats();
+  stats = system->stats();
   resp.accelerated = stats;
   resp.halted = stats.final_state.halted;
   resp.hit_budget =

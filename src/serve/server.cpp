@@ -75,7 +75,8 @@ void Server::write_stats_fields(std::ostream& out) const {
     out << ", \"store\": {\"hits\": " << c.store.hits
         << ", \"misses\": " << c.store.misses
         << ", \"stores\": " << c.store.stores
-        << ", \"corrupt_discards\": " << c.store.corrupt_discards << "}";
+        << ", \"corrupt_discards\": " << c.store.corrupt_discards
+        << ", \"write_failures\": " << c.store.write_failures << "}";
   }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "isa/instruction.hpp"
+
 namespace dim::snap {
 
 uint64_t fnv1a64(const std::vector<uint8_t>& bytes) {
@@ -60,7 +62,7 @@ void encode_translation_knobs(Writer& w, const accel::SystemConfig& c) {
   w.u64(starts.size());
   for (uint32_t pc : starts) w.u32(pc);
   w.boolean(c.predication);
-  w.u8(static_cast<uint8_t>(c.fault_injection));
+  w.u8(static_cast<uint8_t>(c.fault));
 }
 
 }  // namespace
@@ -111,294 +113,183 @@ uint64_t translation_fingerprint(const accel::SystemConfig& config) {
   return fnv1a64(w.bytes());
 }
 
-void put_cpu(Writer& w, const sim::CpuState& state) {
-  for (uint32_t r : state.regs) w.u32(r);
-  w.u32(state.pc);
-  w.u32(state.hi);
-  w.u32(state.lo);
-  w.boolean(state.halted);
-  w.str(state.output);
-}
-
-sim::CpuState get_cpu(Reader& r) {
-  sim::CpuState state;
-  for (uint32_t& reg : state.regs) reg = r.u32();
-  state.pc = r.u32();
-  state.hi = r.u32();
-  state.lo = r.u32();
-  state.halted = r.boolean();
-  state.output = r.str();
-  return state;
-}
-
-void put_stats(Writer& w, const accel::AccelStats& stats) {
-  w.u64(stats.instructions);
-  w.u64(stats.proc_instructions);
-  w.u64(stats.array_instructions);
-  w.u64(stats.cycles);
-  w.u64(stats.proc_cycles);
-  w.u64(stats.array_cycles);
-  w.u64(stats.array_exec_cycles);
-  w.u64(stats.reconfig_stall_cycles);
-  w.u64(stats.array_dcache_stall_cycles);
-  w.u64(stats.array_finalize_cycles);
-  w.u64(stats.misspec_penalty_cycles);
-  w.u64(stats.array_activations);
-  w.u64(stats.misspeculations);
-  w.u64(stats.config_flushes);
-  w.u64(stats.extensions);
-  w.u64(stats.rcache_hits);
-  w.u64(stats.rcache_misses);
-  w.u64(stats.rcache_insertions);
-  w.u64(stats.rcache_evictions);
-  w.u64(stats.bt_observed);
-  w.u64(stats.hammocks_merged);
-  w.u64(stats.residency_hits);
-  w.u64(stats.residency_drops);
-  w.u64(stats.array_alu_ops);
-  w.u64(stats.array_mul_ops);
-  w.u64(stats.array_mem_ops);
-  w.u64(stats.proc_mem_accesses);
-  w.u64(stats.config_words_loaded);
-  w.u64(stats.config_words_written);
-  w.boolean(stats.hit_limit);
-  put_cpu(w, stats.final_state);
-  w.u64(stats.memory_hash);
-}
-
-accel::AccelStats get_stats(Reader& r) {
-  accel::AccelStats stats;
-  stats.instructions = r.u64();
-  stats.proc_instructions = r.u64();
-  stats.array_instructions = r.u64();
-  stats.cycles = r.u64();
-  stats.proc_cycles = r.u64();
-  stats.array_cycles = r.u64();
-  stats.array_exec_cycles = r.u64();
-  stats.reconfig_stall_cycles = r.u64();
-  stats.array_dcache_stall_cycles = r.u64();
-  stats.array_finalize_cycles = r.u64();
-  stats.misspec_penalty_cycles = r.u64();
-  stats.array_activations = r.u64();
-  stats.misspeculations = r.u64();
-  stats.config_flushes = r.u64();
-  stats.extensions = r.u64();
-  stats.rcache_hits = r.u64();
-  stats.rcache_misses = r.u64();
-  stats.rcache_insertions = r.u64();
-  stats.rcache_evictions = r.u64();
-  stats.bt_observed = r.u64();
-  stats.hammocks_merged = r.u64();
-  stats.residency_hits = r.u64();
-  stats.residency_drops = r.u64();
-  stats.array_alu_ops = r.u64();
-  stats.array_mul_ops = r.u64();
-  stats.array_mem_ops = r.u64();
-  stats.proc_mem_accesses = r.u64();
-  stats.config_words_loaded = r.u64();
-  stats.config_words_written = r.u64();
-  stats.hit_limit = r.boolean();
-  stats.final_state = get_cpu(r);
-  stats.memory_hash = r.u64();
-  return stats;
-}
-
 bool has_exec_stats(const accel::AccelStats& stats) {
   return stats.fifo_stall_cycles != 0 || stats.elastic_deadlock_fallbacks != 0;
 }
 
-void put_exec_stats(Writer& w, const accel::AccelStats& stats) {
-  w.u64(stats.fifo_stall_cycles);
-  w.u64(stats.elastic_deadlock_fallbacks);
+template <class IO>
+void cpu_fields(IO& io, Field<IO, sim::CpuState>& s) {
+  for (auto& reg : s.regs) io.u32(reg);
+  io.u32(s.pc);
+  io.u32(s.hi);
+  io.u32(s.lo);
+  io.boolean(s.halted);
+  io.str(s.output);
 }
 
-void get_exec_stats(Reader& r, accel::AccelStats& stats) {
-  stats.fifo_stall_cycles = r.u64();
-  stats.elastic_deadlock_fallbacks = r.u64();
+template <class IO>
+void stats_fields(IO& io, Field<IO, accel::AccelStats>& s) {
+  io.u64(s.instructions);
+  io.u64(s.proc_instructions);
+  io.u64(s.array_instructions);
+  io.u64(s.cycles);
+  io.u64(s.proc_cycles);
+  io.u64(s.array_cycles);
+  io.u64(s.array_exec_cycles);
+  io.u64(s.reconfig_stall_cycles);
+  io.u64(s.array_dcache_stall_cycles);
+  io.u64(s.array_finalize_cycles);
+  io.u64(s.misspec_penalty_cycles);
+  io.u64(s.array_activations);
+  io.u64(s.misspeculations);
+  io.u64(s.config_flushes);
+  io.u64(s.extensions);
+  io.u64(s.rcache_hits);
+  io.u64(s.rcache_misses);
+  io.u64(s.rcache_insertions);
+  io.u64(s.rcache_evictions);
+  io.u64(s.bt_observed);
+  io.u64(s.hammocks_merged);
+  io.u64(s.residency_hits);
+  io.u64(s.residency_drops);
+  io.u64(s.array_alu_ops);
+  io.u64(s.array_mul_ops);
+  io.u64(s.array_mem_ops);
+  io.u64(s.proc_mem_accesses);
+  io.u64(s.config_words_loaded);
+  io.u64(s.config_words_written);
+  io.boolean(s.hit_limit);
+  cpu_fields(io, s.final_state);
+  io.u64(s.memory_hash);
 }
 
-void put_array_op(Writer& w, const rra::ArrayOp& op) {
-  w.u8(static_cast<uint8_t>(op.instr.op));
-  w.u8(op.instr.rs);
-  w.u8(op.instr.rt);
-  w.u8(op.instr.rd);
-  w.u8(op.instr.shamt);
-  w.u16(op.instr.imm16);
-  w.u32(op.instr.target26);
-  w.u32(op.pc);
-  w.i32(op.row);
-  w.i32(op.col);
-  w.u8(static_cast<uint8_t>(op.kind));
-  w.i32(op.bb_index);
-  w.boolean(op.is_branch);
-  w.boolean(op.predicted_taken);
-  w.i32(op.pred_slot);
-  w.boolean(op.pred_when_taken);
-  w.boolean(op.is_pred_def);
-  w.boolean(op.is_join_jump);
+template <class IO>
+void exec_stats_fields(IO& io, Field<IO, accel::AccelStats>& s) {
+  io.u64(s.fifo_stall_cycles);
+  io.u64(s.elastic_deadlock_fallbacks);
 }
 
-rra::ArrayOp get_array_op(Reader& r) {
-  rra::ArrayOp op;
-  const uint8_t raw_op = r.u8();
-  if (raw_op == 0 || raw_op > static_cast<uint8_t>(isa::Op::kSw)) {
-    r.fail("invalid opcode " + std::to_string(raw_op));
-  }
-  op.instr.op = static_cast<isa::Op>(raw_op);
-  op.instr.rs = r.u8();
-  op.instr.rt = r.u8();
-  op.instr.rd = r.u8();
-  op.instr.shamt = r.u8();
-  op.instr.imm16 = r.u16();
-  op.instr.target26 = r.u32();
-  if (op.instr.rs > 31 || op.instr.rt > 31 || op.instr.rd > 31 || op.instr.shamt > 31) {
-    r.fail("register field out of range");
-  }
-  op.pc = r.u32();
-  op.row = r.i32();
-  op.col = r.i32();
-  const uint8_t raw_kind = r.u8();
-  if (raw_kind > static_cast<uint8_t>(isa::FuKind::kNone)) {
-    r.fail("invalid functional-unit kind " + std::to_string(raw_kind));
-  }
-  op.kind = static_cast<isa::FuKind>(raw_kind);
-  op.bb_index = r.i32();
-  op.is_branch = r.boolean();
-  op.predicted_taken = r.boolean();
-  op.pred_slot = r.i32();
-  op.pred_when_taken = r.boolean();
-  op.is_pred_def = r.boolean();
-  op.is_join_jump = r.boolean();
-  if (op.row < 0 || op.col < 0 || op.bb_index < 0) r.fail("negative placement field");
-  if (op.pred_slot < -1 || op.pred_slot >= rra::kMaxPredSlots) {
-    r.fail("predicate slot out of range");
-  }
-  if (op.pred_slot < 0 && (op.is_pred_def || op.pred_when_taken)) {
-    r.fail("predicate flags without a slot");
-  }
-  return op;
-}
-
-void put_configuration(Writer& w, const rra::Configuration& config) {
-  w.u32(config.start_pc);
-  w.u32(config.end_pc);
-  w.i32(config.num_bbs);
-  w.i32(config.input_regs);
-  w.i32(config.output_regs);
-  w.i32(config.immediates);
-  w.i32(config.misspec_count);
-  w.boolean(config.no_extend);
-  w.i32(config.pred_slots);
-  w.u64(config.revision);
-  w.i32(config.rows_used);
-  w.u64(config.row_kinds.size());
-  for (rra::RowKind k : config.row_kinds) w.u8(static_cast<uint8_t>(k));
-  w.u64(config.ops.size());
-  for (const rra::ArrayOp& op : config.ops) put_array_op(w, op);
-}
-
-rra::Configuration get_configuration(Reader& r) {
-  rra::Configuration config;
-  config.start_pc = r.u32();
-  config.end_pc = r.u32();
-  config.num_bbs = r.i32();
-  config.input_regs = r.i32();
-  config.output_regs = r.i32();
-  config.immediates = r.i32();
-  config.misspec_count = r.i32();
-  config.no_extend = r.boolean();
-  config.pred_slots = r.i32();
-  config.revision = r.u64();
-  config.rows_used = r.i32();
-  if (config.num_bbs < 1 || config.rows_used < 0 || config.input_regs < 0 ||
-      config.output_regs < 0 || config.immediates < 0) {
-    r.fail("negative configuration header field");
-  }
-  if (config.pred_slots < 0 || config.pred_slots > rra::kMaxPredSlots) {
-    r.fail("predicate slot count out of range");
-  }
-  const uint64_t nrows = r.u64();
-  r.expect_count(nrows, 1);
-  if (nrows != static_cast<uint64_t>(config.rows_used)) {
-    r.fail("row_kinds count disagrees with rows_used");
-  }
-  config.row_kinds.reserve(nrows);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    const uint8_t k = r.u8();
-    if (k > static_cast<uint8_t>(rra::RowKind::kMem)) {
-      r.fail("invalid row kind " + std::to_string(k));
+template <class IO>
+void array_op_fields(IO& io, Field<IO, rra::ArrayOp>& op) {
+  io.enum8(op.instr.op, isa::Op::kSll, isa::Op::kSw);
+  io.u8(op.instr.rs);
+  io.u8(op.instr.rt);
+  io.u8(op.instr.rd);
+  io.u8(op.instr.shamt);
+  io.u16(op.instr.imm16);
+  io.u32(op.instr.target26);
+  io.u32(op.pc);
+  io.i32(op.row);
+  io.i32(op.col);
+  io.enum8(op.kind, isa::FuKind::kAlu, isa::FuKind::kNone);
+  io.i32(op.bb_index);
+  io.boolean(op.is_branch);
+  io.boolean(op.predicted_taken);
+  io.i32(op.pred_slot);
+  io.boolean(op.pred_when_taken);
+  io.boolean(op.is_pred_def);
+  io.boolean(op.is_join_jump);
+  if constexpr (IO::kReading) {
+    const isa::Instr& in = op.instr;
+    if (in.rs > 31 || in.rt > 31 || in.rd > 31 || in.shamt > 31) {
+      io.fail("register field out of range");
     }
-    config.row_kinds.push_back(static_cast<rra::RowKind>(k));
-  }
-  const uint64_t nops = r.u64();
-  r.expect_count(nops, 35);  // serialized ArrayOp size
-  config.ops.reserve(nops);
-  for (uint64_t i = 0; i < nops; ++i) {
-    rra::ArrayOp op = get_array_op(r);
-    if (op.row >= config.rows_used) r.fail("op row beyond rows_used");
-    config.ops.push_back(op);
-  }
-  return config;
-}
-
-void put_profile(Writer& w, const obs::ProfileTable& table) {
-  const std::vector<obs::ConfigProfile> profiles = table.by_start_pc();
-  w.u64(profiles.size());
-  for (const obs::ConfigProfile& p : profiles) {
-    w.u32(p.start_pc);
-    w.u64(p.activations);
-    w.u64(p.committed_ops);
-    w.u64(p.misspeculations);
-    w.u64(p.exec_cycles);
-    w.u64(p.reconfig_stall_cycles);
-    w.u64(p.dcache_stall_cycles);
-    w.u64(p.finalize_cycles);
-    w.u64(p.misspec_penalty_cycles);
-    w.u64(p.captures_started);
-    w.u64(p.captures_aborted);
-    w.u64(p.captures_too_short);
-    w.u64(p.finalizations);
-    w.u64(p.insertions);
-    w.u64(p.evictions);
-    w.u64(p.flushes);
-    w.u64(p.extensions_begun);
-    w.u64(p.extensions_completed);
-    w.u64(p.hammocks_merged);
-    w.u64(p.residency_hits);
-    w.u64(p.residency_drops);
+    if (op.row < 0 || op.col < 0 || op.bb_index < 0) io.fail("negative placement field");
+    if (op.pred_slot < -1 || op.pred_slot >= rra::kMaxPredSlots) {
+      io.fail("predicate slot out of range");
+    }
+    if (op.pred_slot < 0 && (op.is_pred_def || op.pred_when_taken)) {
+      io.fail("predicate flags without a slot");
+    }
   }
 }
 
-obs::ProfileTable get_profile(Reader& r) {
-  obs::ProfileTable table;
-  const uint64_t count = r.u64();
-  r.expect_count(count, 4 + 20 * 8);
-  for (uint64_t i = 0; i < count; ++i) {
-    obs::ConfigProfile p;
-    p.start_pc = r.u32();
-    p.activations = r.u64();
-    p.committed_ops = r.u64();
-    p.misspeculations = r.u64();
-    p.exec_cycles = r.u64();
-    p.reconfig_stall_cycles = r.u64();
-    p.dcache_stall_cycles = r.u64();
-    p.finalize_cycles = r.u64();
-    p.misspec_penalty_cycles = r.u64();
-    p.captures_started = r.u64();
-    p.captures_aborted = r.u64();
-    p.captures_too_short = r.u64();
-    p.finalizations = r.u64();
-    p.insertions = r.u64();
-    p.evictions = r.u64();
-    p.flushes = r.u64();
-    p.extensions_begun = r.u64();
-    p.extensions_completed = r.u64();
-    p.hammocks_merged = r.u64();
-    p.residency_hits = r.u64();
-    p.residency_drops = r.u64();
-    table.add_profile(p);
+template <class IO>
+void configuration_fields(IO& io, Field<IO, rra::Configuration>& c) {
+  io.u32(c.start_pc);
+  io.u32(c.end_pc);
+  io.i32(c.num_bbs);
+  io.i32(c.input_regs);
+  io.i32(c.output_regs);
+  io.i32(c.immediates);
+  io.i32(c.misspec_count);
+  io.boolean(c.no_extend);
+  io.i32(c.pred_slots);
+  io.u64(c.revision);
+  io.i32(c.rows_used);
+  io.count(c.row_kinds, 1);
+  if constexpr (IO::kReading) {
+    if (c.num_bbs < 1 || c.rows_used < 0 || c.input_regs < 0 || c.output_regs < 0 ||
+        c.immediates < 0) {
+      io.fail("negative configuration header field");
+    }
+    if (c.pred_slots < 0 || c.pred_slots > rra::kMaxPredSlots) {
+      io.fail("predicate slot count out of range");
+    }
+    if (c.row_kinds.size() != static_cast<size_t>(c.rows_used)) {
+      io.fail("row_kinds count disagrees with rows_used");
+    }
   }
-  return table;
+  for (auto& kind : c.row_kinds) io.enum8(kind, rra::RowKind::kAlu, rra::RowKind::kMem);
+  io.count(c.ops, kArrayOpBytes);
+  for (auto& op : c.ops) {
+    array_op_fields(io, op);
+    if constexpr (IO::kReading) {
+      if (op.row >= c.rows_used) io.fail("op row beyond rows_used");
+    }
+  }
 }
+
+template <class IO>
+void configurations_fields(IO& io, Field<IO, std::vector<rra::Configuration>>& list) {
+  io.count(list, 50);  // minimum serialized Configuration size
+  for (auto& config : list) configuration_fields(io, config);
+}
+
+template <class IO>
+void profile_fields(IO& io, Field<IO, obs::ProfileTable>& table) {
+  std::vector<obs::ConfigProfile> profiles;
+  if constexpr (!IO::kReading) profiles = table.by_start_pc();
+  io.count(profiles, 4 + 20 * 8);
+  for (obs::ConfigProfile& p : profiles) {
+    io.u32(p.start_pc);
+    io.u64(p.activations);
+    io.u64(p.committed_ops);
+    io.u64(p.misspeculations);
+    io.u64(p.exec_cycles);
+    io.u64(p.reconfig_stall_cycles);
+    io.u64(p.dcache_stall_cycles);
+    io.u64(p.finalize_cycles);
+    io.u64(p.misspec_penalty_cycles);
+    io.u64(p.captures_started);
+    io.u64(p.captures_aborted);
+    io.u64(p.captures_too_short);
+    io.u64(p.finalizations);
+    io.u64(p.insertions);
+    io.u64(p.evictions);
+    io.u64(p.flushes);
+    io.u64(p.extensions_begun);
+    io.u64(p.extensions_completed);
+    io.u64(p.hammocks_merged);
+    io.u64(p.residency_hits);
+    io.u64(p.residency_drops);
+    if constexpr (IO::kReading) table.add_profile(p);
+  }
+}
+
+template void cpu_fields(Writer&, const sim::CpuState&);
+template void cpu_fields(Reader&, sim::CpuState&);
+template void stats_fields(Writer&, const accel::AccelStats&);
+template void stats_fields(Reader&, accel::AccelStats&);
+template void exec_stats_fields(Writer&, const accel::AccelStats&);
+template void exec_stats_fields(Reader&, accel::AccelStats&);
+template void array_op_fields(Writer&, const rra::ArrayOp&);
+template void array_op_fields(Reader&, rra::ArrayOp&);
+template void configuration_fields(Writer&, const rra::Configuration&);
+template void configuration_fields(Reader&, rra::Configuration&);
+template void configurations_fields(Writer&, const std::vector<rra::Configuration>&);
+template void configurations_fields(Reader&, std::vector<rra::Configuration>&);
+template void profile_fields(Writer&, const obs::ProfileTable&);
+template void profile_fields(Reader&, obs::ProfileTable&);
 
 }  // namespace dim::snap

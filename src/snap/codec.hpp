@@ -3,7 +3,9 @@
 // hashes that key warm-start files and result-store cells.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "accel/stats.hpp"
 #include "accel/system.hpp"
@@ -37,30 +39,42 @@ uint64_t system_fingerprint(const accel::SystemConfig& config);
 // contract of a warm-start file.
 uint64_t translation_fingerprint(const accel::SystemConfig& config);
 
-void put_cpu(Writer& w, const sim::CpuState& state);
-sim::CpuState get_cpu(Reader& r);
+// Field functions: each persisted struct's layout, declared once for
+// both directions (see Writer/Reader in snap/io.hpp). Adding a field is
+// one line in its function (codec.cpp) plus a kFormatVersion bump.
+// Defined, and instantiated for Writer and Reader, in codec.cpp only:
+// inlined into every caller they exhausted GCC's inlining budget in those
+// sources and slowed snapshot encoding.
 
-void put_stats(Writer& w, const accel::AccelStats& stats);
-accel::AccelStats get_stats(Reader& r);
+template <class IO>
+void cpu_fields(IO& io, Field<IO, sim::CpuState>& s);
+
+template <class IO>
+void stats_fields(IO& io, Field<IO, accel::AccelStats>& s);
 
 // The execution-mode extension counters of AccelStats (always zero under
-// row-sync). Serialized OUTSIDE put_stats — in optional trailing blocks
+// row-sync). Serialized OUTSIDE stats_fields — in optional trailing blocks
 // gated on has_exec_stats / the active mode — so row-sync snapshots and
-// result-store cells carry no exec block at all. Readers default the
-// fields to zero when the block is absent.
+// result-store cells carry no exec block at all. Readers leave the fields
+// zero when the block is absent.
 bool has_exec_stats(const accel::AccelStats& stats);
-void put_exec_stats(Writer& w, const accel::AccelStats& stats);
-void get_exec_stats(Reader& r, accel::AccelStats& stats);
+template <class IO>
+void exec_stats_fields(IO& io, Field<IO, accel::AccelStats>& s);
 
-// One placed array op (used standalone for in-flight builder state; the
-// reader validates opcode, register fields, FU kind and placement).
-void put_array_op(Writer& w, const rra::ArrayOp& op);
-rra::ArrayOp get_array_op(Reader& r);
+// One placed array op (also used standalone for in-flight builder state).
+template <class IO>
+void array_op_fields(IO& io, Field<IO, rra::ArrayOp>& op);
+inline constexpr size_t kArrayOpBytes = 35;  // serialized ArrayOp size
 
-void put_configuration(Writer& w, const rra::Configuration& config);
-rra::Configuration get_configuration(Reader& r);
+template <class IO>
+void configuration_fields(IO& io, Field<IO, rra::Configuration>& c);
 
-void put_profile(Writer& w, const obs::ProfileTable& table);
-obs::ProfileTable get_profile(Reader& r);
+// A list of configurations (rcache entries oldest-first, warm-start files).
+template <class IO>
+void configurations_fields(IO& io, Field<IO, std::vector<rra::Configuration>>& list);
+
+// A profile table as its ConfigProfiles, ascending by start PC.
+template <class IO>
+void profile_fields(IO& io, Field<IO, obs::ProfileTable>& table);
 
 }  // namespace dim::snap

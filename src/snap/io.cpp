@@ -136,16 +136,20 @@ void write_artifact_file(const std::string& path, ArtifactKind kind,
   const std::string tmp = path + ".tmp." +
                           std::to_string(static_cast<uint64_t>(getpid())) + "." +
                           std::to_string(sequence.fetch_add(1));
-  {
+  std::error_code ec;
+  try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw SnapshotError(SnapErrc::kIo, "cannot create " + tmp);
     write_container(out, kind, payload);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
+    // A short payload is still in the stream buffer here: only close()
+    // reports whether it reached the file.
+    out.close();
+    if (!out) throw SnapshotError(SnapErrc::kIo, "cannot write " + tmp);
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) throw SnapshotError(SnapErrc::kIo, "cannot rename into " + path);
+  } catch (const SnapshotError&) {
     std::filesystem::remove(tmp, ec);
-    throw SnapshotError(SnapErrc::kIo, "cannot rename into " + path);
+    throw;
   }
 }
 

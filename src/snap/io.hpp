@@ -13,14 +13,26 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "snap/format.hpp"
 
 namespace dim::snap {
 
+// Writer and Reader share their field-method names, so one function
+// template per persisted struct drives both directions:
+//
+//   template <class IO> void point_fields(IO& io, Field<IO, Point>& p) {
+//     io.u32(p.x);
+//     if constexpr (IO::kReading) { if (p.x > 9) io.fail("x out of range"); }
+//   }
+//
+// Checks that only make sense on untrusted input go in a kReading block.
 class Writer {
  public:
+  static constexpr bool kReading = false;
+
   void u8(uint8_t v) { bytes_.push_back(v); }
   void u16(uint16_t v) {
     u8(static_cast<uint8_t>(v));
@@ -44,6 +56,16 @@ class Writer {
     const auto* p = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + size);
   }
+  // A one-byte enum; the range is the Reader's to check.
+  template <class E>
+  void enum8(E v, E /*first*/, E /*last*/) {
+    u8(static_cast<uint8_t>(v));
+  }
+  // An element count (u64) ahead of the elements themselves.
+  template <class T>
+  void count(const std::vector<T>& v, size_t /*min_elem_bytes*/) {
+    u64(v.size());
+  }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> take() { return std::move(bytes_); }
@@ -54,6 +76,8 @@ class Writer {
 
 class Reader {
  public:
+  static constexpr bool kReading = true;
+
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit Reader(const std::vector<uint8_t>& bytes)
       : Reader(bytes.data(), bytes.size()) {}
@@ -93,6 +117,31 @@ class Reader {
     pos_ += size;
   }
 
+  // Reference forms: the field-function side of the shared interface.
+  void u8(uint8_t& v) { v = u8(); }
+  void u16(uint16_t& v) { v = u16(); }
+  void u32(uint32_t& v) { v = u32(); }
+  void u64(uint64_t& v) { v = u64(); }
+  void i32(int32_t& v) { v = i32(); }
+  void boolean(bool& v) { v = boolean(); }
+  void str(std::string& v) { v = str(); }
+  template <class E>
+  void enum8(E& v, E first, E last) {
+    const uint8_t raw = u8();
+    if (raw < static_cast<uint8_t>(first) || raw > static_cast<uint8_t>(last)) {
+      fail("enum value " + std::to_string(raw) + " out of range");
+    }
+    v = static_cast<E>(raw);
+  }
+  // Reads an element count and sizes `v` to it, after checking that many
+  // elements of at least `min_elem_bytes` each still fit.
+  template <class T>
+  void count(std::vector<T>& v, size_t min_elem_bytes) {
+    const uint64_t n = u64();
+    expect_count(n, min_elem_bytes);
+    v.resize(n);
+  }
+
   // Validates a deserialized element count against the bytes actually left:
   // `count` elements of at least `min_elem_bytes` each must fit. Call
   // before reserving/resizing any container sized by untrusted input.
@@ -121,6 +170,11 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// `T` as a field function sees it: read-only when writing, filled when
+// reading.
+template <class IO, class T>
+using Field = std::conditional_t<IO::kReading, T, const T>;
+
 // Writes header (magic, version, kind, payload size, payload CRC-32) then
 // the payload.
 void write_container(std::ostream& out, ArtifactKind kind,
@@ -136,7 +190,9 @@ std::vector<uint8_t> read_container(std::istream& in, ArtifactKind* kind_out);
 // Writes `kind` + `payload` to `path` atomically: the bytes go to a
 // temporary file in the same directory which is then renamed over the
 // target, so a concurrent reader sees either the old artifact or the new
-// one, never a torn write. Throws SnapshotError(kIo) on failure.
+// one, never a torn write. Throws SnapshotError(kIo) on failure (a full
+// disk included); the target then keeps its old bytes and no temporary
+// file is left behind.
 void write_artifact_file(const std::string& path, ArtifactKind kind,
                          const std::vector<uint8_t>& payload);
 

@@ -30,18 +30,18 @@ struct CellData {
 CellData parse_cell(const std::vector<uint8_t>& payload) {
   Reader r(payload);
   CellData d;
-  d.key = r.u64();
-  d.accelerated = get_stats(r);
-  d.has_baseline = r.boolean();
-  if (d.has_baseline) d.baseline = get_stats(r);
-  d.transparent = r.boolean();
-  d.has_profile = r.boolean();
-  if (d.has_profile) d.profile = get_profile(r);
+  r.u64(d.key);
+  stats_fields(r, d.accelerated);
+  r.boolean(d.has_baseline);
+  if (d.has_baseline) stats_fields(r, d.baseline);
+  r.boolean(d.transparent);
+  r.boolean(d.has_profile);
+  if (d.has_profile) profile_fields(r, d.profile);
   // Optional execution-mode counter block (accelerated stats only; a
   // baseline run never touches the array). Written only when some counter
-  // is nonzero, so row-sync cells — including every cell from before the
-  // mode axis existed — keep their exact bytes; absent means all zero.
-  if (!r.done()) get_exec_stats(r, d.accelerated);
+  // is nonzero, so row-sync cells keep their v3 bytes; absent means all
+  // zero.
+  if (!r.done()) exec_stats_fields(r, d.accelerated);
   if (!r.done()) r.fail("trailing bytes after cell fields");
   return d;
 }
@@ -129,15 +129,23 @@ void ResultStore::store(const accel::SweepPoint& point, bool collect_profiles,
   const uint64_t key = cell_key(point, collect_profiles);
   Writer w;
   w.u64(key);
-  put_stats(w, result.accelerated);
+  stats_fields(w, result.accelerated);
   const bool store_baseline = wants_worker_baseline(point);
   w.boolean(store_baseline);
-  if (store_baseline) put_stats(w, result.baseline);
+  if (store_baseline) stats_fields(w, result.baseline);
   w.boolean(result.transparent);
   w.boolean(result.has_profile);
-  if (result.has_profile) put_profile(w, result.profile);
-  if (has_exec_stats(result.accelerated)) put_exec_stats(w, result.accelerated);
-  write_artifact_file(cell_path(key), ArtifactKind::kResultCell, w.bytes());
+  if (result.has_profile) profile_fields(w, result.profile);
+  if (has_exec_stats(result.accelerated)) exec_stats_fields(w, result.accelerated);
+  try {
+    write_artifact_file(cell_path(key), ArtifactKind::kResultCell, w.bytes());
+  } catch (const SnapshotError&) {
+    // A cell that cannot be written (full disk, read-only store) costs only
+    // the memo: the caller still gets its freshly computed result.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.write_failures;
+    return;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.stores;
 }

@@ -9,7 +9,8 @@
 //
 // Cells are written atomically (temp file + rename) so concurrent sweeps
 // can share a directory; a corrupt or truncated cell is counted and
-// treated as a miss, never an error.
+// treated as a miss, never an error. So is a cell that cannot be written:
+// the sweep still returns the result it computed.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@ class ResultStore : public accel::ResultCache {
     uint64_t misses = 0;
     uint64_t stores = 0;
     uint64_t corrupt_discards = 0;  // unreadable/mismatched cells skipped
+    uint64_t write_failures = 0;    // cells not written (e.g. disk full)
   };
   Counters counters() const;
 

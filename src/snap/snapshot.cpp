@@ -1,13 +1,11 @@
 #include "snap/snapshot.hpp"
 
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "mem/memory.hpp"
 #include "snap/codec.hpp"
 #include "snap/io.hpp"
-#include "snap/system_access.hpp"
 
 namespace dim::snap {
 namespace {
@@ -38,69 +36,91 @@ void expect_section(Reader& r, uint16_t id) {
   }
 }
 
-void put_cache_state(Writer& w, const mem::CacheState& c) {
-  w.u64(c.tags.size());
-  for (uint64_t t : c.tags) w.u64(t);
-  w.u64(c.hits);
-  w.u64(c.misses);
+template <class IO>
+void cache_fields(IO& io, Field<IO, mem::CacheState>& c) {
+  io.count(c.tags, 8);
+  for (auto& tag : c.tags) io.u64(tag);
+  io.u64(c.hits);
+  io.u64(c.misses);
 }
 
-mem::CacheState get_cache_state(Reader& r) {
-  mem::CacheState c;
-  const uint64_t n = r.u64();
-  r.expect_count(n, 8);
-  c.tags.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) c.tags.push_back(r.u64());
-  c.hits = r.u64();
-  c.misses = r.u64();
-  return c;
+template <class IO>
+void pipeline_fields(IO& io, Field<IO, sim::PipelineState>& p) {
+  io.u64(p.cycles);
+  io.i32(p.pending_load_reg);
+  io.u64(p.hilo_ready);
+  io.boolean(p.slot_open);
+  io.i32(p.slot_dest);
+  io.boolean(p.slot_mem);
+  io.boolean(p.slot_hilo);
+  cache_fields(io, p.icache);
+  cache_fields(io, p.dcache);
 }
 
-void put_builder(Writer& w, const bt::BuilderState& b) {
-  w.u32(b.start_pc);
-  w.u64(b.ops.size());
-  for (const rra::ArrayOp& op : b.ops) put_array_op(w, op);
-  w.u64(b.rows.size());
-  for (const std::array<int, 3>& row : b.rows) {
-    w.i32(row[0]);
-    w.i32(row[1]);
-    w.i32(row[2]);
-  }
-  for (int v : b.last_writer_row) w.i32(v);
-  w.u64(b.input_ctx_bits);
-  w.u64(b.written_bits);
-  w.i32(b.last_mem_row);
-  w.i32(b.last_store_row);
-  w.i32(b.bb);
-  w.i32(b.immediates);
-  w.i32(b.pred_slots);
+template <class IO>
+void rcache_counter_fields(IO& io, Field<IO, bt::RcacheCounters>& c) {
+  io.u64(c.hits);
+  io.u64(c.misses);
+  io.u64(c.insertions);
+  io.u64(c.evictions);
+  io.u64(c.flushes);
+  io.u64(c.words_written);
+  io.u64(c.revision_counter);
 }
 
-bt::BuilderState get_builder(Reader& r) {
-  bt::BuilderState b;
-  b.start_pc = r.u32();
-  const uint64_t nops = r.u64();
-  r.expect_count(nops, 35);  // serialized ArrayOp size
-  b.ops.reserve(nops);
-  for (uint64_t i = 0; i < nops; ++i) b.ops.push_back(get_array_op(r));
-  const uint64_t nrows = r.u64();
-  r.expect_count(nrows, 12);
-  b.rows.reserve(nrows);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    b.rows.push_back({r.i32(), r.i32(), r.i32()});
+template <class IO>
+void builder_fields(IO& io, Field<IO, bt::BuilderState>& b) {
+  io.u32(b.start_pc);
+  io.count(b.ops, kArrayOpBytes);
+  for (auto& op : b.ops) array_op_fields(io, op);
+  io.count(b.rows, 12);
+  for (auto& row : b.rows) {
+    for (auto& units : row) io.i32(units);
   }
-  for (int& v : b.last_writer_row) v = r.i32();
-  b.input_ctx_bits = r.u64();
-  b.written_bits = r.u64();
-  b.last_mem_row = r.i32();
-  b.last_store_row = r.i32();
-  b.bb = r.i32();
-  b.immediates = r.i32();
-  b.pred_slots = r.i32();
-  if (b.bb < 0 || b.immediates < 0 || b.pred_slots < 0) {
-    r.fail("negative builder counter");
+  for (auto& row : b.last_writer_row) io.i32(row);
+  io.u64(b.input_ctx_bits);
+  io.u64(b.written_bits);
+  io.i32(b.last_mem_row);
+  io.i32(b.last_store_row);
+  io.i32(b.bb);
+  io.i32(b.immediates);
+  io.i32(b.pred_slots);
+  if constexpr (IO::kReading) {
+    if (b.bb < 0 || b.immediates < 0 || b.pred_slots < 0) {
+      io.fail("negative builder counter");
+    }
   }
-  return b;
+}
+
+template <class IO>
+void translator_fields(IO& io, Field<IO, bt::TranslatorState>& t) {
+  io.u64(t.stats.captures_started);
+  io.u64(t.stats.configs_inserted);
+  io.u64(t.stats.captures_aborted);
+  io.u64(t.stats.too_short);
+  io.u64(t.stats.extensions_completed);
+  io.u64(t.stats.observed_instructions);
+  io.u64(t.stats.hammocks_merged);
+  io.u64(t.stats.hammock_rejects);
+  io.boolean(t.start_pending);
+  io.boolean(t.extending);
+  io.boolean(t.skipping);
+  io.u32(t.skip_lo);
+  io.u32(t.skip_until);
+  bool capturing = t.builder.has_value();
+  io.boolean(capturing);
+  if (capturing) {
+    if constexpr (IO::kReading) t.builder.emplace();
+    builder_fields(io, *t.builder);
+  }
+  if constexpr (IO::kReading) {
+    if (t.extending && !capturing) {
+      io.fail("extension flagged without an in-flight capture");
+    }
+    if (t.skipping && !capturing) {
+      io.fail("hammock skip window without an in-flight capture");
+    }
+  }
 }
 
 // Fully parsed snapshot, staged before any system mutation so a malformed
@@ -136,7 +156,7 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
   d.system_fingerprint = r.u64();
 
   expect_section(r, kSecCpu);
-  d.cpu = get_cpu(r);
+  cpu_fields(r, d.cpu);
 
   expect_section(r, kSecMem);
   const uint64_t npages = r.u64();
@@ -153,15 +173,7 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
   }
 
   expect_section(r, kSecPipe);
-  d.pipe.cycles = r.u64();
-  d.pipe.pending_load_reg = r.i32();
-  d.pipe.hilo_ready = r.u64();
-  d.pipe.slot_open = r.boolean();
-  d.pipe.slot_dest = r.i32();
-  d.pipe.slot_mem = r.boolean();
-  d.pipe.slot_hilo = r.boolean();
-  d.pipe.icache = get_cache_state(r);
-  d.pipe.dcache = get_cache_state(r);
+  pipeline_fields(r, d.pipe);
 
   expect_section(r, kSecPred);
   const uint64_t nbranches = r.u64();
@@ -178,44 +190,14 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
   }
 
   expect_section(r, kSecRcache);
-  d.rcache_counters.hits = r.u64();
-  d.rcache_counters.misses = r.u64();
-  d.rcache_counters.insertions = r.u64();
-  d.rcache_counters.evictions = r.u64();
-  d.rcache_counters.flushes = r.u64();
-  d.rcache_counters.words_written = r.u64();
-  d.rcache_counters.revision_counter = r.u64();
-  const uint64_t nentries = r.u64();
-  r.expect_count(nentries, 50);  // minimum serialized Configuration size
-  d.rcache_entries.reserve(nentries);
-  for (uint64_t i = 0; i < nentries; ++i) {
-    d.rcache_entries.push_back(get_configuration(r));
-  }
+  rcache_counter_fields(r, d.rcache_counters);
+  configurations_fields(r, d.rcache_entries);
 
   expect_section(r, kSecXlate);
-  d.xlate.stats.captures_started = r.u64();
-  d.xlate.stats.configs_inserted = r.u64();
-  d.xlate.stats.captures_aborted = r.u64();
-  d.xlate.stats.too_short = r.u64();
-  d.xlate.stats.extensions_completed = r.u64();
-  d.xlate.stats.observed_instructions = r.u64();
-  d.xlate.stats.hammocks_merged = r.u64();
-  d.xlate.stats.hammock_rejects = r.u64();
-  d.xlate.start_pending = r.boolean();
-  d.xlate.extending = r.boolean();
-  d.xlate.skipping = r.boolean();
-  d.xlate.skip_lo = r.u32();
-  d.xlate.skip_until = r.u32();
-  if (r.boolean()) d.xlate.builder = get_builder(r);
-  if (d.xlate.extending && !d.xlate.builder.has_value()) {
-    r.fail("extension flagged without an in-flight capture");
-  }
-  if (d.xlate.skipping && !d.xlate.builder.has_value()) {
-    r.fail("hammock skip window without an in-flight capture");
-  }
+  translator_fields(r, d.xlate);
 
   expect_section(r, kSecStats);
-  d.stats = get_stats(r);
+  stats_fields(r, d.stats);
 
   expect_section(r, kSecSys);
   d.extension_candidate = r.boolean();
@@ -233,7 +215,7 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
 
   if (!r.done()) {
     expect_section(r, kSecExec);
-    get_exec_stats(r, d.stats);
+    exec_stats_fields(r, d.stats);
   }
 
   if (!r.done()) r.fail("trailing bytes after final section");
@@ -248,13 +230,13 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
 
   w.u16(kSecMeta);
   w.u64(program_hash(program));
-  w.u64(system_fingerprint(SystemAccess::config(system)));
+  w.u64(system_fingerprint(system.config_));
 
   w.u16(kSecCpu);
-  put_cpu(w, SystemAccess::state(system));
+  cpu_fields(w, system.state_);
 
   w.u16(kSecMem);
-  const auto pages = SystemAccess::memory(system).pages_sorted();
+  const auto pages = system.memory_.pages_sorted();
   w.u64(pages.size());
   for (const auto& [index, bytes] : pages) {
     w.u32(index);
@@ -262,19 +244,10 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
   }
 
   w.u16(kSecPipe);
-  const sim::PipelineState pipe = SystemAccess::pipeline(system).export_state();
-  w.u64(pipe.cycles);
-  w.i32(pipe.pending_load_reg);
-  w.u64(pipe.hilo_ready);
-  w.boolean(pipe.slot_open);
-  w.i32(pipe.slot_dest);
-  w.boolean(pipe.slot_mem);
-  w.boolean(pipe.slot_hilo);
-  put_cache_state(w, pipe.icache);
-  put_cache_state(w, pipe.dcache);
+  pipeline_fields(w, system.pipeline_.export_state());
 
   w.u16(kSecPred);
-  const auto counters = SystemAccess::predictor(system).export_counters();
+  const auto counters = system.predictor_.export_counters();
   w.u64(counters.size());
   for (const auto& [pc, counter] : counters) {
     w.u32(pc);
@@ -282,53 +255,29 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
   }
 
   w.u16(kSecRcache);
-  const bt::RcacheCounters rc = SystemAccess::rcache(system).counters();
-  w.u64(rc.hits);
-  w.u64(rc.misses);
-  w.u64(rc.insertions);
-  w.u64(rc.evictions);
-  w.u64(rc.flushes);
-  w.u64(rc.words_written);
-  w.u64(rc.revision_counter);
-  const auto entries = SystemAccess::rcache(system).export_entries();
-  w.u64(entries.size());
-  for (const rra::Configuration& config : entries) put_configuration(w, config);
+  rcache_counter_fields(w, system.rcache_->counters());
+  configurations_fields(w, system.rcache_->export_entries());
 
   w.u16(kSecXlate);
-  const bt::TranslatorState xlate = SystemAccess::translator(system).export_state();
-  w.u64(xlate.stats.captures_started);
-  w.u64(xlate.stats.configs_inserted);
-  w.u64(xlate.stats.captures_aborted);
-  w.u64(xlate.stats.too_short);
-  w.u64(xlate.stats.extensions_completed);
-  w.u64(xlate.stats.observed_instructions);
-  w.u64(xlate.stats.hammocks_merged);
-  w.u64(xlate.stats.hammock_rejects);
-  w.boolean(xlate.start_pending);
-  w.boolean(xlate.extending);
-  w.boolean(xlate.skipping);
-  w.u32(xlate.skip_lo);
-  w.u32(xlate.skip_until);
-  w.boolean(xlate.builder.has_value());
-  if (xlate.builder.has_value()) put_builder(w, *xlate.builder);
+  translator_fields(w, system.translator_->export_state());
 
   w.u16(kSecStats);
-  put_stats(w, SystemAccess::stats(system));
+  stats_fields(w, system.stats_);
 
   w.u16(kSecSys);
-  w.boolean(SystemAccess::extension_candidate(system));
-  w.u32(SystemAccess::extension_config_pc(system));
-  w.u32(SystemAccess::extension_branch_pc(system));
-  w.u64(SystemAccess::array_cycle_acc(system));
-  w.boolean(SystemAccess::has_resident(system));
-  w.u32(SystemAccess::resident_pc(system));
-  w.u64(SystemAccess::resident_rev(system));
-  w.u32(SystemAccess::resident_lo(system));
-  w.u32(SystemAccess::resident_hi(system));
+  w.boolean(system.extension_candidate_);
+  w.u32(system.extension_config_pc_);
+  w.u32(system.extension_branch_pc_);
+  w.u64(system.array_cycle_acc_);
+  w.boolean(system.has_resident_);
+  w.u32(system.resident_pc_);
+  w.u64(system.resident_rev_);
+  w.u32(system.resident_lo_);
+  w.u32(system.resident_hi_);
 
-  if (SystemAccess::config(system).exec_mode.mode != rra::ExecMode::kRowSync) {
+  if (system.config_.exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u16(kSecExec);
-    put_exec_stats(w, SystemAccess::stats(system));
+    exec_stats_fields(w, system.stats_);
   }
 
   return w.take();
@@ -337,13 +286,6 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
 void save_snapshot(std::ostream& out, const accel::AcceleratedSystem& system,
                    const asmblr::Program& program) {
   write_container(out, ArtifactKind::kSnapshot, encode_snapshot(system, program));
-}
-
-void save_snapshot_file(const std::string& path,
-                        const accel::AcceleratedSystem& system,
-                        const asmblr::Program& program) {
-  write_artifact_file(path, ArtifactKind::kSnapshot,
-                      encode_snapshot(system, program));
 }
 
 void restore_snapshot_payload(accel::AcceleratedSystem& system,
@@ -357,49 +299,47 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
     throw SnapshotError(SnapErrc::kMismatch,
                         "snapshot was taken from a different program image");
   }
-  if (d.system_fingerprint != system_fingerprint(SystemAccess::config(system))) {
+  if (d.system_fingerprint != system_fingerprint(system.config_)) {
     throw SnapshotError(SnapErrc::kMismatch,
                         "snapshot was taken under a different system configuration");
   }
 
   // restore_pages replaces the image and frees its pages: drop all
   // host-side decoded state (decode cache, superblock traces with their
-  // cached page pointers) first, so even a restore that fails below leaves
-  // no pointer into a freed page.
-  SystemAccess::clear_host_caches(system);
+  // cached code-page and data-TLB pointers) first, so even a restore that
+  // fails below leaves no pointer into a freed page. Both caches are
+  // architecture-invisible and rebuild lazily.
+  system.decode_cache_.clear();
+  system.trace_cache_.clear();
   try {
-    SystemAccess::memory(system).restore_pages(d.pages);
-    SystemAccess::state(system) = d.cpu;
-    SystemAccess::pipeline(system).restore_state(d.pipe);
-    SystemAccess::predictor(system).restore_counters(d.predictor);
-    SystemAccess::rcache(system).restore(std::move(d.rcache_entries),
-                                         d.rcache_counters);
-    SystemAccess::translator(system).restore_state(d.xlate);
+    system.memory_.restore_pages(d.pages);
+    system.state_ = d.cpu;
+    system.pipeline_.restore_state(d.pipe);
+    system.predictor_.restore_counters(d.predictor);
+    system.rcache_->restore(std::move(d.rcache_entries), d.rcache_counters);
+    system.translator_->restore_state(d.xlate);
   } catch (const std::invalid_argument& e) {
     // Component-level rejections (cache geometry, slot overflow, duplicate
     // PCs) are payload corruption by this point — the fingerprint already
     // matched, so a well-formed snapshot cannot trip them.
     throw SnapshotError(SnapErrc::kMalformed, e.what());
   }
-  SystemAccess::stats(system) = d.stats;
-  SystemAccess::set_extension(system, d.extension_candidate,
-                              d.extension_config_pc, d.extension_branch_pc);
-  SystemAccess::set_array_cycle_acc(system, d.array_cycle_acc);
-  SystemAccess::set_residency_latch(system, d.has_resident, d.resident_pc,
-                                    d.resident_rev, d.resident_lo, d.resident_hi);
+  system.stats_ = d.stats;
+  system.extension_candidate_ = d.extension_candidate;
+  system.extension_config_pc_ = d.extension_config_pc;
+  system.extension_branch_pc_ = d.extension_branch_pc;
+  system.array_cycle_acc_ = d.array_cycle_acc;
+  system.has_resident_ = d.has_resident;
+  system.resident_pc_ = d.resident_pc;
+  system.resident_rev_ = d.resident_rev;
+  system.resident_lo_ = d.resident_lo;
+  system.resident_hi_ = d.resident_hi;
 }
 
 void restore_snapshot(accel::AcceleratedSystem& system, std::istream& in,
                       const asmblr::Program& program) {
   restore_snapshot_payload(system, read_container(in, ArtifactKind::kSnapshot),
                            program);
-}
-
-void restore_snapshot_file(accel::AcceleratedSystem& system,
-                           const std::string& path,
-                           const asmblr::Program& program) {
-  restore_snapshot_payload(
-      system, read_artifact_file(path, ArtifactKind::kSnapshot), program);
 }
 
 SnapshotInfo inspect_snapshot(const std::vector<uint8_t>& payload) {
@@ -433,10 +373,6 @@ SnapshotInfo inspect_snapshot(const std::vector<uint8_t>& payload) {
   }
   info.stats = d.stats;
   return info;
-}
-
-SnapshotInfo inspect_snapshot_file(const std::string& path) {
-  return inspect_snapshot(read_artifact_file(path, ArtifactKind::kSnapshot));
 }
 
 }  // namespace dim::snap

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "accel/stats.hpp"
@@ -34,15 +33,12 @@ std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
                                      const asmblr::Program& program);
 void save_snapshot(std::ostream& out, const accel::AcceleratedSystem& system,
                    const asmblr::Program& program);
-void save_snapshot_file(const std::string& path,
-                        const accel::AcceleratedSystem& system,
-                        const asmblr::Program& program);
 
 // Restores a snapshot into `system`, which must have been constructed from
 // the same program image and a configuration with an equal system
 // fingerprint. Throws SnapshotError: kMismatch when the snapshot belongs
 // to a different program/configuration, kMalformed (and the other
-// container taxonomy codes for the stream/file variants) on a corrupt
+// container taxonomy codes for the stream variant) on a corrupt
 // artifact. On throw the system may be partially restored and must be
 // discarded — validation happens before any mutation for the identity
 // checks, but a malformed payload can be detected mid-apply.
@@ -51,9 +47,6 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
                               const asmblr::Program& program);
 void restore_snapshot(accel::AcceleratedSystem& system, std::istream& in,
                       const asmblr::Program& program);
-void restore_snapshot_file(accel::AcceleratedSystem& system,
-                           const std::string& path,
-                           const asmblr::Program& program);
 
 // Human-readable summary of a snapshot, decoded without a target system —
 // what `dimsim-analyze --snapshot` prints.
@@ -83,6 +76,5 @@ struct SnapshotInfo {
 };
 
 SnapshotInfo inspect_snapshot(const std::vector<uint8_t>& payload);
-SnapshotInfo inspect_snapshot_file(const std::string& path);
 
 }  // namespace dim::snap

@@ -4,7 +4,6 @@
 
 #include "snap/codec.hpp"
 #include "snap/io.hpp"
-#include "snap/system_access.hpp"
 
 namespace dim::snap {
 namespace {
@@ -20,12 +19,7 @@ WarmStartData parse_warm_start(const std::vector<uint8_t>& payload) {
   WarmStartData d;
   d.program_hash = r.u64();
   d.translation_fingerprint = r.u64();
-  const uint64_t count = r.u64();
-  r.expect_count(count, 50);  // minimum serialized Configuration size
-  d.entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    d.entries.push_back(get_configuration(r));
-  }
+  configurations_fields(r, d.entries);
   if (!r.done()) r.fail("trailing bytes after configurations");
   return d;
 }
@@ -36,10 +30,8 @@ std::vector<uint8_t> encode_warm_start(const accel::AcceleratedSystem& system,
                                        const asmblr::Program& program) {
   Writer w;
   w.u64(program_hash(program));
-  w.u64(translation_fingerprint(SystemAccess::config(system)));
-  const auto entries = SystemAccess::rcache(system).export_entries();
-  w.u64(entries.size());
-  for (const rra::Configuration& config : entries) put_configuration(w, config);
+  w.u64(translation_fingerprint(system.config()));
+  configurations_fields(w, system.rcache().export_entries());
   return w.take();
 }
 
@@ -63,15 +55,14 @@ size_t load_warm_start_payload(accel::AcceleratedSystem& system,
     throw SnapshotError(SnapErrc::kMismatch,
                         "warm-start file belongs to a different program image");
   }
-  if (d.translation_fingerprint !=
-      translation_fingerprint(SystemAccess::config(system))) {
+  if (d.translation_fingerprint != translation_fingerprint(system.config())) {
     throw SnapshotError(
         SnapErrc::kMismatch,
         "warm-start file was translated under different translation knobs");
   }
   size_t loaded = 0;
   for (rra::Configuration& config : d.entries) {
-    if (SystemAccess::rcache(system).preload(std::move(config))) ++loaded;
+    if (system.rcache().preload(std::move(config))) ++loaded;
   }
   return loaded;
 }
@@ -105,10 +96,6 @@ WarmStartInfo inspect_warm_start(const std::vector<uint8_t>& payload) {
     info.entries.push_back(e);
   }
   return info;
-}
-
-WarmStartInfo inspect_warm_start_file(const std::string& path) {
-  return inspect_warm_start(read_artifact_file(path, ArtifactKind::kWarmStart));
 }
 
 }  // namespace dim::snap

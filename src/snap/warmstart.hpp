@@ -59,6 +59,5 @@ struct WarmStartInfo {
 };
 
 WarmStartInfo inspect_warm_start(const std::vector<uint8_t>& payload);
-WarmStartInfo inspect_warm_start_file(const std::string& path);
 
 }  // namespace dim::snap

@@ -7,17 +7,29 @@
 // torn artifact that fails CRC validation. The temp name now includes the
 // pid, making it unique across processes; under a two-writer stress the
 // published file must always validate as exactly one writer's payload.
+//
+// A write that fails (a full disk, simulated with RLIMIT_FSIZE) must throw
+// kIo, leave the target's old bytes and no temp file — and a ResultStore
+// must absorb such a failure instead of failing the sweep.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "accel/sweep.hpp"
+#include "asm/assembler.hpp"
 #include "snap/format.hpp"
 #include "snap/io.hpp"
+#include "snap/resultstore.hpp"
+#include "work/workload.hpp"
 
 namespace dim::snap {
 namespace {
@@ -105,6 +117,92 @@ TEST(ArtifactIoRace, TempNamesAreUniquePerProcessAndSequence) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u) << "temp files left behind";
+  fs::remove_all(dir);
+}
+
+// Runs `body` in a forked child whose files cannot grow past `limit` bytes
+// and returns the child's exit status (the verdict). SIGXFSZ is ignored, so
+// an oversized write fails with EFBIG, as on a full disk, instead of
+// killing the child.
+int exit_status_with_file_limit(rlim_t limit, const std::function<int()>& body) {
+  const pid_t child = fork();
+  if (child == 0) {
+    signal(SIGXFSZ, SIG_IGN);
+    const rlimit rl{limit, limit};
+    if (setrlimit(RLIMIT_FSIZE, &rl) != 0) _exit(90);
+    int verdict = 91;
+    try {
+      verdict = body();
+    } catch (...) {
+      verdict = 92;
+    }
+    _exit(verdict);  // never run gtest teardown in the forked copy
+  }
+  int status = 0;
+  if (child < 0 || waitpid(child, &status, 0) != child) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+bool has_temp_file(const std::string& dir) {
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().find(".tmp.") != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(ArtifactIoFullDisk, FailedWriteThrowsAndKeepsTheOldArtifact) {
+  const std::string dir = temp_dir("full");
+  const std::string path = dir + "/kept.snap";
+  const auto old_payload = payload_of(0x5A, 300);
+  write_artifact_file(path, ArtifactKind::kSnapshot, old_payload);
+
+  // 900 bytes still sit in the stream buffer when the payload has been
+  // handed over; 100 KiB has already hit the limit by then.
+  const int verdict = exit_status_with_file_limit(500, [&] {
+    for (const size_t size : {size_t{900}, size_t{100 * 1024}}) {
+      try {
+        write_artifact_file(path, ArtifactKind::kSnapshot, payload_of(0xA5, size));
+        return 1;
+      } catch (const SnapshotError& e) {
+        if (e.code() != SnapErrc::kIo) return 2;
+      }
+      if (read_artifact_file(path, ArtifactKind::kSnapshot) != old_payload) return 3;
+      if (has_temp_file(dir)) return 4;
+    }
+    return 0;
+  });
+  EXPECT_EQ(verdict, 0) << "1: no throw, 2: not kIo, 3: target changed, "
+                           "4: temp file left";
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactIoFullDisk, StoreWriteFailureLeavesTheSweepResultAlone) {
+  const std::string dir = temp_dir("full-store");
+  const asmblr::Program program =
+      asmblr::assemble(work::make_workload("bitcount").source);
+  accel::SweepPoint point;
+  point.program = &program;
+  point.run_baseline = true;  // baseline inside, no profile: a ~800-byte cell
+  const auto sweep_json = [&point](accel::ResultCache* cache) {
+    accel::SweepOptions opts;
+    opts.threads = 1;
+    opts.result_cache = cache;
+    std::ostringstream out;
+    accel::write_sweep_json(out, accel::SweepEngine(opts).run({point}));
+    return out.str();
+  };
+  const std::string want = sweep_json(nullptr);
+
+  const int verdict = exit_status_with_file_limit(500, [&] {
+    ResultStore store(dir);
+    if (sweep_json(&store) != want) return 1;
+    const ResultStore::Counters c = store.counters();
+    if (c.write_failures != 1 || c.stores != 0) return 2;
+    // Neither a torn .cell nor a .tmp. file may be left.
+    return fs::is_empty(dir) ? 0 : 3;
+  });
+  EXPECT_EQ(verdict, 0) << "1: result differs, 2: failure not counted, "
+                           "3: file left in the store";
   fs::remove_all(dir);
 }
 

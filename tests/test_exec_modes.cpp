@@ -254,8 +254,8 @@ loop:   addiu $t6, $zero, 1
 
 std::vector<uint8_t> stats_bytes(const accel::AccelStats& stats) {
   snap::Writer w;
-  snap::put_stats(w, stats);
-  snap::put_exec_stats(w, stats);  // mode counters ride outside put_stats
+  snap::stats_fields(w, stats);
+  snap::exec_stats_fields(w, stats);  // mode counters ride outside stats_fields
   return w.take();
 }
 

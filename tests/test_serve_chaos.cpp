@@ -25,9 +25,16 @@
 #include <thread>
 #include <vector>
 
+#include "accel/system.hpp"
+#include "asm/assembler.hpp"
 #include "gtest/gtest.h"
+#include "serve/batcher.hpp"
 #include "serve/server.hpp"
 #include "serve/supervisor.hpp"
+#include "serve/worker.hpp"
+#include "snap/io.hpp"
+#include "snap/snapshot.hpp"
+#include "work/workload.hpp"
 
 namespace dim::serve {
 namespace {
@@ -273,6 +280,51 @@ TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
   // Every kill lands after a checkpoint, so its retry resumes mid-run.
   EXPECT_GE(c.migrations, 1u);
   EXPECT_EQ(c.abandoned, 0u);
+  fs::remove_all(base);
+}
+
+TEST(ServeChaos, StaleCheckpointPastTheBudgetStartsCold) {
+  // A killed daemon leaves migrate/job-N.snap behind, and the next
+  // daemon's job ids restart at 1. A leftover checkpoint that already ran
+  // past the new job's budget is not a prefix of that job's run: the job
+  // must start cold and answer what a daemon with a clean store answers.
+  const std::string base =
+      (fs::temp_directory_path() / "dimsim-serve-chaos-stale").string();
+  fs::remove_all(base);
+  constexpr uint64_t kCheckpointInterval = 20000;
+  const std::string request =
+      R"({"id": 1, "kind": "run", "workload": "crc32", "budget": 100000})";
+
+  // The reference Server is shut down before the Supervisor forks: a fork
+  // while another thread allocates can hang the child under ASan.
+  const std::vector<std::string> reference =
+      reference_responses({request}, kCheckpointInterval, base + "/ref");
+  ASSERT_EQ(reference.size(), 1u);
+
+  const std::string store_dir = base + "/pool";
+  fs::create_directories(store_dir + "/migrate");
+  const asmblr::Program program =
+      asmblr::assemble(work::make_workload("crc32").source);
+  accel::AcceleratedSystem stale(program, config_for("config1", 64, true));
+  ASSERT_GT(stale.run_until(130000).instructions, 100000u);
+  snap::write_artifact_file(checkpoint_path(store_dir, 1), snap::ArtifactKind::kSnapshot,
+                            snap::encode_snapshot(stale, program));
+
+  SupervisorOptions options;
+  options.workers = 1;
+  options.store_dir = store_dir;
+  options.checkpoint_interval = kCheckpointInterval;
+  options.engine_threads = 1;
+  Supervisor supervisor(options);
+  std::vector<std::string> got;
+  auto session = supervisor.open_session(
+      [&got](const std::string& line) { got.push_back(line); });
+  session->submit(request);
+  session->drain();
+  supervisor.shutdown();
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], reference[0]) << "the job resumed another daemon's checkpoint";
   fs::remove_all(base);
 }
 

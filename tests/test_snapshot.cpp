@@ -17,14 +17,18 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "accel/sweep.hpp"
 #include "accel/system.hpp"
 #include "asm/assembler.hpp"
 #include "fuzz/generator.hpp"
+#include "mem/memory.hpp"
 #include "obs/event.hpp"
 #include "snap/codec.hpp"
 #include "snap/io.hpp"
+#include "snap/resultstore.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/warmstart.hpp"
 #include "work/workload.hpp"
@@ -66,7 +70,7 @@ accel::SystemConfig small_config() {
 
 std::vector<uint8_t> stats_bytes(const accel::AccelStats& stats) {
   snap::Writer w;
-  snap::put_stats(w, stats);
+  snap::stats_fields(w, stats);
   return w.take();
 }
 
@@ -366,6 +370,129 @@ TEST(SnapshotFuzz, LoaderSurvivesBitFlipsAndTruncation) {
     // Anything else escapes and fails the test.
   }
   EXPECT_GT(rejected, iterations / 2);  // sanity: the fuzz did corrupt
+}
+
+// Payload fuzz. The container CRC rejects nearly every edit of the test
+// above before a decoder runs, so here edited payloads go straight to the
+// decoders: snapshot restore, warm-start preload, and result-cell load
+// (the cell re-framed with a valid CRC). Whatever the edit, a decoder must
+// succeed or throw SnapshotError, a system that accepted an edited payload
+// must run on, and each decoder must reject at least one edit as
+// kMalformed. Snapshot edits stay out of the memory pages, which take any
+// bytes and make up most of the payload; cell edits stay out of the key,
+// so every cell the store discards was rejected by the decoder.
+
+// Applies 1..4 edits (bit flip, byte rewrite, truncation) at offsets in
+// [from, skip_lo) and [skip_hi, size).
+std::vector<uint8_t> edited(std::vector<uint8_t> bytes, fuzz::Rng& rng, size_t from,
+                            size_t skip_lo, size_t skip_hi) {
+  const size_t size = bytes.size();
+  const size_t head = skip_lo - from;
+  const int edits = 1 + static_cast<int>(rng.next() % 4);
+  for (int e = 0; e < edits; ++e) {
+    const size_t k = rng.next() % (head + size - skip_hi);
+    const size_t pos = k < head ? from + k : skip_hi + (k - head);
+    if (pos >= bytes.size()) continue;  // an earlier edit truncated it away
+    switch (rng.next() % 3) {
+      case 0: bytes[pos] ^= static_cast<uint8_t>(1u << (rng.next() % 8)); break;
+      case 1: bytes[pos] = static_cast<uint8_t>(rng.next()); break;
+      default: bytes.resize(pos); break;
+    }
+  }
+  return bytes;
+}
+
+// Offsets [begin, end) of the memory pages in a snapshot payload.
+std::pair<size_t, size_t> page_bytes(const std::vector<uint8_t>& payload) {
+  snap::Reader r(payload);
+  r.u16();  // meta: program hash, system fingerprint
+  r.u64();
+  r.u64();
+  r.u16();  // cpu
+  sim::CpuState cpu;
+  snap::cpu_fields(r, cpu);
+  r.u16();  // mem: page count, then the pages
+  const uint64_t pages = r.u64();
+  const size_t begin = payload.size() - r.remaining();
+  return {begin, begin + pages * (4 + mem::Memory::kPageSize)};
+}
+
+TEST(SnapshotFuzz, DecodersSurviveEditedPayloads) {
+  struct Case {
+    asmblr::Program program;
+    accel::SystemConfig config;
+    uint64_t boundary;
+  };
+  accel::SystemConfig elastic = small_config();
+  elastic.predication = true;
+  elastic.exec_mode.mode = rra::ExecMode::kElastic;
+  const Case cases[] = {
+      {asmblr::assemble(kCheckpointProgram), small_config(), 700},
+      {asmblr::assemble(work::make_workload("crc32").source), elastic, 30000},
+  };
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "dimsim-decoder-fuzz").string();
+  std::filesystem::remove_all(dir);
+  snap::ResultStore store(dir);
+
+  fuzz::Rng rng(0xDEC0DE5ull);
+  const int iterations = fuzz::seed_budget(200);
+  int malformed_snap = 0;
+  int malformed_warm = 0;
+  int accepted = 0;
+  for (const Case& c : cases) {
+    accel::AcceleratedSystem mid(c.program, c.config);
+    mid.run_until(c.boundary);
+    const std::vector<uint8_t> snapshot = snap::encode_snapshot(mid, c.program);
+    const auto [pages_begin, pages_end] = page_bytes(snapshot);
+    const std::vector<uint8_t> warm = snap::encode_warm_start(mid, c.program);
+
+    for (int i = 0; i < iterations; ++i) {
+      accel::AcceleratedSystem target(c.program, c.config);
+      try {
+        snap::restore_snapshot_payload(
+            target, edited(snapshot, rng, 0, pages_begin, pages_end), c.program);
+        target.run_until(target.stats().instructions + 2000);
+        ++accepted;
+      } catch (const snap::SnapshotError& e) {
+        malformed_snap += e.code() == snap::SnapErrc::kMalformed;
+      }
+    }
+    for (int i = 0; i < iterations; ++i) {
+      accel::AcceleratedSystem target(c.program, c.config);
+      try {
+        snap::load_warm_start_payload(target, edited(warm, rng, 0, warm.size(), warm.size()),
+                                      c.program);
+        target.run_until(2000);
+        ++accepted;
+      } catch (const snap::SnapshotError& e) {
+        malformed_warm += e.code() == snap::SnapErrc::kMalformed;
+      }
+    }
+
+    accel::SweepPoint point;
+    point.program = &c.program;
+    point.config = c.config;
+    point.run_baseline = true;
+    accel::SweepOptions opts;
+    opts.threads = 1;
+    opts.collect_profiles = true;
+    opts.result_cache = &store;
+    accel::SweepEngine(opts).run({point});
+    const std::string cell = store.cell_path(snap::ResultStore::cell_key(point, true));
+    const std::vector<uint8_t> good = snap::read_artifact_file(cell, snap::ArtifactKind::kResultCell);
+    for (int i = 0; i < iterations; ++i) {
+      snap::write_artifact_file(cell, snap::ArtifactKind::kResultCell,
+                                edited(good, rng, 8, good.size(), good.size()));
+      accel::SweepResult out;
+      accepted += store.load(point, true, out);
+    }
+  }
+  EXPECT_GT(malformed_snap, 0);
+  EXPECT_GT(malformed_warm, 0);
+  EXPECT_GT(store.counters().corrupt_discards, 0u);
+  EXPECT_GT(accepted, 0);  // some edits decode: the run-on path is exercised
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
