@@ -85,19 +85,50 @@ std::vector<uint8_t> Memory::read_block(uint32_t addr, size_t size) const {
   return out;
 }
 
+namespace {
+
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// kFnvPrime^n mod 2^64: what n FNV-1a steps over zero bytes multiply by.
+uint64_t fnv_prime_pow(size_t n) {
+  uint64_t result = 1;
+  uint64_t base = kFnvPrime;
+  for (; n != 0; n >>= 1) {
+    if (n & 1) result *= base;
+    base *= base;
+  }
+  return result;
+}
+
+}  // namespace
+
 uint64_t Memory::content_hash() const {
-  // Order-independent over pages: iterate keys sorted so the hash is stable
-  // regardless of unordered_map iteration order.
-  std::map<uint32_t, const Page*> ordered;
-  for (const auto& [key, page] : pages_) ordered.emplace(key, &page);
+  // FNV-1a over every page in ascending key order (so the hash does not
+  // depend on unordered_map iteration order): the key, then the page's
+  // bytes. A zero byte's step is a bare multiply, so a run of zeros folds
+  // into one multiply by kFnvPrime^n; non-zero bytes are found a word at a
+  // time. The value is exactly the byte-serial hash.
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const auto& [key, page] : ordered) {
+  for (const auto& [key, page] : pages_sorted()) {
     h ^= key;
-    h *= 0x100000001b3ull;
-    for (uint8_t b : *page) {
-      h ^= b;
-      h *= 0x100000001b3ull;
+    h *= kFnvPrime;
+    const uint8_t* bytes = page->data();
+    size_t zeros = 0;
+    for (size_t i = 0; i < kPageSize; i += 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, bytes + i, 8);
+      if (word == 0) {
+        zeros += 8;
+        continue;
+      }
+      if (zeros != 0) h *= fnv_prime_pow(zeros);
+      zeros = 0;
+      for (size_t k = 0; k < 8; ++k) {
+        h ^= bytes[i + k];
+        h *= kFnvPrime;
+      }
     }
+    h *= fnv_prime_pow(zeros);
   }
   return h;
 }

@@ -28,13 +28,13 @@ RunResult Machine::run(const std::function<void(const StepInfo&)>& observer) {
   const bool fast = config_.host_trace_dispatch && !observer;
   while (!state_.halted && result.instructions < config_.max_instructions) {
     if (fast) {
-      const uint64_t executed = trace_cache_.step_baseline(
-          state_, memory_, pipeline_, config_.max_instructions - result.instructions,
-          &result.mem_accesses);
-      if (executed > 0) {
-        result.instructions += executed;
-        continue;
-      }
+      const uint64_t budget = config_.max_instructions - result.instructions;
+      const uint64_t executed = trace_cache_.step_baseline(state_, memory_, pipeline_,
+                                                           budget, &result.mem_accesses);
+      result.instructions += executed;
+      if (executed == budget) break;
+      // No hot trace at this PC: retire it on the slow path without a
+      // second head visit, then chain again.
     }
     const StepInfo info = step(state_, memory_, &decode_cache_);
     ++result.instructions;

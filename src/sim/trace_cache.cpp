@@ -57,19 +57,14 @@ bool classify_op(const isa::Instr& i, uint32_t pc, TraceOp* op) {
     case Op::kOri: k = TKind::kTOri; a = i.rs; imm = static_cast<int32_t>(i.uimm()); break;
     case Op::kXori: k = TKind::kTXori; a = i.rs; imm = static_cast<int32_t>(i.uimm()); break;
     case Op::kLui: k = TKind::kTLui; imm = static_cast<int32_t>(i.uimm() << 16); break;
-    case Op::kBeq: case Op::kBne: case Op::kBlez: case Op::kBgtz:
-    case Op::kBltz: case Op::kBgez:
-      k = TKind::kTBr;
-      a = i.rs;
-      b = i.rt;
-      imm = static_cast<int32_t>(branch_target(i, pc));
-      break;
-    case Op::kBltzal: case Op::kBgezal:
-      k = TKind::kTBrLink;
-      a = i.rs;
-      b = i.rt;
-      imm = static_cast<int32_t>(branch_target(i, pc));
-      break;
+    case Op::kBeq: k = TKind::kTBeq; break;
+    case Op::kBne: k = TKind::kTBne; break;
+    case Op::kBlez: k = TKind::kTBlez; break;
+    case Op::kBgtz: k = TKind::kTBgtz; break;
+    case Op::kBltz: k = TKind::kTBltz; break;
+    case Op::kBgez: k = TKind::kTBgez; break;
+    case Op::kBltzal: k = TKind::kTBltzal; break;
+    case Op::kBgezal: k = TKind::kTBgezal; break;
     case Op::kLb: k = TKind::kTLb; a = i.rs; imm = i.simm(); break;
     case Op::kLbu: k = TKind::kTLbu; a = i.rs; imm = i.simm(); break;
     case Op::kLh: k = TKind::kTLh; a = i.rs; imm = i.simm(); break;
@@ -81,6 +76,11 @@ bool classify_op(const isa::Instr& i, uint32_t pc, TraceOp* op) {
     case Op::kInvalid: case Op::kSyscall: case Op::kBreak:
     default:
       return false;
+  }
+  if (tkind_is_control(k) && !tkind_is_terminal(k)) {
+    a = i.rs;
+    b = i.rt;
+    imm = static_cast<int32_t>(branch_target(i, pc));
   }
   const int dr = isa::dest_reg(i);
   op->kind = k;
@@ -123,6 +123,46 @@ struct TimedEnv {
   }
 };
 
+// Commits the cycles of one folded execution of `t` that retired `res`:
+// k issue cycles, the precomputed internal load-use stalls, the entry
+// correction against the pipeline's live pending load, the HI/LO waits,
+// and the taken-branch penalty when the trace left through a taken branch
+// or a jump. Leaves every hazard latch as per-op retires would. The folded
+// env never touches the pipeline, so after the run its latches still hold
+// the entry values.
+void commit_folded(const Trace& t, const TraceExecResult& res, PipelineModel& pipeline) {
+  const uint64_t k = res.executed;
+  const uint64_t stall = pipeline.load_use_stall_cycles();
+  const int entry_pending = pipeline.pending_load_reg();
+  uint64_t entry_stall = 0;
+  if (entry_pending > 0) {
+    const RetireRecord& r0 = t.ops[0].rec;
+    if ((r0.nsrc > 0 && r0.src0 == entry_pending) ||
+        (r0.nsrc > 1 && r0.src1 == entry_pending)) {
+      entry_stall = stall;
+    }
+  }
+  // Replay the HI/LO interlock for the HI/LO ops that ran, each on the
+  // clock retire() would have reached: entry clock, static offset, and
+  // the waits before it. hilo_ready may still be pending from an earlier
+  // trace.
+  const uint64_t entry_clock = pipeline.cycles() + entry_stall;
+  uint64_t hilo_ready = pipeline.hilo_ready();
+  uint64_t waits = 0;
+  for (const uint8_t i : t.hilo_ops) {
+    if (i >= k) break;
+    const uint64_t issued = entry_clock + i + 1 + t.stall_prefix[i + 1] * stall + waits;
+    uint64_t clock = issued;
+    pipeline.hilo_interlock(t.ops[i].rec, clock, hilo_ready);
+    waits += clock - issued;
+  }
+  uint64_t cycles = k + t.stall_prefix[k] * stall + entry_stall + waits;
+  if (res.taken_exit) cycles += pipeline.taken_branch_penalty();
+  const TraceOp& last = t.ops[k - 1];
+  pipeline.fold_commit(cycles, last.pending_after, last.rec.dest, last.rec.is_mem_op,
+                       last.rec.is_hilo_write, hilo_ready);
+}
+
 }  // namespace
 
 bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) const {
@@ -135,20 +175,19 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
   t.code_page = nullptr;
 
   uint64_t p = pc;
-  bool terminal = false;
-  while (!terminal && t.ops.size() < kMaxOps && p <= 0xFFFFFFFCull) {
+  while (t.ops.size() < kMaxOps && p <= 0xFFFFFFFCull) {
     const uint32_t word = memory.read32(static_cast<uint32_t>(p));
     TraceOp op;
     if (!classify_op(isa::decode(word), static_cast<uint32_t>(p), &op)) break;
-    terminal = tkind_is_terminal(op.kind);
     // A straight-line op at 0xFFFFFFFC falls through to PC 0 (wraparound);
-    // that breaks the pc+4 contract, so the slow path handles it. A
-    // terminal there is fine: its next PC is computed in uint32, wrapping
-    // exactly like step().
-    if (!terminal && p == 0xFFFFFFFCull) break;
+    // that breaks the pc+4 contract, so the slow path handles it. A branch
+    // or jump there is fine: its next PC, taken or not, is computed in
+    // uint32, wrapping exactly like step(), and it is the trace's last op.
+    if (!tkind_is_control(op.kind) && p == 0xFFFFFFFCull) break;
     t.ops.push_back(op);
     t.words.push_back(word);
     p += 4;
+    if (tkind_is_terminal(op.kind)) break;
   }
   if (t.ops.empty()) return false;
 
@@ -174,8 +213,7 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
 
 bool TraceCache::validate(const Trace& t, const mem::Memory& memory) const {
   if (t.code_page != nullptr && std::endian::native == std::endian::little) {
-    return std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
-                       t.words.data(), t.words.size() * 4) == 0;
+    return code_page_matches(t);
   }
   uint32_t addr = t.start_pc;
   size_t done = 0;
@@ -207,94 +245,71 @@ bool TraceCache::validate(const Trace& t, const mem::Memory& memory) const {
   return true;
 }
 
-Trace* TraceCache::hot_trace(uint32_t pc, const mem::Memory& memory) {
-  Slot& s = slots_[slot_index(pc)];
-  if (s.head == pc) {
-    if (s.rejected) return nullptr;
-    if (validate(s.trace, memory)) return &s.trace;
+Trace* TraceCache::hot_trace_slow(uint32_t pc, const mem::Memory& memory) {
+  Head& h = heads_[slot_index(pc)];
+  if (h.head == pc) {
+    if (h.rejected) return nullptr;
+    Trace& t = pool_[h.trace];
+    if (validate(t, memory)) return &t;
     // Stale words (self-modifying code or image change without clear()):
     // rebuild from what memory holds now.
     ++stats_.revalidation_rebuilds;
-    if (build_trace(s.trace, pc, memory)) return &s.trace;
-    s.rejected = true;
+    if (build_trace(t, pc, memory)) return &t;
+    h.rejected = true;
     ++stats_.rejected_heads;
     return nullptr;
   }
-  // Rival head warming up in this slot; it takes over at kHeat visits.
-  if (s.cand_pc == pc) {
-    if (++s.cand_heat < kHeat) return nullptr;
-    s.cand_pc = 1;
-    s.cand_heat = 0;
-    s.head = pc;
-    if (build_trace(s.trace, pc, memory)) {
-      s.rejected = false;
-      ++stats_.traces_built;
-      return &s.trace;
+  // Rival head warming up in this slot; it takes over at kHeat visits and
+  // reuses the slot's pool entry, if it has one.
+  if (h.cand_pc == pc) {
+    if (++h.cand_heat < kHeat) return nullptr;
+    if (h.trace == kNoTrace) {
+      h.trace = static_cast<uint16_t>(pool_.size());
+      pool_.emplace_back();
     }
-    s.rejected = true;
+    h.cand_pc = 1;
+    h.cand_heat = 0;
+    h.head = pc;
+    Trace& t = pool_[h.trace];
+    if (build_trace(t, pc, memory)) {
+      h.rejected = false;
+      ++stats_.traces_built;
+      return &t;
+    }
+    h.rejected = true;
     ++stats_.rejected_heads;
     return nullptr;
   }
-  s.cand_pc = pc;
-  s.cand_heat = 1;
+  h.cand_pc = pc;
+  h.cand_heat = 1;
   return nullptr;
 }
 
 uint64_t TraceCache::step_baseline(CpuState& state, mem::Memory& memory,
                                    PipelineModel& pipeline, uint64_t budget,
                                    uint64_t* mem_accesses) {
-  if (budget == 0) return 0;
-  Trace* t = hot_trace(state.pc, memory);
-  if (t == nullptr) return 0;
-
+  uint64_t done = 0;
   if (pipeline.fold_eligible()) {
-    // Timing is committed wholesale after the run: k issue cycles, the
-    // precomputed internal load-use stalls, the entry correction against
-    // the pipeline's live pending load, the HI/LO waits, and the
-    // terminal's taken penalty.
-    const int entry_pending = pipeline.pending_load_reg();
     FoldedEnv env;
-    const TraceExecResult res = execute(*t, state, memory, budget, env);
-    const uint64_t k = res.executed;
-    const uint64_t stall = pipeline.load_use_stall_cycles();
-    uint64_t entry_stall = 0;
-    if (entry_pending > 0) {
-      const RetireRecord& r0 = t->ops[0].rec;
-      if ((r0.nsrc > 0 && r0.src0 == entry_pending) ||
-          (r0.nsrc > 1 && r0.src1 == entry_pending)) {
-        entry_stall = stall;
-      }
+    while (done < budget) {
+      Trace* t = hot_trace(state.pc, memory);
+      if (t == nullptr) break;
+      const TraceExecResult res = execute(*t, state, memory, budget - done, env);
+      commit_folded(*t, res, pipeline);
+      ++stats_.folded_executions;
+      done += res.executed;
     }
-    // Replay the HI/LO interlock for the HI/LO ops that ran, each on the
-    // clock retire() would have reached: entry clock, static offset, and
-    // the waits before it. hilo_ready may still be pending from an
-    // earlier trace.
-    const uint64_t entry_clock = pipeline.cycles() + entry_stall;
-    uint64_t hilo_ready = pipeline.hilo_ready();
-    uint64_t waits = 0;
-    for (const uint8_t i : t->hilo_ops) {
-      if (i >= k) break;
-      const uint64_t issued = entry_clock + i + 1 + t->stall_prefix[i + 1] * stall + waits;
-      uint64_t clock = issued;
-      pipeline.hilo_interlock(t->ops[i].rec, clock, hilo_ready);
-      waits += clock - issued;
-    }
-    uint64_t cycles = k + t->stall_prefix[k] * stall + entry_stall + waits;
-    if (res.terminal_executed && res.terminal_taken) {
-      cycles += pipeline.taken_branch_penalty();
-    }
-    const TraceOp& last = t->ops[k - 1];
-    pipeline.fold_commit(cycles, last.pending_after, last.rec.dest,
-                         last.rec.is_mem_op, last.rec.is_hilo_write, hilo_ready);
-    ++stats_.folded_executions;
     *mem_accesses += env.mem;
-    return res.executed;
+    return done;
   }
-
   TimedEnv env{&pipeline};
-  const TraceExecResult res = execute(*t, state, memory, budget, env);
+  while (done < budget) {
+    Trace* t = hot_trace(state.pc, memory);
+    if (t == nullptr) break;
+    done += execute(*t, state, memory, budget - done, env).executed;
+  }
   *mem_accesses += env.mem;
-  return res.executed;
+  return done;
 }
 
 }  // namespace dim::sim

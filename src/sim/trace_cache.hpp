@@ -2,11 +2,11 @@
 //
 // The paper's bet is that caching translated units of straight-line work
 // beats re-interpreting instruction by instruction; this applies the same
-// trick to the simulator itself. Straight-line runs of pre-decoded
-// instructions between control transfers are recorded once and then
-// executed as whole traces via computed-goto threaded dispatch, with the
-// pipeline timing model folded into per-trace precomputed cycle prefixes
-// whenever the timing parameters permit.
+// trick to the simulator itself. Runs of pre-decoded instructions between
+// unconditional control transfers are recorded once and then executed as
+// whole traces via computed-goto threaded dispatch, with the pipeline
+// timing model folded into per-trace precomputed cycle prefixes whenever
+// the timing parameters permit.
 //
 // Transparency contract (pinned by tests/test_trace_cache.cpp and the
 // dimsim-fuzz --cmp-dispatch campaign): a run with the trace cache enabled
@@ -16,15 +16,20 @@
 // Formation rules:
 //   - a trace starts at a PC once it has been seen twice as a trace head
 //     (direct-mapped head table, so cold straight-line code is never traced)
-//   - body ops are the straight-line subset of the ISA (ALU, shifts,
-//     immediates, HI/LO arithmetic and moves, loads/stores)
-//   - the first control transfer (conditional branch, j/jal/jr/jalr)
-//     terminates the trace and is executed as its terminal op
+//   - a trace is one contiguous word range: straight-line ops (ALU, shifts,
+//     immediates, HI/LO arithmetic and moves, loads/stores) and conditional
+//     branches (beq/bne/blez/bgtz/bltz/bgez, bltzal/bgezal). A taken branch
+//     leaves the trace at its target; a not-taken one runs on at pc+4
+//     inside the trace, so one trace spans several basic blocks
+//   - j/jal/jr/jalr end formation and are executed as the trace's
+//     terminal op
 //   - syscall/break/invalid words stop formation *before* them: the slow
 //     path retires those
-//   - formation stops at 0xFFFFFFFC: the fall-through there wraps the PC
-//     to 0, breaking the pc+4 straight-line contract (the slow path
-//     handles address-space wraparound; see test_executor)
+//   - formation stops at kMaxOps and at 0xFFFFFFFC: the fall-through of a
+//     straight-line op there wraps the PC to 0, breaking the pc+4 contract
+//     (the slow path handles address-space wraparound; see test_executor).
+//     A control transfer there is fine: its next PC wraps in uint32
+//     exactly like step()
 //   - every length counts, down to a single op: the short basic blocks of
 //     control-dominated code are the common case. A head is rejected (and
 //     remembered) only when its first word cannot start a trace: syscall,
@@ -44,10 +49,14 @@
 //
 // Folded timing: under single issue with both caches off, a trace's
 // cycles are committed in one step from precomputed load-use stall
-// counts. HI/LO interlocks are replayed at commit for the few HI/LO ops
-// that ran, so traces with mult/div and mfhi/mflo fold too.
+// counts; the taken-branch penalty is added only when the trace left
+// through a taken branch or a jump. Every execution retires a prefix of
+// the trace's ops, so the static counts hold wherever it exits. HI/LO
+// interlocks are replayed at commit for the few HI/LO ops that ran, so
+// traces with mult/div and mfhi/mflo fold too.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -61,8 +70,10 @@
 
 namespace dim::sim {
 
-// Host-level semantic kind of one trace op. Body kinds are straight-line;
-// kinds >= kTBr are terminals (always the last op of their trace).
+// Host-level semantic kind of one trace op. Kinds below kTBeq are
+// straight-line; conditional branches (kTBeq..kTBgezal, one kind per
+// condition) leave the trace when taken and run on when not; kinds >= kTJ
+// are terminals (always the last op of their trace).
 enum class TKind : uint8_t {
   // ALU, three-register
   kTAddu, kTSubu, kTAnd, kTOr, kTXor, kTNor, kTSlt, kTSltu,
@@ -74,11 +85,14 @@ enum class TKind : uint8_t {
   kTMult, kTMultu, kTDiv, kTDivu, kTMfhi, kTMflo, kTMthi, kTMtlo,
   // memory
   kTLb, kTLbu, kTLh, kTLhu, kTLw, kTSb, kTSh, kTSw,
+  // conditional branches
+  kTBeq, kTBne, kTBlez, kTBgtz, kTBltz, kTBgez, kTBltzal, kTBgezal,
   // terminals
-  kTBr, kTBrLink, kTJ, kTJal, kTJr, kTJalr,
+  kTJ, kTJal, kTJr, kTJalr,
 };
 
-inline bool tkind_is_terminal(TKind k) { return k >= TKind::kTBr; }
+inline bool tkind_is_control(TKind k) { return k >= TKind::kTBeq; }
+inline bool tkind_is_terminal(TKind k) { return k >= TKind::kTJ; }
 
 // One pre-decoded trace op: operand indexes and immediates are extracted
 // once at formation time, and the timing model's classification
@@ -90,7 +104,7 @@ struct TraceOp {
   uint8_t b = 0;   // rt-class operand (value register)
   uint8_t d = 0;   // destination register; 0 = architectural no-write
   int32_t imm = 0;  // sign-/zero-extended immediate, shamt, lui value,
-                    // or precomputed branch/jump target (terminals)
+                    // or precomputed branch/jump target
   uint32_t pc = 0;
   int8_t pending_after = -1;  // pipeline pending_load_reg after this op
   isa::Instr instr{};         // exact decoded form (StepInfo reconstruction)
@@ -98,7 +112,7 @@ struct TraceOp {
 };
 
 struct Trace {
-  uint32_t start_pc = 1;  // word-aligned; 1 = unused slot
+  uint32_t start_pc = 1;  // word-aligned head PC, set at formation
   uint64_t end64 = 0;     // start_pc + 4 * words (64-bit: no wrap ambiguity)
   std::vector<TraceOp> ops;
   std::vector<uint32_t> words;  // fetched encodings, for revalidation
@@ -136,8 +150,7 @@ struct TraceStats {
 struct TraceExecResult {
   uint64_t executed = 0;         // instructions retired by this entry
   bool dispatch_stop = false;    // env asked to stop before an interior op
-  bool terminal_executed = false;
-  bool terminal_taken = false;
+  bool taken_exit = false;       // left through a taken branch or a jump
 };
 
 // 1-entry host TLB over mem::Memory pages for trace-interior loads/stores:
@@ -229,29 +242,32 @@ inline void t_write32(DataTlb& tlb, mem::Memory& mem, uint32_t addr, uint32_t v)
 
 class TraceCache {
  public:
-  TraceCache() : slots_(kSlots) {}
+  TraceCache() : heads_(kSlots) {}
 
   // The data TLB and each trace's code page point into the source's
   // Memory; a copied cache must not alias it, so copies start with a cold
   // TLB and revalidate their traces through page lookups in their own
   // Memory (where they cache nothing until rebuilt).
-  TraceCache(const TraceCache& o) : slots_(o.slots_), stats_(o.stats_) {
+  TraceCache(const TraceCache& o) : heads_(o.heads_), pool_(o.pool_), stats_(o.stats_) {
     drop_code_pages();
   }
   TraceCache& operator=(const TraceCache& o) {
-    slots_ = o.slots_;
+    heads_ = o.heads_;
+    pool_ = o.pool_;
     stats_ = o.stats_;
     tlb_ = DataTlb{};
     drop_code_pages();
     return *this;
   }
 
-  // Baseline fast path (Machine::run): executes a trace at state.pc if one
-  // is hot and valid, charging cycles exactly as per-instruction retires
-  // would (folded when the pipeline state permits). Returns instructions
-  // retired (0 = no trace; caller takes the slow path) and adds this
-  // entry's memory accesses to *mem_accesses. Executes at most `budget`
-  // instructions (must be >= 1).
+  // Baseline fast path (Machine::run): executes hot, valid traces one
+  // after another from state.pc, charging cycles exactly as
+  // per-instruction retires would (folded when the pipeline state
+  // permits), until the budget is spent or the PC has no hot trace.
+  // Returns the instructions retired: `budget` when the budget is spent,
+  // fewer when state.pc has no hot trace — the caller then retires that
+  // one instruction on the slow path (its head visit is already counted)
+  // and calls again. Adds the memory accesses to *mem_accesses.
   uint64_t step_baseline(CpuState& state, mem::Memory& memory, PipelineModel& pipeline,
                          uint64_t budget, uint64_t* mem_accesses);
 
@@ -277,17 +293,19 @@ class TraceCache {
   // snapshot restore) — revalidation would catch stale words, but head
   // heat, rejection flags, code pages and the TLB are not word-checked.
   void clear() {
-    for (Slot& s : slots_) s = Slot{};
+    std::fill(heads_.begin(), heads_.end(), Head{});
+    pool_.clear();
     tlb_ = DataTlb{};
     stats_ = TraceStats{};
   }
 
   const TraceStats& stats() const { return stats_; }
 
-  // Formation/validation introspection for tests.
+  // Formation/validation introspection for tests. The pointer is good
+  // until the cache next runs (formation may move the pool).
   const Trace* peek(uint32_t pc) const {
-    const Slot& s = slots_[slot_index(pc)];
-    return (s.head == pc && !s.rejected) ? &s.trace : nullptr;
+    const Head& h = heads_[slot_index(pc)];
+    return (h.head == pc && !h.rejected) ? &pool_[h.trace] : nullptr;
   }
 
   static constexpr size_t kMaxOps = 64;  // longest trace (<= 256 bytes of code)
@@ -300,28 +318,55 @@ class TraceCache {
                           Env& env);
 
  private:
-  struct Slot {
+  // One direct-mapped head slot. The trace itself lives in pool_, which
+  // holds only the traces actually built, so a fresh or cleared cache is a
+  // small table rather than kSlots embedded traces.
+  static constexpr uint16_t kNoTrace = 0xFFFF;
+  struct Head {
     uint32_t head = 1;      // established trace head (1 = none)
-    bool rejected = false;  // first word cannot start a trace
     uint32_t cand_pc = 1;   // rival head warming up
+    uint16_t trace = kNoTrace;  // pool_ index, taken when a head is first established
     uint8_t cand_heat = 0;
-    Trace trace;
+    // No trace to run at `head`: its first word cannot start one, or no
+    // head is established yet (so a PC equal to the sentinel never
+    // reaches pool_).
+    bool rejected = true;
   };
-  static constexpr size_t kSlots = 4096;
+  static constexpr size_t kSlots = 4096;  // one pool entry per slot at most
+  static_assert(kSlots < kNoTrace);
 
   static size_t slot_index(uint32_t pc) { return (pc >> 2) & (kSlots - 1); }
 
-  // Heat accounting + revalidation + (re)formation. Returns the valid hot
-  // trace at `pc`, or nullptr (slow path).
-  Trace* hot_trace(uint32_t pc, const mem::Memory& memory);
+  // Returns the valid hot trace at `pc`, or nullptr (slow path). The common
+  // case, an established head whose words still match its cached code
+  // page, is inline; heat accounting, revalidation through page lookups
+  // and (re)formation are not. May grow pool_, which moves every Trace: a
+  // returned pointer is good until the next call.
+  Trace* hot_trace(uint32_t pc, const mem::Memory& memory) {
+    Head& h = heads_[slot_index(pc)];
+    if (h.head == pc && !h.rejected) {
+      Trace& t = pool_[h.trace];
+      if (t.code_page != nullptr && code_page_matches(t)) return &t;
+    }
+    return hot_trace_slow(pc, memory);
+  }
+  Trace* hot_trace_slow(uint32_t pc, const mem::Memory& memory);
 
   bool build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) const;
   bool validate(const Trace& t, const mem::Memory& memory) const;
+  // The trace's words still match its cached code page (little-endian
+  // hosts only: words hold host-order copies of little-endian memory).
+  static bool code_page_matches(const Trace& t) {
+    return std::endian::native == std::endian::little &&
+           std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
+                       t.words.data(), t.words.size() * 4) == 0;
+  }
   void drop_code_pages() {
-    for (Slot& s : slots_) s.trace.code_page = nullptr;
+    for (Trace& t : pool_) t.code_page = nullptr;
   }
 
-  std::vector<Slot> slots_;
+  std::vector<Head> heads_;
+  std::vector<Trace> pool_;
   DataTlb tlb_;
   TraceStats stats_;
 };
@@ -352,13 +397,15 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
   uint32_t* const r = st.regs.data();
   r[0] = 0;  // step() maintains this invariant after every retire
   DataTlb& tlb = tlb_;
-  size_t i = 0;
-  const TraceOp* op = &t.ops[0];
+  const TraceOp* const first = t.ops.data();
+  const TraceOp* const end = first + limit;
+  const TraceOp* op = first;
 
 // Handler epilogues. RETIRE_LINEAR advances past a straight-line op;
-// terminals set the next PC and leave. A store that hit the trace's own
-// code range retires normally, then bails (the interpreter would fetch
-// the freshly written word for the next op).
+// BRANCH leaves at the target when taken and advances like RETIRE_LINEAR
+// when not; terminals set the next PC and leave. A store that hit the
+// trace's own code range retires normally, then bails (the interpreter
+// would fetch the freshly written word for the next op).
 #define DIMSIM_RETIRE(next_pc, taken, memacc, addr) \
   env.retired(*op, (next_pc), (taken), (memacc), (addr))
 
@@ -366,8 +413,7 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
 
 #define DIMSIM_NEXT()                          \
   do {                                         \
-    if (++i >= limit) goto out_budget;         \
-    op = &t.ops[i];                            \
+    if (++op == end) goto out_budget;          \
     if constexpr (Env::kDispatchProbe) {       \
       if (env.pre_dispatch(op->pc)) {          \
         st.pc = op->pc;                        \
@@ -392,10 +438,21 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
     if (a64 + (width) > t.start_pc && a64 < t.end64) {                        \
       ++stats_.smc_bails;                                                     \
       st.pc = op->pc + 4;                                                     \
-      i += 1;                                                                 \
+      ++op;                                                                   \
       goto out;                                                               \
     }                                                                         \
     DIMSIM_NEXT();                                                            \
+  } while (0)
+
+#define DIMSIM_BRANCH(cond)                                                   \
+  do {                                                                        \
+    if (cond) {                                                               \
+      const uint32_t next = static_cast<uint32_t>(op->imm);                   \
+      DIMSIM_RETIRE(next, true, false, 0);                                    \
+      st.pc = next;                                                           \
+      goto out_taken;                                                         \
+    }                                                                         \
+    DIMSIM_RETIRE_LINEAR();                                                   \
   } while (0)
 
   static const void* const kLabels[] = {
@@ -404,7 +461,8 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
       &&H_TSrav, &&H_TAddiu, &&H_TSlti, &&H_TSltiu, &&H_TAndi, &&H_TOri,
       &&H_TXori, &&H_TLui, &&H_TMult, &&H_TMultu, &&H_TDiv, &&H_TDivu,
       &&H_TMfhi, &&H_TMflo, &&H_TMthi, &&H_TMtlo, &&H_TLb, &&H_TLbu, &&H_TLh,
-      &&H_TLhu, &&H_TLw, &&H_TSb, &&H_TSh, &&H_TSw, &&H_TBr, &&H_TBrLink,
+      &&H_TLhu, &&H_TLw, &&H_TSb, &&H_TSh, &&H_TSw, &&H_TBeq, &&H_TBne,
+      &&H_TBlez, &&H_TBgtz, &&H_TBltz, &&H_TBgez, &&H_TBltzal, &&H_TBgezal,
       &&H_TJ, &&H_TJal, &&H_TJr, &&H_TJalr,
   };
   DIMSIM_GOTO_KIND();
@@ -481,14 +539,16 @@ H_TLui:
   DIMSIM_RETIRE_LINEAR();
 
 // --- HI/LO --------------------------------------------------------------
-H_TMult: {
-  const uint64_t p = mult_eval(isa::Op::kMult, r[op->a], r[op->b]);
+H_TMult: {  // mult_eval's product, inline
+  const uint64_t p = static_cast<uint64_t>(
+      static_cast<int64_t>(static_cast<int32_t>(r[op->a])) *
+      static_cast<int64_t>(static_cast<int32_t>(r[op->b])));
   st.lo = static_cast<uint32_t>(p);
   st.hi = static_cast<uint32_t>(p >> 32);
   DIMSIM_RETIRE_LINEAR();
 }
 H_TMultu: {
-  const uint64_t p = mult_eval(isa::Op::kMultu, r[op->a], r[op->b]);
+  const uint64_t p = static_cast<uint64_t>(r[op->a]) * static_cast<uint64_t>(r[op->b]);
   st.lo = static_cast<uint32_t>(p);
   st.hi = static_cast<uint32_t>(p >> 32);
   DIMSIM_RETIRE_LINEAR();
@@ -587,67 +647,76 @@ H_TSw: {
   DIMSIM_STORE_TAIL(addr, 4);
 }
 
+// --- conditional branches -----------------------------------------------
+// Taken, the branch leaves the trace at its target; not taken, execution
+// runs on to the next op (probed, and budget-checked, like any other).
+H_TBeq:
+  DIMSIM_BRANCH(r[op->a] == r[op->b]);
+H_TBne:
+  DIMSIM_BRANCH(r[op->a] != r[op->b]);
+H_TBlez:
+  DIMSIM_BRANCH(static_cast<int32_t>(r[op->a]) <= 0);
+H_TBgtz:
+  DIMSIM_BRANCH(static_cast<int32_t>(r[op->a]) > 0);
+H_TBltz:
+  DIMSIM_BRANCH(static_cast<int32_t>(r[op->a]) < 0);
+H_TBgez:
+  DIMSIM_BRANCH(static_cast<int32_t>(r[op->a]) >= 0);
+H_TBltzal: {
+  // The condition reads rs before the link write (rs may be $ra), and the
+  // link happens whether or not the branch is taken, like step().
+  const bool taken = static_cast<int32_t>(r[op->a]) < 0;
+  r[31] = op->pc + 4;
+  DIMSIM_BRANCH(taken);
+}
+H_TBgezal: {
+  const bool taken = static_cast<int32_t>(r[op->a]) >= 0;
+  r[31] = op->pc + 4;
+  DIMSIM_BRANCH(taken);
+}
+
 // --- terminals ----------------------------------------------------------
-H_TBr: {
-  const bool taken = branch_taken(op->instr, r[op->a], r[op->b]);
-  const uint32_t next = taken ? static_cast<uint32_t>(op->imm) : op->pc + 4;
-  DIMSIM_RETIRE(next, taken, false, 0);
-  st.pc = next;
-  result.terminal_taken = taken;
-  goto out_terminal;
-}
-H_TBrLink: {
-  r[31] = op->pc + 4;  // bltzal/bgezal link unconditionally, like step()
-  const bool taken = branch_taken(op->instr, r[op->a], r[op->b]);
-  const uint32_t next = taken ? static_cast<uint32_t>(op->imm) : op->pc + 4;
-  DIMSIM_RETIRE(next, taken, false, 0);
-  st.pc = next;
-  result.terminal_taken = taken;
-  goto out_terminal;
-}
 H_TJ: {
   const uint32_t next = static_cast<uint32_t>(op->imm);
   DIMSIM_RETIRE(next, true, false, 0);
   st.pc = next;
-  result.terminal_taken = true;
-  goto out_terminal;
+  goto out_taken;
 }
 H_TJal: {
   const uint32_t next = static_cast<uint32_t>(op->imm);
   r[31] = op->pc + 4;
   DIMSIM_RETIRE(next, true, false, 0);
   st.pc = next;
-  result.terminal_taken = true;
-  goto out_terminal;
+  goto out_taken;
 }
 H_TJr: {
   const uint32_t next = r[op->a];
   DIMSIM_RETIRE(next, true, false, 0);
   st.pc = next;
-  result.terminal_taken = true;
-  goto out_terminal;
+  goto out_taken;
 }
 H_TJalr: {
   const uint32_t next = r[op->a];  // read before the link write (rd may == rs)
   if (op->d) r[op->d] = op->pc + 4;
   DIMSIM_RETIRE(next, true, false, 0);
   st.pc = next;
-  result.terminal_taken = true;
-  goto out_terminal;
+  goto out_taken;
 }
 
-out_terminal:
-  i += 1;
-  result.terminal_executed = true;
+out_taken:
+  ++op;
+  result.taken_exit = true;
   goto out;
 
 out_budget:
-  // op still points at the last executed (straight-line) instruction.
-  st.pc = op->pc + 4;
+  // op is one past the last executed instruction, a straight-line op or a
+  // not-taken branch, so the run continues at its pc+4.
+  st.pc = op[-1].pc + 4;
   goto out;
 
 out:
-  result.executed = static_cast<uint64_t>(i);
+  // op is one past the last op that retired.
+  result.executed = static_cast<uint64_t>(op - first);
   ++stats_.executions;
   stats_.ops_executed += result.executed;
   return result;
@@ -657,6 +726,7 @@ out:
 #undef DIMSIM_NEXT
 #undef DIMSIM_RETIRE_LINEAR
 #undef DIMSIM_STORE_TAIL
+#undef DIMSIM_BRANCH
 }
 
 }  // namespace dim::sim

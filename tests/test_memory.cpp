@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -127,6 +130,69 @@ TEST(Memory, HashIsIterationOrderIndependent) {
   b.write8(0x50000, 2);  // reversed allocation order
   b.write8(0x10000, 1);
   EXPECT_EQ(a.content_hash(), b.content_hash());
+}
+
+// content_hash, written the slow way: byte-serial FNV-1a over every page in
+// ascending key order, each page as its key and then all of its bytes.
+uint64_t reference_hash(const Memory& m) {
+  std::map<uint32_t, const std::vector<uint8_t>*> pages;
+  for (const auto& [key, bytes] : m.pages_sorted()) pages.emplace(key, bytes);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [key, bytes] : pages) {
+    h ^= key;
+    h *= 0x100000001b3ull;
+    EXPECT_EQ(bytes->size(), Memory::kPageSize);
+    for (const uint8_t b : *bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(Memory, ContentHashIsByteSerialFnv1a) {
+  // The hash is part of every result digest and golden, so its value (not
+  // just its equalities) must not move: each image is checked against the
+  // byte-serial definition.
+  Memory empty;
+  EXPECT_EQ(empty.content_hash(), reference_hash(empty));
+
+  Memory zero_page;
+  zero_page.write8(0x20000, 0);
+  ASSERT_EQ(zero_page.pages_allocated(), 1u);
+  EXPECT_EQ(zero_page.content_hash(), reference_hash(zero_page));
+
+  for (const uint32_t off : {0u, 7u, 8u, 65534u, 65535u}) {
+    SCOPED_TRACE("single byte at offset " + std::to_string(off));
+    Memory m;
+    m.write8(3 * Memory::kPageSize + off, 0x5A);
+    EXPECT_EQ(m.content_hash(), reference_hash(m));
+  }
+
+  std::mt19937 rng(20260);
+  for (const uint32_t writes : {1u, 13u, 400u}) {
+    SCOPED_TRACE("sparse pages, " + std::to_string(writes) + " random bytes");
+    Memory m;
+    for (uint32_t n = 0; n < writes; ++n) {
+      m.write8((rng() % 3) * Memory::kPageSize + rng() % Memory::kPageSize,
+               static_cast<uint8_t>(rng() | 1));
+    }
+    EXPECT_EQ(m.content_hash(), reference_hash(m));
+  }
+  {
+    SCOPED_TRACE("dense pages");
+    std::vector<uint8_t> bytes(2 * Memory::kPageSize + 100);
+    for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng() % 8 == 0 ? 0 : rng());
+    Memory m;
+    m.write_block(Memory::kPageSize - 50, bytes.data(), bytes.size());
+    EXPECT_EQ(m.content_hash(), reference_hash(m));
+  }
+
+  Memory descending;  // pages inserted in descending key order
+  for (const uint32_t page : {0x7FFFu, 0x1000u, 0x10u}) {
+    descending.write32(page * Memory::kPageSize + 4 * page, 0xC0DE0000u | page);
+  }
+  EXPECT_EQ(descending.content_hash(), reference_hash(descending));
 }
 
 TEST(Cache, DisabledIsFree) {
