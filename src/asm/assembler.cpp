@@ -1,6 +1,7 @@
 #include "asm/assembler.hpp"
 
 #include <cassert>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -42,6 +43,11 @@ struct Statement {
   std::vector<Operand> operands;
   std::vector<std::string> strings;  // for .ascii/.asciiz
   uint32_t size_bytes = 0;
+  // A numeric data line (see parse_numeric_data): its size_bytes image
+  // bytes are already encoded at packed_offset in the assembler's arena,
+  // and mnemonic and operands stay empty.
+  bool packed = false;
+  size_t packed_offset = 0;
 };
 
 // --- Mnemonic tables --------------------------------------------------------
@@ -91,8 +97,8 @@ class Assembler {
     parse_all(source);
     emit_all();
     Program p;
-    p.symbols = symbols_;
-    if (auto it = symbols_.find("main"); it != symbols_.end()) {
+    p.symbols = std::move(symbols_);
+    if (auto it = p.symbols.find("main"); it != p.symbols.end()) {
       p.entry = it->second;
     } else {
       p.entry = text_base_;
@@ -135,7 +141,74 @@ class Assembler {
     l = (l + alignment - 1) & ~(alignment - 1);
   }
 
+  // Pass 1's path for the bulk of generated kernels: a line that is exactly
+  // `.byte`, `.half` or `.word` followed by comma-separated decimal
+  // integers (optional leading '-'), blanks allowed between tokens. The
+  // values are encoded straight into packed_ (truncated to the directive's
+  // width and little-endian, as emit_data would write them), and the
+  // Statement keeps the section, aligned address, size and arena offset.
+  // Every other line returns false having laid out nothing, and takes the
+  // lexer path: labels, hex, char literals, symbols, comments, missing or
+  // trailing commas, and a literal the lexer rejects (magnitude above
+  // 0xFFFFFFFF). So error texts and line numbers come from one place.
+  bool parse_numeric_data(std::string_view line, int line_no) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+    while (p != end && blank(*p)) ++p;
+    if (end - p < 6 || p[0] != '.') return false;
+    uint32_t width;
+    if (std::memcmp(p, ".word", 5) == 0) {
+      width = 4;
+    } else if (std::memcmp(p, ".half", 5) == 0) {
+      width = 2;
+    } else if (std::memcmp(p, ".byte", 5) == 0) {
+      width = 1;
+    } else {
+      return false;
+    }
+    p += 5;
+    if (!blank(*p)) return false;
+    const size_t offset = packed_.size();
+    auto fall_back = [&] {
+      packed_.resize(offset);
+      return false;
+    };
+    for (;;) {
+      while (p != end && blank(*p)) ++p;
+      const bool neg = p != end && *p == '-';
+      if (neg) ++p;
+      if (p == end || *p < '0' || *p > '9') return fall_back();
+      uint64_t magnitude = 0;
+      do {
+        magnitude = magnitude * 10 + static_cast<uint64_t>(*p - '0');
+        if (magnitude > 0xFFFFFFFFu) return fall_back();
+        ++p;
+      } while (p != end && *p >= '0' && *p <= '9');
+      const uint32_t value = static_cast<uint32_t>(neg ? 0 - magnitude : magnitude);
+      for (uint32_t b = 0; b < width; ++b) {
+        packed_.push_back(static_cast<uint8_t>(value >> (8 * b)));
+      }
+      while (p != end && blank(*p)) ++p;
+      if (p == end) break;
+      if (*p != ',') return fall_back();
+      ++p;
+    }
+    align_to(width);
+    Statement s;
+    s.line_no = line_no;
+    s.section = section_;
+    s.addr = loc();
+    s.size_bytes = static_cast<uint32_t>(packed_.size() - offset);
+    s.packed = true;
+    s.packed_offset = offset;
+    loc() += s.size_bytes;
+    statements_.push_back(std::move(s));
+    return true;
+  }
+
   void parse_line(std::string_view line, int line_no) {
+    if (parse_numeric_data(line, line_no)) return;
     toks_.lex(line, line_no);
     const Tokens& toks = toks_;
     size_t i = 0;
@@ -274,7 +347,9 @@ class Assembler {
     s.section = section_;
     if (m == ".align") {
       if (s.operands.empty()) throw AsmError(line_no, ".align needs an argument");
-      align_to(1u << s.operands[0].value);
+      const int64_t exponent = s.operands[0].value;
+      if (exponent < 0 || exponent > 31) throw AsmError(line_no, ".align exponent out of range");
+      align_to(1u << exponent);
       return loc();
     }
     if (m == ".word") {
@@ -312,7 +387,12 @@ class Assembler {
     text_.assign(text_loc_ - text_base_, 0);
     data_.assign(data_loc_ - data_base_, 0);
     for (const Statement& s : statements_) {
-      if (is_directive(s.mnemonic)) {
+      if (s.packed) {
+        auto& bytes = section_bytes(s.section);
+        const uint32_t off = s.addr - section_base(s.section);
+        assert(off + s.size_bytes <= bytes.size());
+        std::memcpy(bytes.data() + off, packed_.data() + s.packed_offset, s.size_bytes);
+      } else if (is_directive(s.mnemonic)) {
         emit_data(s);
       } else {
         emit_instruction(s);
@@ -664,6 +744,7 @@ class Assembler {
   uint32_t data_loc_ = 0;
   std::vector<Statement> statements_;
   Tokens toks_;  // reused for every line
+  std::vector<uint8_t> packed_;  // encoded bytes of the numeric data lines
   std::unordered_map<std::string, uint32_t> symbols_;
   std::vector<uint8_t> text_;
   std::vector<uint8_t> data_;

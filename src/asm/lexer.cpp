@@ -102,6 +102,9 @@ void Tokens::lex(std::string_view line, int line_no) {
 
     const bool neg = (c == '-');
     if (neg || (c >= '0' && c <= '9')) {
+      // Every value the assembler encodes fits 32 bits; bounding the
+      // magnitude here also keeps label+offset arithmetic in range.
+      constexpr int64_t kMaxMagnitude = 0xFFFFFFFF;
       size_t j = i + (neg ? 1 : 0);
       if (j >= n || line[j] < '0' || line[j] > '9') {
         if (neg) { push(TokKind::kMinus, line.substr(start, 1), 0, start); ++i; continue; }
@@ -118,11 +121,13 @@ void Tokens::lex(std::string_view line, int line_no) {
           else if (h >= 'A' && h <= 'F') digit = h - 'A' + 10;
           else break;
           value = value * 16 + digit;
+          if (value > kMaxMagnitude) throw AsmError(line_no, "integer literal out of range");
           ++j;
         }
       } else {
         while (j < n && line[j] >= '0' && line[j] <= '9') {
           value = value * 10 + (line[j] - '0');
+          if (value > kMaxMagnitude) throw AsmError(line_no, "integer literal out of range");
           ++j;
         }
       }

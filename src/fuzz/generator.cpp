@@ -428,25 +428,23 @@ class Gen {
 
   // Stores into the program's own code pages (see GenOptions). The
   // same-word rewrite loads an instruction word and stores it back
-  // unchanged; the patch variant copies a donor instruction word over a
-  // patch site, so the site's semantics actually change the first time
-  // around (and keep being stored every outer iteration after that).
+  // unchanged. The patch variant swaps two adjacent instruction words, a
+  // site and its donor, every time it runs, then executes both; the two
+  // do not commute (v+1 then v<<1, or v<<1 then v+1), so running either
+  // from a stale trace changes the victim register.
   void emit_code_store() {
     if (options_.smc_patch_stores && rng_.chance(50)) {
       const std::string site = label("patch");
-      const std::string donor = label("donor");
       const std::string t = treg();
-      instr("la $at, " + donor);
-      instr("lw " + t + ", 0($at)");
       instr("la $at, " + site);
-      instr("sw " + t + ", 0($at)");
+      instr("lw " + t + ", 0($at)");
+      instr("lw $v1, 4($at)");
+      instr("sw $v1, 0($at)");
+      instr("sw " + t + ", 4($at)");
       const std::string victim = treg();
       labeled(site);
       instr("addiu " + victim + ", " + victim + ", 1");
-      labeled(donor);
-      // The donor also executes in line; it is just as harmless as the
-      // word it replaces.
-      instr("addiu " + victim + ", " + victim + ", 3");
+      instr("sll " + victim + ", " + victim + ", 1");
     } else {
       const int off = rng_.range(0, 63) * 4;
       instr("lw $at, " + std::to_string(off) + "($t9)");

@@ -80,10 +80,11 @@ struct GenOptions {
   // no-op, so it is safe for the accel-vs-baseline transparency oracle,
   // but it forces the host trace/decode caches through their
   // store-into-code and revalidation paths. smc_patch_stores goes further
-  // and patches a site with a DIFFERENT donor instruction word; that is
-  // real self-modifying code, which stale rcache configurations do not
-  // revalidate against, so it is only legal in fast-vs-slow dispatch
-  // campaigns (both sides share the rcache behavior, whatever it is).
+  // and swaps a site with a DIFFERENT, non-commuting donor instruction
+  // word every time the patch runs; that is real self-modifying code,
+  // which stale rcache configurations do not revalidate against, so it is
+  // only legal in fast-vs-slow dispatch campaigns (both sides share the
+  // rcache behavior, whatever it is).
   bool code_page_stores = false;
   bool smc_patch_stores = false;
   // Hammock bait for the if-conversion path: forward branches over short

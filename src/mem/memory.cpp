@@ -45,6 +45,7 @@ uint32_t Memory::read32(uint32_t addr) const {
 }
 
 void Memory::write8(uint32_t addr, uint8_t value) {
+  ++writes_;
   page_for(addr)[addr & (kPageSize - 1)] = value;
 }
 
@@ -57,6 +58,7 @@ void Memory::write32(uint32_t addr, uint32_t value) {
   Page& p = page_for(addr);
   const uint32_t off = addr & (kPageSize - 1);
   if (off + 4 <= kPageSize) {
+    ++writes_;
     p[off] = static_cast<uint8_t>(value);
     p[off + 1] = static_cast<uint8_t>(value >> 8);
     p[off + 2] = static_cast<uint8_t>(value >> 16);
@@ -69,6 +71,7 @@ void Memory::write32(uint32_t addr, uint32_t value) {
 
 void Memory::write_block(uint32_t addr, const uint8_t* data, size_t size) {
   // One page span at a time; the address wraps at 2^32 like write8 does.
+  ++writes_;
   size_t done = 0;
   while (done < size) {
     const uint32_t at = addr + static_cast<uint32_t>(done);
@@ -152,6 +155,7 @@ void Memory::restore_pages(
                                   std::to_string(kPageSize));
     }
   }
+  ++writes_;
   pages_.clear();
   for (const auto& [key, bytes] : pages) pages_[key] = bytes;
 }

@@ -32,6 +32,13 @@ class Memory {
   // Number of distinct pages touched (used by tests and stats).
   size_t pages_allocated() const { return pages_.size(); }
 
+  // Count of writes made through this API (write8/16/32, write_block,
+  // restore_pages); it only ever grows, and a copy carries it along. The
+  // trace cache stamps each trace with it, so a trace whose stamp still
+  // matches skips re-comparing its words. Stores through page_data_mut()
+  // are not counted: their one user, the trace executor, tracks its own.
+  uint64_t writes() const { return writes_; }
+
   // Content hash over all allocated pages — used by the transparency
   // property tests to compare baseline vs accelerated final memory state.
   uint64_t content_hash() const;
@@ -78,6 +85,7 @@ class Memory {
   const Page* find_page(uint32_t addr) const;
 
   std::unordered_map<uint32_t, Page> pages_;
+  uint64_t writes_ = 0;
 };
 
 }  // namespace dim::mem

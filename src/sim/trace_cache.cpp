@@ -1,5 +1,8 @@
 #include "sim/trace_cache.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "isa/decoder.hpp"
 
 namespace dim::sim {
@@ -165,7 +168,7 @@ void commit_folded(const Trace& t, const TraceExecResult& res, PipelineModel& pi
 
 }  // namespace
 
-bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) const {
+bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) {
   t.ops.clear();
   t.words.clear();
   t.stall_prefix.clear();
@@ -195,6 +198,9 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
   if (((t.end64 - 1) >> mem::Memory::kPageBits) == (pc >> mem::Memory::kPageBits)) {
     t.code_page = memory.page_data(pc);
   }
+  t.stamp = stamp(memory);
+  code_lo_ = std::min<uint64_t>(code_lo_, t.start_pc);
+  code_hi_ = std::max(code_hi_, t.end64);
   t.stall_prefix.assign(t.ops.size() + 1, 0);
   int pending = -1;  // entry assumption; op 0's correction is dynamic
   for (size_t k = 0; k < t.ops.size(); ++k) {
@@ -212,8 +218,11 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) c
 }
 
 bool TraceCache::validate(const Trace& t, const mem::Memory& memory) const {
+  // Words hold host-order copies of little-endian memory, so the one-page
+  // memcmp against the cached code page needs a little-endian host.
   if (t.code_page != nullptr && std::endian::native == std::endian::little) {
-    return code_page_matches(t);
+    return std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
+                       t.words.data(), t.words.size() * 4) == 0;
   }
   uint32_t addr = t.start_pc;
   size_t done = 0;
@@ -250,7 +259,11 @@ Trace* TraceCache::hot_trace_slow(uint32_t pc, const mem::Memory& memory) {
   if (h.head == pc) {
     if (h.rejected) return nullptr;
     Trace& t = pool_[h.trace];
-    if (validate(t, memory)) return &t;
+    ++stats_.word_checks;
+    if (validate(t, memory)) {
+      t.stamp = stamp(memory);
+      return &t;
+    }
     // Stale words (self-modifying code or image change without clear()):
     // rebuild from what memory holds now.
     ++stats_.revalidation_rebuilds;

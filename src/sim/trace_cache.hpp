@@ -35,11 +35,20 @@
 //     remembered) only when its first word cannot start a trace: syscall,
 //     break, invalid, or a straight-line op at 0xFFFFFFFC
 //
-// Invalidation:
-//   - every execution revalidates the trace's words against memory by
-//     memcmp: against the code page cached at formation when the trace
+// Invalidation (write stamps):
+//   - every write that could change a trace's words moves a counter:
+//     mem::Memory counts the writes made through its API (the slow path,
+//     the array core, loaders, tests), and the trace executor, whose
+//     stores go through a raw page pointer instead, bumps the cache's code
+//     epoch when a store lands in the union of all built traces' word
+//     ranges. A trace records memory.writes() + epoch when it is built or
+//     validated; an entry whose stamp still matches runs without looking
+//     at its words
+//   - on a stamp mismatch the entry revalidates the words against memory
+//     by memcmp: against the code page cached at formation when the trace
 //     lies in one allocated page, else one page lookup per page spanned.
-//     The cache is exact under self-modifying code just like DecodeCache
+//     Matching words re-stamp the trace; stale words rebuild it. The cache
+//     is exact under self-modifying code just like DecodeCache
 //   - a store *into the executing trace's own code range* finishes that
 //     store, then bails to the slow path (the interpreter would fetch the
 //     freshly written word; the trace must not keep running stale ops)
@@ -57,9 +66,7 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "isa/instruction.hpp"
@@ -122,6 +129,10 @@ struct Trace {
   // lives until its Memory's image is replaced, and TraceCache's clear(),
   // copy constructor and copy assignment drop the pointer.
   const uint8_t* code_page = nullptr;
+  // memory.writes() + code epoch when the words were last read or
+  // compared (see "Invalidation" above); kUnstamped forces a compare.
+  uint64_t stamp = kUnstamped;
+  static constexpr uint64_t kUnstamped = ~0ull;
   // Folded timing (valid when PipelineModel::fold_eligible):
   // stall_prefix[k] = number of internal load-use stalls among the first k
   // ops, assuming no pending load at entry (corrected dynamically from op
@@ -141,6 +152,7 @@ struct TraceStats {
   uint64_t executions = 0;      // trace entries that retired >= 1 op
   uint64_t ops_executed = 0;
   uint64_t folded_executions = 0;  // entries that used precomputed timing
+  uint64_t word_checks = 0;     // entries that compared words with memory
   uint64_t revalidation_rebuilds = 0;  // stale words at entry -> rebuilt
   uint64_t smc_bails = 0;       // store into the live trace's code range
   uint64_t rejected_heads = 0;  // head whose first word cannot start a trace
@@ -245,18 +257,28 @@ class TraceCache {
   TraceCache() : heads_(kSlots) {}
 
   // The data TLB and each trace's code page point into the source's
-  // Memory; a copied cache must not alias it, so copies start with a cold
-  // TLB and revalidate their traces through page lookups in their own
-  // Memory (where they cache nothing until rebuilt).
-  TraceCache(const TraceCache& o) : heads_(o.heads_), pool_(o.pool_), stats_(o.stats_) {
-    drop_code_pages();
+  // Memory, and each stamp counts the source's writes; a copied cache must
+  // not alias either, so copies start with a cold TLB, unstamped traces
+  // and no code pages: each trace revalidates once through page lookups
+  // in the copy's own Memory (where it caches no page until rebuilt).
+  TraceCache(const TraceCache& o)
+      : heads_(o.heads_),
+        pool_(o.pool_),
+        stats_(o.stats_),
+        code_epoch_(o.code_epoch_),
+        code_lo_(o.code_lo_),
+        code_hi_(o.code_hi_) {
+    detach_from_memory();
   }
   TraceCache& operator=(const TraceCache& o) {
     heads_ = o.heads_;
     pool_ = o.pool_;
     stats_ = o.stats_;
+    code_epoch_ = o.code_epoch_;
+    code_lo_ = o.code_lo_;
+    code_hi_ = o.code_hi_;
     tlb_ = DataTlb{};
-    drop_code_pages();
+    detach_from_memory();
     return *this;
   }
 
@@ -290,13 +312,17 @@ class TraceCache {
 
   // Drops every trace, head counter and cached page pointer. Must be
   // called whenever the backing image is replaced (Machine::reset,
-  // snapshot restore) — revalidation would catch stale words, but head
-  // heat, rejection flags, code pages and the TLB are not word-checked.
+  // snapshot restore): a new image restarts or replays Memory's write
+  // count, so a stale trace's stamp could match, and head heat, rejection
+  // flags, code pages and the TLB are not word-checked either.
   void clear() {
     std::fill(heads_.begin(), heads_.end(), Head{});
     pool_.clear();
     tlb_ = DataTlb{};
     stats_ = TraceStats{};
+    code_epoch_ = 0;
+    code_lo_ = kNoCode;
+    code_hi_ = 0;
   }
 
   const TraceStats& stats() const { return stats_; }
@@ -338,37 +364,47 @@ class TraceCache {
   static size_t slot_index(uint32_t pc) { return (pc >> 2) & (kSlots - 1); }
 
   // Returns the valid hot trace at `pc`, or nullptr (slow path). The common
-  // case, an established head whose words still match its cached code
-  // page, is inline; heat accounting, revalidation through page lookups
-  // and (re)formation are not. May grow pool_, which moves every Trace: a
-  // returned pointer is good until the next call.
+  // case, an established head whose stamp still matches, is inline; heat
+  // accounting, word compares and (re)formation are not. May grow pool_,
+  // which moves every Trace: a returned pointer is good until the next
+  // call.
   Trace* hot_trace(uint32_t pc, const mem::Memory& memory) {
     Head& h = heads_[slot_index(pc)];
     if (h.head == pc && !h.rejected) {
       Trace& t = pool_[h.trace];
-      if (t.code_page != nullptr && code_page_matches(t)) return &t;
+      if (t.stamp == stamp(memory)) return &t;
     }
     return hot_trace_slow(pc, memory);
   }
   Trace* hot_trace_slow(uint32_t pc, const mem::Memory& memory);
 
-  bool build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) const;
+  // The value a trace whose words match memory right now records.
+  uint64_t stamp(const mem::Memory& memory) const { return memory.writes() + code_epoch_; }
+
+  // Reads the trace at `pc` from memory, stamps it and widens the code
+  // range to cover it.
+  bool build_trace(Trace& t, uint32_t pc, const mem::Memory& memory);
+  // The trace's words still match memory (the stamp-mismatch path).
   bool validate(const Trace& t, const mem::Memory& memory) const;
-  // The trace's words still match its cached code page (little-endian
-  // hosts only: words hold host-order copies of little-endian memory).
-  static bool code_page_matches(const Trace& t) {
-    return std::endian::native == std::endian::little &&
-           std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
-                       t.words.data(), t.words.size() * 4) == 0;
+  void detach_from_memory() {
+    for (Trace& t : pool_) {
+      t.code_page = nullptr;
+      t.stamp = Trace::kUnstamped;
+    }
   }
-  void drop_code_pages() {
-    for (Trace& t : pool_) t.code_page = nullptr;
-  }
+
+  static constexpr uint64_t kNoCode = ~0ull;
 
   std::vector<Head> heads_;
   std::vector<Trace> pool_;
   DataTlb tlb_;
   TraceStats stats_;
+  // Bumped by every executor store into [code_lo_, code_hi_), the union
+  // of the word ranges of all traces built since clear() (64-bit bounds,
+  // like Trace::end64; empty while code_lo_ is kNoCode).
+  uint64_t code_epoch_ = 0;
+  uint64_t code_lo_ = kNoCode;
+  uint64_t code_hi_ = 0;
 };
 
 // --- Core trace executor -----------------------------------------------
@@ -397,15 +433,19 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
   uint32_t* const r = st.regs.data();
   r[0] = 0;  // step() maintains this invariant after every retire
   DataTlb& tlb = tlb_;
+  const uint64_t code_lo = code_lo_;  // fixed while a trace runs
+  const uint64_t code_hi = code_hi_;
   const TraceOp* const first = t.ops.data();
   const TraceOp* const end = first + limit;
   const TraceOp* op = first;
 
 // Handler epilogues. RETIRE_LINEAR advances past a straight-line op;
 // BRANCH leaves at the target when taken and advances like RETIRE_LINEAR
-// when not; terminals set the next PC and leave. A store that hit the
-// trace's own code range retires normally, then bails (the interpreter
-// would fetch the freshly written word for the next op).
+// when not; terminals set the next PC and leave. A store into any trace's
+// code range bumps the code epoch, so every trace compares its words at
+// its next entry; one that hit this trace's own range also retires
+// normally, then bails (the interpreter would fetch the freshly written
+// word for the next op).
 #define DIMSIM_RETIRE(next_pc, taken, memacc, addr) \
   env.retired(*op, (next_pc), (taken), (memacc), (addr))
 
@@ -435,11 +475,14 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
   do {                                                                        \
     DIMSIM_RETIRE(op->pc + 4, false, true, (addr));                           \
     const uint64_t a64 = static_cast<uint64_t>(addr);                         \
-    if (a64 + (width) > t.start_pc && a64 < t.end64) {                        \
-      ++stats_.smc_bails;                                                     \
-      st.pc = op->pc + 4;                                                     \
-      ++op;                                                                   \
-      goto out;                                                               \
+    if (a64 + (width) > code_lo && a64 < code_hi) {                           \
+      ++code_epoch_;                                                          \
+      if (a64 + (width) > t.start_pc && a64 < t.end64) {                      \
+        ++stats_.smc_bails;                                                   \
+        st.pc = op->pc + 4;                                                   \
+        ++op;                                                                 \
+        goto out;                                                             \
+      }                                                                       \
     }                                                                         \
     DIMSIM_NEXT();                                                            \
   } while (0)

@@ -109,11 +109,11 @@ constexpr std::array<uint8_t, 256> make_inv_sbox() {
   return inv;
 }
 
-uint8_t xtime(uint8_t x) {
+constexpr uint8_t xtime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1B : 0x00));
 }
 
-uint8_t gmul(uint8_t a, uint8_t b) {
+constexpr uint8_t gmul(uint8_t a, uint8_t b) {
   uint8_t p = 0;
   for (int i = 0; i < 8; ++i) {
     if (b & 1) p ^= a;
@@ -122,6 +122,18 @@ uint8_t gmul(uint8_t a, uint8_t b) {
   }
   return p;
 }
+
+// x -> gmul(x, k) for InvMixColumns' four constants, built at compile time.
+constexpr std::array<uint8_t, 256> make_mul_table(uint8_t k) {
+  std::array<uint8_t, 256> t{};
+  for (int x = 0; x < 256; ++x) t[static_cast<size_t>(x)] = gmul(static_cast<uint8_t>(x), k);
+  return t;
+}
+
+constexpr std::array<uint8_t, 256> kMul9 = make_mul_table(9);
+constexpr std::array<uint8_t, 256> kMul11 = make_mul_table(11);
+constexpr std::array<uint8_t, 256> kMul13 = make_mul_table(13);
+constexpr std::array<uint8_t, 256> kMul14 = make_mul_table(14);
 
 }  // namespace
 
@@ -197,10 +209,10 @@ std::array<uint8_t, 16> Aes128::decrypt(const std::array<uint8_t, 16>& block) co
       for (int c = 0; c < 4; ++c) {
         uint8_t* col = &s[static_cast<size_t>(4 * c)];
         const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-        col[1] = static_cast<uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-        col[2] = static_cast<uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-        col[3] = static_cast<uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
+        col[0] = static_cast<uint8_t>(kMul14[a0] ^ kMul11[a1] ^ kMul13[a2] ^ kMul9[a3]);
+        col[1] = static_cast<uint8_t>(kMul9[a0] ^ kMul14[a1] ^ kMul11[a2] ^ kMul13[a3]);
+        col[2] = static_cast<uint8_t>(kMul13[a0] ^ kMul9[a1] ^ kMul14[a2] ^ kMul11[a3]);
+        col[3] = static_cast<uint8_t>(kMul11[a0] ^ kMul13[a1] ^ kMul9[a2] ^ kMul14[a3]);
       }
     }
   }

@@ -31,8 +31,10 @@ Workload make_bitcount(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "nibtab:\n" + dot_words(nibble_table);
-  src += "data:\n" + dot_words(data);
+  src += "nibtab:\n";
+  append_words(src, nibble_table);
+  src += "data:\n";
+  append_words(src, data);
   src += "        .text\n";
   src += "main:   li $s7, 0             # total\n";
   src += "        la $s0, data\n";

@@ -18,8 +18,10 @@ Workload make_crc32(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "table:\n" + dot_words(golden::crc32_table());
-  src += "data:\n" + dot_bytes(data);
+  src += "table:\n";
+  append_words(src, golden::crc32_table());
+  src += "data:\n";
+  append_bytes(src, data);
   src += "        .text\n";
   src += "main:   la $s0, table\n";
   src += "        la $s1, data\n";

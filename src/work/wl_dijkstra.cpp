@@ -56,7 +56,8 @@ Workload make_dijkstra(int scale) {
 
   std::string src_text;
   src_text += "        .data\n";
-  src_text += "adj:\n" + dot_words(adj);
+  src_text += "adj:\n";
+  append_words(src_text, adj);
   src_text += "dist:   .space " + std::to_string(4 * n) + "\n";
   src_text += "vis:    .space " + std::to_string(4 * n) + "\n";
   src_text += "        .text\n";

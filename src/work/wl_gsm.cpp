@@ -22,9 +22,10 @@ std::vector<int16_t> gsm_input(int n) {
   return samples;
 }
 
-std::string reflection_data() {
+void append_reflection_data(std::string& src) {
   std::vector<int32_t> k(golden::kGsmReflection.begin(), golden::kGsmReflection.end());
-  return "ktab:\n" + dot_words_i(k);
+  src += "ktab:\n";
+  append_words_i(src, k);
 }
 
 uint32_t out_checksum(const std::vector<int16_t>& out) {
@@ -79,8 +80,9 @@ Workload make_gsm_e(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += reflection_data();
-  src += "pcm:\n" + dot_halfs(samples);
+  append_reflection_data(src);
+  src += "pcm:\n";
+  append_halfs(src, samples);
   src += "umem:   .space 32\n";  // u[0..7] as words
   src += "        .text\n";
   src += "main:   la $s0, ktab\n";
@@ -161,8 +163,9 @@ Workload make_gsm_d(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += reflection_data();
-  src += "res:\n" + dot_halfs(residual);
+  append_reflection_data(src);
+  src += "res:\n";
+  append_halfs(src, residual);
   src += "vmem:   .space 36\n";  // v[0..8] as words
   src += "        .text\n";
   src += "main:   la $s0, ktab\n";

@@ -103,13 +103,13 @@ uint32_t rle_checksum(const int32_t* q) {
 }
 
 // The DCT cosine table and quantization matrix as .data.
-std::string tables_data() {
+void append_tables_data(std::string& out) {
   std::vector<int32_t> cos_table(golden::kDctCos14.begin(), golden::kDctCos14.end());
   std::vector<int32_t> quant(golden::kJpegQuant.begin(), golden::kJpegQuant.end());
-  std::string out;
-  out += "costab:\n" + dot_words_i(cos_table);
-  out += "quant:\n" + dot_words_i(quant);
-  return out;
+  out += "costab:\n";
+  append_words_i(out, cos_table);
+  out += "quant:\n";
+  append_words_i(out, quant);
 }
 
 }  // namespace
@@ -125,9 +125,11 @@ Workload make_jpeg_e(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += tables_data();
-  src += "zig:\n" + dot_words_i(std::vector<int32_t>(kZigzag.begin(), kZigzag.end()));
-  src += "img:\n" + dot_bytes(img);
+  append_tables_data(src);
+  src += "zig:\n";
+  append_words_i(src, std::vector<int32_t>(kZigzag.begin(), kZigzag.end()));
+  src += "img:\n";
+  append_bytes(src, img);
   src += "blk:    .space 256\n";   // centered input, int32
   src += "tmp:    .space 256\n";   // stage-1 output, int32
   src += "qblk:   .space 256\n";   // quantized coefficients, int32
@@ -304,8 +306,9 @@ Workload make_jpeg_d(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += tables_data();
-  src += "coef:\n" + dot_words_i(coeffs);
+  append_tables_data(src);
+  src += "coef:\n";
+  append_words_i(src, coeffs);
   src += "deq:    .space 256\n";
   src += "tmp:    .space 256\n";
   src += "        .text\n";

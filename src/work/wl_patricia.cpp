@@ -3,8 +3,6 @@
 // bit — no hot kernel, many small basic blocks.
 #include <algorithm>
 #include <bit>
-#include <iterator>
-#include <set>
 
 #include "work/asmgen.hpp"
 #include "work/golden.hpp"
@@ -29,9 +27,11 @@ Workload make_patricia(int scale) {
     }
   }
 
-  std::set<uint32_t> present(keys.begin(), keys.end());
-  uint32_t hits = 0;
-  for (uint32_t q : queries) hits += present.count(q) ? 1 : 0;
+  // The distinct keys, sorted: one lower_bound per query finds both its
+  // membership (hits) and its sorted neighbours.
+  std::vector<uint32_t> present(keys);
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end()), present.end());
 
   // Longest-prefix-match pass (the routing-table lookup patricia exists
   // for): for each query, the depth of the deepest trie node on its path,
@@ -42,12 +42,16 @@ Workload make_patricia(int scale) {
   auto common_bits = [](uint32_t a, uint32_t b) {
     return static_cast<uint32_t>(std::countl_zero(static_cast<uint16_t>(a ^ b)));
   };
+  uint32_t hits = 0;
   uint32_t lpm_sum = 0;
   for (uint32_t q : queries) {
     uint32_t depth = 0;
-    const auto next = present.lower_bound(q);
-    if (next != present.end()) depth = common_bits(q, *next);
-    if (next != present.begin()) depth = std::max(depth, common_bits(q, *std::prev(next)));
+    const auto next = std::lower_bound(present.begin(), present.end(), q);
+    if (next != present.end()) {
+      hits += *next == q ? 1 : 0;
+      depth = common_bits(q, *next);
+    }
+    if (next != present.begin()) depth = std::max(depth, common_bits(q, next[-1]));
     lpm_sum += depth;
   }
   const uint32_t combined = hits + 17u * lpm_sum;
@@ -58,8 +62,10 @@ Workload make_patricia(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "keys:\n" + dot_words(keys);
-  src += "qrys:\n" + dot_words(queries);
+  src += "keys:\n";
+  append_words(src, keys);
+  src += "qrys:\n";
+  append_words(src, queries);
   src += "pool:   .space " + std::to_string(pool_bytes) + "\n";
   src += "        .text\n";
   src += "main:   la $s0, pool          # root node\n";

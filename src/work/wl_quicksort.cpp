@@ -39,9 +39,12 @@ Workload make_quicksort(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "xs:\n" + dot_halfs(xs);
-  src += "ys:\n" + dot_halfs(ys);
-  src += "zs:\n" + dot_halfs(zs);
+  src += "xs:\n";
+  append_halfs(src, xs);
+  src += "ys:\n";
+  append_halfs(src, ys);
+  src += "zs:\n";
+  append_halfs(src, zs);
   src += "        .align 2\n";
   src += "arr:    .space " + std::to_string(4 * n) + "\n";
   src += "stack:  .space " + std::to_string(8 * (n + 4)) + "\n";

@@ -23,13 +23,13 @@ std::vector<int16_t> audio_samples(int n) {
   return samples;
 }
 
-std::string step_tables_data() {
+void append_step_tables(std::string& out) {
   std::vector<uint32_t> step(golden::kAdpcmStepTable.begin(), golden::kAdpcmStepTable.end());
   std::vector<int32_t> idx(golden::kAdpcmIndexTable.begin(), golden::kAdpcmIndexTable.end());
-  std::string out;
-  out += "steptab:\n" + dot_words(step);
-  out += "idxtab:\n" + dot_words_i(idx);
-  return out;
+  out += "steptab:\n";
+  append_words(out, step);
+  out += "idxtab:\n";
+  append_words_i(out, idx);
 }
 
 // Shared decoder core: takes code in $t0, updates valpred=$s3 index=$s4,
@@ -101,8 +101,9 @@ Workload make_rawaudio_e(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += step_tables_data();
-  src += "pcm:\n" + dot_halfs(samples);
+  append_step_tables(src);
+  src += "pcm:\n";
+  append_halfs(src, samples);
   src += "        .text\n";
   src += "main:   la $s0, steptab\n";
   src += "        la $s1, idxtab\n";
@@ -172,8 +173,9 @@ Workload make_rawaudio_d(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += step_tables_data();
-  src += "codes:\n" + dot_bytes(codes);
+  append_step_tables(src);
+  src += "codes:\n";
+  append_bytes(src, codes);
   src += "        .text\n";
   src += "main:   la $s0, steptab\n";
   src += "        la $s1, idxtab\n";

@@ -206,12 +206,15 @@ std::string common_data(const std::vector<uint8_t>& text_bytes, bool decrypt) {
   std::vector<uint8_t> rk(aes.round_keys.begin(), aes.round_keys.end());
   std::string out;
   out += "        .data\n";
-  out += "sbox:\n" + dot_bytes(std::vector<uint8_t>(
-                         (decrypt ? golden::kAesInvSbox : golden::kAesSbox).begin(),
-                         (decrypt ? golden::kAesInvSbox : golden::kAesSbox).end()));
-  out += "map:\n" + dot_bytes(decrypt ? dec_map() : enc_map());
-  out += "rk:\n" + dot_words(pack_le(rk));
-  out += "input:\n" + dot_words(pack_le(text_bytes));
+  const std::array<uint8_t, 256>& sbox = decrypt ? golden::kAesInvSbox : golden::kAesSbox;
+  out += "sbox:\n";
+  append_bytes(out, std::vector<uint8_t>(sbox.begin(), sbox.end()));
+  out += "map:\n";
+  append_bytes(out, decrypt ? dec_map() : enc_map());
+  out += "rk:\n";
+  append_words(out, pack_le(rk));
+  out += "input:\n";
+  append_words(out, pack_le(text_bytes));
   out += "st:     .space 16\n";
   out += "tb:     .space 16\n";
   return out;

@@ -58,7 +58,8 @@ Workload make_sha(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "msg:\n" + dot_bytes(data);
+  src += "msg:\n";
+  append_bytes(src, data);
   src += "        .align 2\n";
   src += "blk:    .space 64\n";   // staging for the current (padded) block
   src += "wbuf:   .space 320\n";  // W[0..79]

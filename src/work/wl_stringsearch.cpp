@@ -62,9 +62,12 @@ Workload make_stringsearch(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += "text:\n" + dot_bytes(text);
-  src += "plens:\n" + dot_words(plens);
-  src += "pats:\n" + dot_bytes(pbytes);
+  src += "text:\n";
+  append_bytes(src, text);
+  src += "plens:\n";
+  append_words(src, plens);
+  src += "pats:\n";
+  append_bytes(src, pbytes);
   src += "skip:   .space 1024\n";
   src += "        .text\n";
   src += "main:   li $s7, 0             # matches (BMH)\n";

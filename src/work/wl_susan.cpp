@@ -28,8 +28,9 @@ std::vector<uint8_t> make_image(int w, int h) {
   return img;
 }
 
-std::string image_data(const std::vector<uint8_t>& img) {
-  return "img:\n" + dot_bytes(img);
+void append_image_data(std::string& src, const std::vector<uint8_t>& img) {
+  src += "img:\n";
+  append_bytes(src, img);
 }
 
 }  // namespace
@@ -46,8 +47,9 @@ Workload make_susan_s(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += image_data(img);
-  src += "lut:\n" + dot_words_i(lut);
+  append_image_data(src, img);
+  src += "lut:\n";
+  append_words_i(src, lut);
   src += "outbuf: .space " + std::to_string(w * h) + "\n";
   src += "        .text\n";
   src += "main:   la $s0, img\n";
@@ -171,8 +173,9 @@ Workload make_susan_c(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += image_data(img);
-  src += "mask:\n" + dot_words_i(mask_offsets);
+  append_image_data(src, img);
+  src += "mask:\n";
+  append_words_i(src, mask_offsets);
   src += "        .text\n";
   src += "main:   la $s0, img\n";
   src += "        la $s1, mask\n";
@@ -233,7 +236,7 @@ Workload make_susan_e(int scale) {
 
   std::string src;
   src += "        .data\n";
-  src += image_data(img);
+  append_image_data(src, img);
   src += "        .text\n";
   src += "main:   la $s0, img\n";
   src += R"(        li $s7, 0             # edges

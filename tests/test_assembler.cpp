@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,6 +261,147 @@ TEST(Assembler, ErrorMessagesAndLinesPinned) {
       EXPECT_EQ(e.line(), std::stoi(message.substr(5))) << source;
     }
   }
+}
+
+// Asserts that `source` fails to assemble with exactly `message`, whose
+// "line N: " prefix must also match AsmError::line().
+void expect_asm_error(const std::string& source, const std::string& message) {
+  try {
+    assemble(source);
+    ADD_FAILURE() << "no error for: " << source;
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.what(), message) << source;
+    EXPECT_EQ(e.line(), std::stoi(message.substr(5))) << source;
+  }
+}
+
+// Client-supplied text (a serve request's `source`) reaches the assembler,
+// so a literal or an alignment past what 32-bit code can use is an error
+// with its line, not arithmetic overflow.
+TEST(Assembler, DecimalLiteralPastThirtyTwoBitsIsAnError) {
+  expect_asm_error(".data\n.word 1\n.word 99999999999999999999\n",
+                   "line 3: integer literal out of range");
+  expect_asm_error("main: li $t0, -4294967296\n", "line 1: integer literal out of range");
+  // The largest magnitude still assembles (and truncates to the width).
+  const Program p = assemble(".data\nw: .word 4294967295, -4294967295\n");
+  mem::Memory m;
+  p.load_into(m);
+  EXPECT_EQ(m.read32(p.symbol("w")), 0xFFFFFFFFu);
+  EXPECT_EQ(m.read32(p.symbol("w") + 4), 1u);
+}
+
+TEST(Assembler, HexLiteralPastThirtyTwoBitsIsAnError) {
+  expect_asm_error("main: nop\n  li $t0, 0x8000000000000000\n",
+                   "line 2: integer literal out of range");
+  expect_asm_error(".data\n.word 0x100000000\n", "line 2: integer literal out of range");
+}
+
+TEST(Assembler, AlignExponentOutOfRangeIsAnError) {
+  expect_asm_error(".data\n.byte 1\n.align 40\n", "line 3: .align exponent out of range");
+  expect_asm_error(".data\n.align -1\n", "line 2: .align exponent out of range");
+  expect_asm_error(".data\n.align 32\n", "line 2: .align exponent out of range");
+}
+
+TEST(Assembler, SymbolOffsetPastThirtyTwoBitsIsAnError) {
+  expect_asm_error(".data\nx: .word 1\n.word x+99999999999999999999\n",
+                   "line 3: integer literal out of range");
+  expect_asm_error("main: la $t0, main+0x1000000000\n", "line 1: integer literal out of range");
+}
+
+// Random .byte/.half/.word lines in the forms the assembler accepts, with
+// the image bytes and label addresses computed here independently. Plain
+// decimal lists take the assembler's numeric fast path; labels, hex, char
+// literals, comments and missing or trailing commas take the lexer path.
+// Blanks, tabs and a trailing \r appear in both. Both paths must lay out
+// and encode every line the same way.
+TEST(Assembler, DataLinesMatchIndependentEncoding) {
+  std::mt19937_64 rng(0x5EEDDA7Au);
+  auto pick = [&](uint64_t n) { return rng() % n; };
+  auto blanks = [&](size_t min) {
+    std::string out(min + pick(3), ' ');
+    for (char& c : out) c = pick(3) == 0 ? '\t' : ' ';
+    return out;
+  };
+  const uint32_t base = AsmOptions{}.data_base;
+  std::string source = "        .data\n";
+  std::vector<uint8_t> expected;
+  std::vector<std::pair<std::string, uint32_t>> labels;
+  for (int line = 0; line < 3000; ++line) {
+    const uint32_t width = uint32_t{1} << pick(3);
+    const bool plain = pick(2) == 0;
+    while (expected.size() % width != 0) expected.push_back(0);
+    std::string text = blanks(0);
+    if (!plain && pick(4) == 0) {
+      const std::string name = "l" + std::to_string(line);
+      labels.emplace_back(name, base + static_cast<uint32_t>(expected.size()));
+      text += name + ":" + blanks(0);
+    }
+    text += width == 1 ? ".byte" : width == 2 ? ".half" : ".word";
+    const int count = 1 + static_cast<int>(pick(12));
+    for (int v = 0; v < count; ++v) {
+      int64_t value = 0;
+      std::string literal;
+      switch (plain ? pick(3) : pick(6)) {
+        case 0:  // small, either sign
+          value = static_cast<int64_t>(pick(600)) - 300;
+          literal = std::to_string(value);
+          break;
+        case 1:  // up to 0xFFFFFFFF: truncates to .byte/.half
+          value = static_cast<int64_t>(pick(0x100000000ull));
+          literal = std::to_string(value);
+          break;
+        case 2:  // down to -0xFFFFFFFF
+          value = -static_cast<int64_t>(pick(0x100000000ull));
+          literal = std::to_string(value);
+          break;
+        case 3: {  // hex
+          value = static_cast<int64_t>(pick(0x100000000ull));
+          char buf[16];
+          std::snprintf(buf, sizeof buf, pick(2) ? "0x%llx" : "0X%llX",
+                        static_cast<unsigned long long>(value));
+          literal = buf;
+          break;
+        }
+        case 4: {  // char literal
+          const char c = static_cast<char>('a' + pick(26));
+          value = c;
+          literal = std::string("'") + c + "'";
+          break;
+        }
+        default:  // escaped char literal
+          value = '\n';
+          literal = "'\\n'";
+          break;
+      }
+      if (v == 0) {
+        text += blanks(1);
+      } else if (plain || pick(5) != 0) {
+        text += blanks(0) + "," + blanks(0);
+      } else {
+        text += blanks(1);  // missing comma: the lexer path still takes it
+      }
+      text += literal;
+      const uint32_t word = static_cast<uint32_t>(value);
+      for (uint32_t b = 0; b < width; ++b) {
+        expected.push_back(static_cast<uint8_t>(word >> (8 * b)));
+      }
+    }
+    if (!plain && pick(4) == 0) text += blanks(0) + ",";  // trailing comma
+    if (!plain && pick(4) == 0) text += blanks(0) + (pick(2) ? "# note" : "// note");
+    text += blanks(0);
+    if (pick(5) == 0) text += "\r";
+    source += text + "\n";
+  }
+
+  const Program p = assemble(source);
+  ASSERT_EQ(p.segments.size(), 2u);
+  EXPECT_EQ(p.segments[1].base, base);
+  const std::vector<uint8_t>& bytes = p.segments[1].bytes;
+  ASSERT_EQ(bytes.size(), expected.size());
+  const auto diff = std::mismatch(bytes.begin(), bytes.end(), expected.begin());
+  EXPECT_TRUE(diff.first == bytes.end())
+      << "first differing byte at data offset " << (diff.first - bytes.begin());
+  for (const auto& [name, addr] : labels) EXPECT_EQ(p.symbol(name), addr) << name;
 }
 
 // FNV-1a over a program's entry, segments and symbol table (by name), so a

@@ -753,6 +753,174 @@ TEST(TraceCache, CopiedMachineValidatesAgainstItsOwnMemory) {
   }
 }
 
+// --- every way a write reaches a hot trace's words ----------------------
+//
+// A trace runs without comparing its words while its stamp matches
+// memory.writes() + the code epoch, so each path that can change code must
+// move one of the two. Each test below changes code through one path and
+// must stay bit-identical to the slow path.
+
+TEST(TraceCache, SlowPathStoreIntoHotTraceRebuildsIt) {
+  // `loop` is hot in the first phase. Between the phases, code reached
+  // once per phase (a head that is still warming up, so step() retires it)
+  // rewrites the immediate byte of `site` with sb: that slow-path store
+  // goes through Memory::write8, and the second phase must run the
+  // patched add.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li   $s0, 2
+        la   $t8, site
+        li   $t1, 7
+phase:
+        li   $t3, 40
+loop:
+        addiu $t5, $t5, 2
+site:
+        addiu $t0, $t0, 1
+        addiu $t3, $t3, -1
+        bne   $t3, $zero, loop
+        j     patch
+patch:
+        sb    $t1, 0($t8)
+        addiu $s0, $s0, -1
+        bne   $s0, $zero, phase
+        break
+)");
+  const RunResult fast = expect_dispatch_identical(p);
+  EXPECT_EQ(fast.state.regs[8], 40u * 1 + 40u * 7);  // $t0
+
+  Machine m(p);
+  m.run();
+  const TraceStats& st = m.trace_cache().stats();
+  EXPECT_GT(st.revalidation_rebuilds, 0u) << "patched word never noticed";
+  EXPECT_EQ(st.smc_bails, 0u) << "the patch ran inside a trace";
+}
+
+TEST(TraceCache, StoreFromOneTraceIntoAnotherRebuildsTheOther) {
+  // The patch code ends in a jump, so its stores run in traces that do
+  // not hold `site`: they bump the code epoch instead of bailing, and the
+  // victim trace must notice the new word at its next entry. The donors
+  // alternate, so the site changes on every iteration.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li   $t3, 60
+        la   $t6, donor_a
+        la   $t7, donor_b
+        la   $t8, site
+        j    loop
+victim:
+site:
+        addiu $t5, $t5, 1
+        addiu $t3, $t3, -1
+        bne   $t3, $zero, loop
+        break
+loop:
+        andi  $t4, $t3, 1
+        beq   $t4, $zero, even
+        lw    $t1, 0($t6)
+        sw    $t1, 0($t8)
+        j     victim
+even:
+        lw    $t1, 0($t7)
+        sw    $t1, 0($t8)
+        j     victim
+donor_a:
+        addiu $t5, $t5, 3
+donor_b:
+        addiu $t5, $t5, 5
+)");
+  const RunResult fast = expect_dispatch_identical(p);
+  EXPECT_EQ(fast.state.regs[13], 30u * 3 + 30u * 5);  // $t5
+
+  Machine m(p);
+  m.run();
+  const TraceStats& st = m.trace_cache().stats();
+  EXPECT_GT(st.revalidation_rebuilds, 20u) << "the victim ran stale";
+  EXPECT_EQ(st.smc_bails, 0u) << "a store hit its own trace";
+}
+
+TEST(TraceCache, MemoryWriteBetweenBudgetedRunsRebuilds) {
+  // The host patches code through Memory::write32 while the machine is
+  // paused between two budgeted run() calls; the resumed run must execute
+  // the new word.
+  const asmblr::Program p = asmblr::assemble(kHotLoop);
+  isa::Instr subu;  // replaces `xor $t2, $t1, $t3`
+  subu.op = isa::Op::kSubu;
+  subu.rd = 10;
+  subu.rs = 9;
+  subu.rt = 11;
+  const uint32_t site = p.symbol("loop") + 8;
+
+  auto run_patched = [&](bool fast, TraceStats* stats) {
+    MachineConfig cfg;
+    cfg.host_trace_dispatch = fast;
+    cfg.max_instructions = 500;
+    Machine m(p, cfg);
+    EXPECT_TRUE(m.run().hit_limit);
+    m.memory().write32(site, isa::encode(subu));
+    RunResult r = m.run();
+    while (r.hit_limit) r = m.run();
+    *stats = m.trace_cache().stats();
+    return r;
+  };
+  TraceStats slow_stats;
+  TraceStats fast_stats;
+  const RunResult slow = run_patched(false, &slow_stats);
+  const RunResult fast = run_patched(true, &fast_stats);
+  EXPECT_EQ(slow.cycles, fast.cycles);
+  EXPECT_EQ(slow.memory_hash, fast.memory_hash);
+  expect_same_state(slow.state, fast.state);
+  EXPECT_GT(fast_stats.revalidation_rebuilds, 0u) << "patched word never noticed";
+}
+
+TEST(TraceCache, ResetToDifferentCodeMatchesSlowPath) {
+  // Machine::reset replaces the image with one whose loop holds different
+  // words at the same addresses, and restarts Memory's write count. Fast
+  // and slow machines must agree after the reset as before it.
+  const asmblr::Program a = asmblr::assemble(kHotLoop);
+  std::string variant = kHotLoop;
+  const std::string xor_line = "xor   $t2, $t1, $t3";
+  const size_t at = variant.find(xor_line);
+  ASSERT_NE(at, std::string::npos);
+  variant.replace(at, xor_line.size(), "subu  $t2, $t1, $t3");
+  const asmblr::Program b = asmblr::assemble(variant);
+  ASSERT_EQ(a.symbol("loop"), b.symbol("loop"));
+
+  auto run_reset = [&](bool fast) {
+    MachineConfig cfg;
+    cfg.host_trace_dispatch = fast;
+    Machine m(a, cfg);
+    m.run();
+    m.reset(b);
+    return m.run();
+  };
+  const RunResult slow = run_reset(false);
+  const RunResult fast = run_reset(true);
+  EXPECT_EQ(slow.instructions, fast.instructions);
+  EXPECT_EQ(slow.cycles, fast.cycles);
+  EXPECT_EQ(slow.memory_hash, fast.memory_hash);
+  expect_same_state(slow.state, fast.state);
+  EXPECT_EQ(fast.state.regs[13], run_baseline(b).state.regs[13]);  // $t5
+}
+
+TEST(TraceCache, ScaleOneBaselinesCompareWordsRarely) {
+  // With write stamps, an entry compares its words with memory only after
+  // a write that could have changed them. The 18 kernels at scale 1 enter
+  // traces over a million times; a few dozen entries follow such a write.
+  uint64_t word_checks = 0;
+  uint64_t executions = 0;
+  for (const std::string& name : work::workload_names()) {
+    const work::Workload wl = work::make_workload(name, 1);
+    Machine m(asmblr::assemble(wl.source));
+    const RunResult r = m.run();
+    EXPECT_EQ(r.state.output, wl.expected_output) << name;
+    word_checks += m.trace_cache().stats().word_checks;
+    executions += m.trace_cache().stats().executions;
+  }
+  EXPECT_LE(word_checks, 100u);
+  EXPECT_GT(executions, 1'000'000u);
+}
+
 std::string stats_json(const accel::AccelStats& stats) {
   std::ostringstream out;
   accel::write_json(out, stats, "cmp");
@@ -805,6 +973,62 @@ TEST(TraceCache, AcceleratedStatsAndEventsIdentical) {
                 free_proc_cycles + bt_cost * slow_stats.config_words_written);
     }
   }
+}
+
+TEST(TraceCache, AcceleratedArrayStoreIntoCodeMatchesSlowPath) {
+  // The patch block (four ops after a branch) becomes an array
+  // configuration, so its store into `site` runs on the array through
+  // Memory::write32. The victim block is too short to translate and runs
+  // on the core, through its trace; with speculation off DIM cannot merge
+  // it into a configuration either.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li   $t3, 200
+        la   $t6, donor_a
+        la   $t7, donor_b
+        la   $t8, site
+        j    loop
+victim:
+site:
+        addiu $t5, $t5, 1
+        addiu $t3, $t3, -1
+        bne   $t3, $zero, loop
+        break
+loop:
+        andi  $t4, $t3, 1
+        beq   $t4, $zero, even
+        lw    $t1, 0($t6)
+        addu  $t9, $t9, $t1
+        sw    $t1, 0($t8)
+        addiu $t2, $t2, 1
+        j     victim
+even:
+        lw    $t1, 0($t7)
+        addu  $t9, $t9, $t1
+        sw    $t1, 0($t8)
+        addiu $t2, $t2, 1
+        j     victim
+donor_a:
+        addiu $t5, $t5, 3
+donor_b:
+        addiu $t5, $t5, 5
+)");
+  const accel::SystemConfig base =
+      accel::SystemConfig::with(rra::ArrayShape::config2(), 64, /*spec=*/false);
+  accel::SystemConfig slow_cfg = base;
+  slow_cfg.machine.host_trace_dispatch = false;
+  accel::AcceleratedSystem slow(p, slow_cfg);
+  const accel::AccelStats slow_stats = slow.run();
+  accel::SystemConfig fast_cfg = base;
+  fast_cfg.machine.host_trace_dispatch = true;
+  accel::AcceleratedSystem fast(p, fast_cfg);
+  const accel::AccelStats fast_stats = fast.run();
+
+  EXPECT_EQ(stats_json(slow_stats), stats_json(fast_stats));
+  EXPECT_EQ(fast_stats.final_state.regs[13], 100u * 3 + 100u * 5);  // $t5
+  EXPECT_GT(fast_stats.array_activations, 0u);
+  EXPECT_GT(fast.trace_cache().stats().revalidation_rebuilds, 20u)
+      << "the victim trace ran stale";
 }
 
 TEST(TraceCache, AcceleratedDispatchAtTraceInteriorPc) {
