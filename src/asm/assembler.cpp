@@ -1,5 +1,6 @@
 #include "asm/assembler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <functional>
@@ -124,7 +125,24 @@ class Assembler {
     }
   }
 
-  uint32_t& loc() { return section_ == 0 ? text_loc_ : data_loc_; }
+  uint64_t& loc() { return section_ == 0 ? text_loc_ : data_loc_; }
+  uint32_t here() { return static_cast<uint32_t>(loc()); }
+
+  // Moves the current section's location counter to `to` and widens the
+  // section's image, [base, top), to reach it. The counter is 64-bit, so
+  // a size, alignment or address that would carry it past 2^32 is seen
+  // here rather than wrapping into a 4 GiB image.
+  void set_loc(uint64_t to, int line_no) {
+    if (to > (uint64_t{1} << 32)) {
+      throw AsmError(line_no, "location counter wraps past 0xFFFFFFFF");
+    }
+    uint64_t& top = section_ == 0 ? text_top_ : data_top_;
+    top = std::max(top, to);
+    if (top > section_base(section_) + kMaxSectionBytes) {
+      throw AsmError(line_no, "section image exceeds 64 MiB");
+    }
+    loc() = to;
+  }
 
   void define_label_at(std::string_view view, uint32_t addr, int line_no) {
     std::string name(view);
@@ -133,12 +151,11 @@ class Assembler {
   }
 
   void define_label(std::string_view name, int line_no) {
-    define_label_at(name, loc(), line_no);
+    define_label_at(name, here(), line_no);
   }
 
-  void align_to(uint32_t alignment) {
-    uint32_t& l = loc();
-    l = (l + alignment - 1) & ~(alignment - 1);
+  void align_to(uint32_t alignment, int line_no) {
+    set_loc((loc() + alignment - 1) & ~uint64_t{alignment - 1}, line_no);
   }
 
   // Pass 1's path for the bulk of generated kernels: a line that is exactly
@@ -194,15 +211,15 @@ class Assembler {
       if (*p != ',') return fall_back();
       ++p;
     }
-    align_to(width);
+    align_to(width, line_no);
     Statement s;
     s.line_no = line_no;
     s.section = section_;
-    s.addr = loc();
+    s.addr = here();
     s.size_bytes = static_cast<uint32_t>(packed_.size() - offset);
     s.packed = true;
     s.packed_offset = offset;
-    loc() += s.size_bytes;
+    set_loc(loc() + s.size_bytes, line_no);
     statements_.push_back(std::move(s));
     return true;
   }
@@ -249,12 +266,12 @@ class Assembler {
     }
 
     if (section_ != 0) throw AsmError(line_no, "instruction outside .text");
-    align_to(4);
+    align_to(4, line_no);
     s.section = 0;
-    s.addr = loc();
+    s.addr = here();
     bind_labels();
     s.size_bytes = instr_size(s);
-    loc() += s.size_bytes;
+    set_loc(loc() + s.size_bytes, line_no);
     statements_.push_back(std::move(s));
   }
 
@@ -329,46 +346,48 @@ class Assembler {
     if (m == ".text") {
       section_ = 0;
       if (!s.operands.empty()) {
-        text_loc_ = static_cast<uint32_t>(s.operands[0].value);
-        if (text_loc_ < text_base_) text_base_ = text_loc_;
+        const uint32_t at = static_cast<uint32_t>(s.operands[0].value);
+        text_base_ = std::min(text_base_, at);
+        set_loc(at, line_no);
       }
-      return loc();
+      return here();
     }
     if (m == ".data") {
       section_ = 1;
       if (!s.operands.empty()) {
-        data_loc_ = static_cast<uint32_t>(s.operands[0].value);
-        if (data_loc_ < data_base_) data_base_ = data_loc_;
+        const uint32_t at = static_cast<uint32_t>(s.operands[0].value);
+        data_base_ = std::min(data_base_, at);
+        set_loc(at, line_no);
       }
-      return loc();
+      return here();
     }
-    if (m == ".globl" || m == ".global" || m == ".ent" || m == ".end") return loc();
+    if (m == ".globl" || m == ".global" || m == ".ent" || m == ".end") return here();
 
     s.section = section_;
     if (m == ".align") {
       if (s.operands.empty()) throw AsmError(line_no, ".align needs an argument");
       const int64_t exponent = s.operands[0].value;
       if (exponent < 0 || exponent > 31) throw AsmError(line_no, ".align exponent out of range");
-      align_to(1u << exponent);
-      return loc();
+      align_to(1u << exponent, line_no);
+      return here();
     }
     if (m == ".word") {
-      align_to(4);
-      s.addr = loc();
+      align_to(4, line_no);
+      s.addr = here();
       s.size_bytes = static_cast<uint32_t>(s.operands.size()) * 4;
     } else if (m == ".half") {
-      align_to(2);
-      s.addr = loc();
+      align_to(2, line_no);
+      s.addr = here();
       s.size_bytes = static_cast<uint32_t>(s.operands.size()) * 2;
     } else if (m == ".byte") {
-      s.addr = loc();
+      s.addr = here();
       s.size_bytes = static_cast<uint32_t>(s.operands.size());
     } else if (m == ".space") {
       if (s.operands.empty()) throw AsmError(line_no, ".space needs a size");
-      s.addr = loc();
+      s.addr = here();
       s.size_bytes = static_cast<uint32_t>(s.operands[0].value);
     } else if (m == ".ascii" || m == ".asciiz") {
-      s.addr = loc();
+      s.addr = here();
       uint32_t bytes = 0;
       for (const std::string& str : s.strings)
         bytes += static_cast<uint32_t>(str.size()) + (m == ".asciiz" ? 1 : 0);
@@ -377,15 +396,15 @@ class Assembler {
       throw AsmError(line_no, "unknown directive: " + m);
     }
     const uint32_t addr = s.addr;
-    loc() += s.size_bytes;
+    set_loc(loc() + s.size_bytes, line_no);
     statements_.push_back(std::move(s));
     return addr;
   }
 
   // ---- pass 2: emission ----
   void emit_all() {
-    text_.assign(text_loc_ - text_base_, 0);
-    data_.assign(data_loc_ - data_base_, 0);
+    text_.assign(text_top_ > text_base_ ? text_top_ - text_base_ : 0, 0);
+    data_.assign(data_top_ > data_base_ ? data_top_ - data_base_ : 0, 0);
     for (const Statement& s : statements_) {
       if (s.packed) {
         auto& bytes = section_bytes(s.section);
@@ -737,11 +756,18 @@ class Assembler {
   }
 
   AsmOptions options_;
+  // Largest section image. Client-supplied text reaches the assembler (a
+  // serve request's `source`); the largest kernel segment at serve's
+  // maximum scale of 64 is 15.4 MB.
+  static constexpr uint64_t kMaxSectionBytes = uint64_t{64} << 20;
+
   uint32_t text_base_ = 0;  // lowest address used by each section
   uint32_t data_base_ = 0;
   int section_ = 0;
-  uint32_t text_loc_ = 0;
-  uint32_t data_loc_ = 0;
+  uint64_t text_loc_ = 0;  // location counters, at most 2^32
+  uint64_t data_loc_ = 0;
+  uint64_t text_top_ = 0;  // highest location reached (0 = none yet)
+  uint64_t data_top_ = 0;
   std::vector<Statement> statements_;
   Tokens toks_;  // reused for every line
   std::vector<uint8_t> packed_;  // encoded bytes of the numeric data lines

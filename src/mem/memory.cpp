@@ -8,76 +8,57 @@
 
 namespace dim::mem {
 
-Memory::Page& Memory::page_for(uint32_t addr) {
-  const uint32_t key = addr >> kPageBits;
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    it = pages_.emplace(key, Page(kPageSize, 0)).first;
+const uint8_t* Memory::find_page(uint32_t key) const {
+  if (cache_.entry[0].key == key) return cache_.entry[0].data;
+  if (cache_.entry[1].key != key) {
+    auto it = pages_.find(key);
+    if (it == pages_.end()) return nullptr;
+    // The entries serve writes too; the bytes are this Memory's own.
+    cache_.entry[1] = {key, const_cast<uint8_t*>(it->second.data())};
   }
-  return it->second;
+  std::swap(cache_.entry[0], cache_.entry[1]);
+  return cache_.entry[0].data;
 }
 
-const Memory::Page* Memory::find_page(uint32_t addr) const {
-  auto it = pages_.find(addr >> kPageBits);
-  return it == pages_.end() ? nullptr : &it->second;
-}
-
-uint8_t Memory::read8(uint32_t addr) const {
-  const Page* p = find_page(addr);
-  return p ? (*p)[addr & (kPageSize - 1)] : 0;
-}
-
-uint16_t Memory::read16(uint32_t addr) const {
-  return static_cast<uint16_t>(read8(addr) | (read8(addr + 1) << 8));
-}
-
-uint32_t Memory::read32(uint32_t addr) const {
-  // Fast path: whole word within one page.
-  const Page* p = find_page(addr);
-  const uint32_t off = addr & (kPageSize - 1);
-  if (p && off + 4 <= kPageSize) {
-    return static_cast<uint32_t>((*p)[off]) |
-           (static_cast<uint32_t>((*p)[off + 1]) << 8) |
-           (static_cast<uint32_t>((*p)[off + 2]) << 16) |
-           (static_cast<uint32_t>((*p)[off + 3]) << 24);
+uint8_t* Memory::page(uint32_t key) {
+  if (cache_.entry[0].key == key) return cache_.entry[0].data;
+  if (cache_.entry[1].key != key) {
+    Page& p = pages_.try_emplace(key, kPageSize, uint8_t{0}).first->second;
+    cache_.entry[1] = {key, p.data()};
   }
-  return static_cast<uint32_t>(read16(addr)) | (static_cast<uint32_t>(read16(addr + 2)) << 16);
+  std::swap(cache_.entry[0], cache_.entry[1]);
+  return cache_.entry[0].data;
 }
 
-void Memory::write8(uint32_t addr, uint8_t value) {
-  ++writes_;
-  page_for(addr)[addr & (kPageSize - 1)] = value;
+uint32_t Memory::read_slow(uint32_t addr, uint32_t width) const {
+  if ((addr & kOffMask) > kPageSize - width) {
+    uint32_t value = 0;
+    for (uint32_t k = 0; k < width; ++k) value |= static_cast<uint32_t>(read8(addr + k)) << (8 * k);
+    return value;
+  }
+  const uint8_t* p = find_page(addr >> kPageBits);
+  return p == nullptr ? 0 : load(p + (addr & kOffMask), width);
 }
 
-void Memory::write16(uint32_t addr, uint16_t value) {
-  write8(addr, static_cast<uint8_t>(value));
-  write8(addr + 1, static_cast<uint8_t>(value >> 8));
-}
-
-void Memory::write32(uint32_t addr, uint32_t value) {
-  Page& p = page_for(addr);
-  const uint32_t off = addr & (kPageSize - 1);
-  if (off + 4 <= kPageSize) {
-    ++writes_;
-    p[off] = static_cast<uint8_t>(value);
-    p[off + 1] = static_cast<uint8_t>(value >> 8);
-    p[off + 2] = static_cast<uint8_t>(value >> 16);
-    p[off + 3] = static_cast<uint8_t>(value >> 24);
+void Memory::write_slow(uint32_t addr, uint32_t width, uint32_t value) {
+  if ((addr & kOffMask) > kPageSize - width) {
+    // Each byte is checked against the watch at its own, wrapped address.
+    for (uint32_t k = 0; k < width; ++k) write8(addr + k, static_cast<uint8_t>(value >> (8 * k)));
     return;
   }
-  write16(addr, static_cast<uint16_t>(value));
-  write16(addr + 2, static_cast<uint16_t>(value >> 16));
+  note_write(addr, width);
+  store(page(addr >> kPageBits) + (addr & kOffMask), width, value);
 }
 
 void Memory::write_block(uint32_t addr, const uint8_t* data, size_t size) {
   // One page span at a time; the address wraps at 2^32 like write8 does.
-  ++writes_;
+  ++code_writes_;
   size_t done = 0;
   while (done < size) {
     const uint32_t at = addr + static_cast<uint32_t>(done);
-    const uint32_t off = at & (kPageSize - 1);
+    const uint32_t off = at & kOffMask;
     const size_t n = std::min(size - done, static_cast<size_t>(kPageSize - off));
-    std::memcpy(page_for(at).data() + off, data + done, n);
+    std::memcpy(page(at >> kPageBits) + off, data + done, n);
     done += n;
   }
 }
@@ -155,7 +136,8 @@ void Memory::restore_pages(
                                   std::to_string(kPageSize));
     }
   }
-  ++writes_;
+  ++code_writes_;
+  cache_.reset();
   pages_.clear();
   for (const auto& [key, bytes] : pages) pages_[key] = bytes;
 }

@@ -1,8 +1,23 @@
 // Sparse byte-addressable memory used both as instruction and data storage.
 // Little-endian (MIPS is bi-endian; the Minimips the paper uses is
 // configured little-endian, and all our workloads are written against that).
+//
+// Every consumer (the slow path, the trace executor, the array core, the
+// loaders) reaches the image through this class, which owns two decisions
+// for all of them:
+//   - where a page lives: each accessor goes through a two-entry
+//     most-recently-used page cache before the page map. Two entries,
+//     because the slow path alternates an instruction fetch from the text
+//     page with a data access;
+//   - which writes can change traced code: code_writes() moves on every
+//     image replacement and on every write into the watched code range.
+//
+// Single-threaded, reads included: a read updates the page cache. Each
+// thread (a sweep or fuzz-campaign worker, a serve executor) owns the
+// systems it runs, and with them their Memory.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -17,13 +32,24 @@ class Memory {
   static constexpr uint32_t kPageBits = 16;  // 64 KiB pages
   static constexpr uint32_t kPageSize = 1u << kPageBits;
 
-  uint8_t read8(uint32_t addr) const;
-  uint16_t read16(uint32_t addr) const;
-  uint32_t read32(uint32_t addr) const;
+  // Absent pages read as zero; reads never allocate. Writes allocate the
+  // (zero-filled) page they land in. An access that straddles a page end
+  // goes byte by byte, and its address wraps at 2^32. The inline part is
+  // an access within the most recently used page; the rest is out of line.
+  uint8_t read8(uint32_t addr) const {
+    return hits(addr, 1) ? *at(addr) : static_cast<uint8_t>(read_slow(addr, 1));
+  }
+  uint16_t read16(uint32_t addr) const {
+    return hits(addr, 2) ? static_cast<uint16_t>(load(at(addr), 2))
+                         : static_cast<uint16_t>(read_slow(addr, 2));
+  }
+  uint32_t read32(uint32_t addr) const {
+    return hits(addr, 4) ? load(at(addr), 4) : read_slow(addr, 4);
+  }
 
-  void write8(uint32_t addr, uint8_t value);
-  void write16(uint32_t addr, uint16_t value);
-  void write32(uint32_t addr, uint32_t value);
+  void write8(uint32_t addr, uint8_t value) { write(addr, 1, value); }
+  void write16(uint32_t addr, uint16_t value) { write(addr, 2, value); }
+  void write32(uint32_t addr, uint32_t value) { write(addr, 4, value); }
 
   // Bulk helpers for loaders and tests.
   void write_block(uint32_t addr, const uint8_t* data, size_t size);
@@ -32,12 +58,18 @@ class Memory {
   // Number of distinct pages touched (used by tests and stats).
   size_t pages_allocated() const { return pages_.size(); }
 
-  // Count of writes made through this API (write8/16/32, write_block,
-  // restore_pages); it only ever grows, and a copy carries it along. The
-  // trace cache stamps each trace with it, so a trace whose stamp still
-  // matches skips re-comparing its words. Stores through page_data_mut()
-  // are not counted: their one user, the trace executor, tracks its own.
-  uint64_t writes() const { return writes_; }
+  // Code-write tracking for the trace cache, which watches the word range
+  // of every trace it builds. code_writes() moves on each write8/16/32
+  // whose bytes overlap the watched range and on each write_block and
+  // restore_pages; other writes leave it alone. A trace whose recorded
+  // count still matches runs without re-reading its words. The watched
+  // range only grows ([lo, hi) in 64 bits, so hi may be 2^32), and a copy
+  // carries the range and the count along.
+  uint64_t code_writes() const { return code_writes_; }
+  void watch_code(uint64_t lo, uint64_t hi) {
+    watch_lo_ = std::min(watch_lo_, lo);
+    watch_hi_ = std::max(watch_hi_, hi);
+  }
 
   // Content hash over all allocated pages — used by the transparency
   // property tests to compare baseline vs accelerated final memory state.
@@ -62,30 +94,84 @@ class Memory {
   void restore_pages(
       const std::vector<std::pair<uint32_t, std::vector<uint8_t>>>& pages);
 
-  // Host-fast-path access for the superblock trace engine: the raw bytes
-  // of the page containing `addr`, or nullptr when that page was never
-  // allocated (absent pages read as zero; neither accessor allocates).
-  // The pointer stays valid until restore_pages() replaces the image —
-  // page buffers are heap-stable across map rehashes and are never freed
-  // individually. Callers caching it must drop it on restore (the trace
-  // cache's clear() hook).
-  const uint8_t* page_data(uint32_t addr) const {
-    const Page* p = find_page(addr);
-    return p ? p->data() : nullptr;
-  }
-  uint8_t* page_data_mut(uint32_t addr) {
-    auto it = pages_.find(addr >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.data();
-  }
-
  private:
   using Page = std::vector<uint8_t>;
+  static constexpr uint32_t kOffMask = kPageSize - 1;
 
-  Page& page_for(uint32_t addr);
-  const Page* find_page(uint32_t addr) const;
+  // The two most recently used allocated pages, entry 0 the newer; an
+  // absent page is never cached. The entries point into pages_, so a
+  // copy or move of a Memory starts both sides empty.
+  struct PageCache {
+    static constexpr uint32_t kNoPage = ~0u;  // above every page index
+    struct Entry {
+      uint32_t key = kNoPage;
+      uint8_t* data = nullptr;
+    };
+    Entry entry[2];
+
+    PageCache() = default;
+    PageCache(const PageCache&) {}
+    PageCache(PageCache&& other) noexcept { other.reset(); }
+    PageCache& operator=(const PageCache&) {
+      reset();
+      return *this;
+    }
+    PageCache& operator=(PageCache&& other) noexcept {
+      reset();
+      other.reset();
+      return *this;
+    }
+    void reset() { entry[0] = entry[1] = Entry{}; }
+  };
+
+  // True when all `width` bytes at `addr` lie in the most recently used
+  // page, whose bytes at(addr) then points to.
+  bool hits(uint32_t addr, uint32_t width) const {
+    return cache_.entry[0].key == addr >> kPageBits && (addr & kOffMask) <= kPageSize - width;
+  }
+  uint8_t* at(uint32_t addr) const { return cache_.entry[0].data + (addr & kOffMask); }
+
+  // Little-endian value of `width` (1, 2 or 4) bytes; each caller passes
+  // a constant, so these fold to one host load or store.
+  static uint32_t load(const uint8_t* p, uint32_t width) {
+    uint32_t value = p[0];
+    if (width > 1) value |= static_cast<uint32_t>(p[1]) << 8;
+    if (width > 2) {
+      value |= (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+    }
+    return value;
+  }
+  static void store(uint8_t* p, uint32_t width, uint32_t value) {
+    p[0] = static_cast<uint8_t>(value);
+    if (width > 1) p[1] = static_cast<uint8_t>(value >> 8);
+    if (width > 2) {
+      p[2] = static_cast<uint8_t>(value >> 16);
+      p[3] = static_cast<uint8_t>(value >> 24);
+    }
+  }
+
+  void write(uint32_t addr, uint32_t width, uint32_t value) {
+    if (!hits(addr, width)) return write_slow(addr, width, value);
+    note_write(addr, width);
+    store(at(addr), width, value);
+  }
+  uint32_t read_slow(uint32_t addr, uint32_t width) const;
+  void write_slow(uint32_t addr, uint32_t width, uint32_t value);
+  // The page with index `key`, moved to the front of the cache:
+  // find_page returns nullptr when it is absent, page allocates it.
+  const uint8_t* find_page(uint32_t key) const;
+  uint8_t* page(uint32_t key);
+
+  void note_write(uint32_t addr, uint32_t width) {
+    const uint64_t first = addr;
+    if (first + width > watch_lo_ && first < watch_hi_) ++code_writes_;
+  }
 
   std::unordered_map<uint32_t, Page> pages_;
-  uint64_t writes_ = 0;
+  mutable PageCache cache_;
+  uint64_t code_writes_ = 0;
+  uint64_t watch_lo_ = ~0ull;  // empty until the first watch_code
+  uint64_t watch_hi_ = 0;
 };
 
 }  // namespace dim::mem

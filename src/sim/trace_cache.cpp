@@ -1,8 +1,5 @@
 #include "sim/trace_cache.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "isa/decoder.hpp"
 
 namespace dim::sim {
@@ -166,16 +163,23 @@ void commit_folded(const Trace& t, const TraceExecResult& res, PipelineModel& pi
                        last.rec.is_hilo_write, hilo_ready);
 }
 
+// The trace's words still match memory (the stamp-mismatch path).
+bool validate(const Trace& t, const mem::Memory& memory) {
+  for (size_t k = 0; k < t.words.size(); ++k) {
+    if (t.words[k] != memory.read32(t.start_pc + static_cast<uint32_t>(4 * k))) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) {
+bool TraceCache::build_trace(Trace& t, uint32_t pc, mem::Memory& memory) {
   t.ops.clear();
   t.words.clear();
   t.stall_prefix.clear();
   t.hilo_ops.clear();
   t.start_pc = pc;
   t.end64 = 0;
-  t.code_page = nullptr;
 
   uint64_t p = pc;
   while (t.ops.size() < kMaxOps && p <= 0xFFFFFFFCull) {
@@ -195,12 +199,8 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) {
   if (t.ops.empty()) return false;
 
   t.end64 = t.start_pc + 4ull * t.words.size();
-  if (((t.end64 - 1) >> mem::Memory::kPageBits) == (pc >> mem::Memory::kPageBits)) {
-    t.code_page = memory.page_data(pc);
-  }
-  t.stamp = stamp(memory);
-  code_lo_ = std::min<uint64_t>(code_lo_, t.start_pc);
-  code_hi_ = std::max(code_hi_, t.end64);
+  memory.watch_code(t.start_pc, t.end64);
+  t.stamp = memory.code_writes();
   t.stall_prefix.assign(t.ops.size() + 1, 0);
   int pending = -1;  // entry assumption; op 0's correction is dynamic
   for (size_t k = 0; k < t.ops.size(); ++k) {
@@ -217,51 +217,14 @@ bool TraceCache::build_trace(Trace& t, uint32_t pc, const mem::Memory& memory) {
   return true;
 }
 
-bool TraceCache::validate(const Trace& t, const mem::Memory& memory) const {
-  // Words hold host-order copies of little-endian memory, so the one-page
-  // memcmp against the cached code page needs a little-endian host.
-  if (t.code_page != nullptr && std::endian::native == std::endian::little) {
-    return std::memcmp(t.code_page + (t.start_pc & (mem::Memory::kPageSize - 1)),
-                       t.words.data(), t.words.size() * 4) == 0;
-  }
-  uint32_t addr = t.start_pc;
-  size_t done = 0;
-  const size_t n = t.words.size();
-  while (done < n) {
-    const uint32_t off = addr & (mem::Memory::kPageSize - 1);
-    const size_t in_page =
-        std::min(n - done, static_cast<size_t>((mem::Memory::kPageSize - off) / 4));
-    const uint8_t* page = memory.page_data(addr);
-    if (page == nullptr) {
-      // Absent pages read as zero; the trace is valid iff it recorded nops.
-      for (size_t k = 0; k < in_page; ++k) {
-        if (t.words[done + k] != 0) return false;
-      }
-    } else if constexpr (std::endian::native == std::endian::little) {
-      if (std::memcmp(page + off, t.words.data() + done, in_page * 4) != 0) {
-        return false;
-      }
-    } else {
-      for (size_t k = 0; k < in_page; ++k) {
-        if (t.words[done + k] != memory.read32(addr + static_cast<uint32_t>(k * 4))) {
-          return false;
-        }
-      }
-    }
-    done += in_page;
-    addr += static_cast<uint32_t>(in_page * 4);
-  }
-  return true;
-}
-
-Trace* TraceCache::hot_trace_slow(uint32_t pc, const mem::Memory& memory) {
+Trace* TraceCache::hot_trace_slow(uint32_t pc, mem::Memory& memory) {
   Head& h = heads_[slot_index(pc)];
   if (h.head == pc) {
     if (h.rejected) return nullptr;
     Trace& t = pool_[h.trace];
     ++stats_.word_checks;
     if (validate(t, memory)) {
-      t.stamp = stamp(memory);
+      t.stamp = memory.code_writes();
       return &t;
     }
     // Stale words (self-modifying code or image change without clear()):

@@ -35,26 +35,26 @@
 //     remembered) only when its first word cannot start a trace: syscall,
 //     break, invalid, or a straight-line op at 0xFFFFFFFC
 //
-// Invalidation (write stamps):
-//   - every write that could change a trace's words moves a counter:
-//     mem::Memory counts the writes made through its API (the slow path,
-//     the array core, loaders, tests), and the trace executor, whose
-//     stores go through a raw page pointer instead, bumps the cache's code
-//     epoch when a store lands in the union of all built traces' word
-//     ranges. A trace records memory.writes() + epoch when it is built or
-//     validated; an entry whose stamp still matches runs without looking
-//     at its words
-//   - on a stamp mismatch the entry revalidates the words against memory
-//     by memcmp: against the code page cached at formation when the trace
-//     lies in one allocated page, else one page lookup per page spanned.
-//     Matching words re-stamp the trace; stale words rebuild it. The cache
-//     is exact under self-modifying code just like DecodeCache
+// Invalidation (code-write stamps):
+//   - mem::Memory owns the decision: it watches the union of the word
+//     ranges of the traces built on it (build_trace widens the watch) and
+//     moves code_writes() on every write that overlaps it, whoever makes
+//     it (the slow path, the trace executor, the array core, the host),
+//     and on every image replacement (write_block, restore_pages). Data
+//     stores leave it alone
+//   - a trace records code_writes() when it is built or validated; an
+//     entry whose stamp still matches runs without looking at its words
+//   - on a stamp mismatch the entry compares the words with memory one
+//     read32 at a time. Matching words re-stamp the trace; stale words
+//     rebuild it. The cache is exact under self-modifying code just like
+//     DecodeCache
 //   - a store *into the executing trace's own code range* finishes that
 //     store, then bails to the slow path (the interpreter would fetch the
 //     freshly written word; the trace must not keep running stale ops)
 //   - clear() drops everything: Machine::reset and snapshot restore call
-//     it so no host-side decoded state survives an image replacement, and
-//     no cached page pointer outlives its page
+//     it, so no host-side decoded state survives an image replacement.
+//     Nothing here points into a Memory, so a copied cache runs against
+//     the copied Memory, whose count and watch came along with it
 //
 // Folded timing: under single issue with both caches off, a trace's
 // cycles are committed in one step from precomputed load-use stall
@@ -123,16 +123,9 @@ struct Trace {
   uint64_t end64 = 0;     // start_pc + 4 * words (64-bit: no wrap ambiguity)
   std::vector<TraceOp> ops;
   std::vector<uint32_t> words;  // fetched encodings, for revalidation
-  // The page holding every word, cached at formation when the trace lies
-  // in one allocated page (else null): revalidation compares against it
-  // without a page lookup. Same lifetime contract as DataTlb: the page
-  // lives until its Memory's image is replaced, and TraceCache's clear(),
-  // copy constructor and copy assignment drop the pointer.
-  const uint8_t* code_page = nullptr;
-  // memory.writes() + code epoch when the words were last read or
-  // compared (see "Invalidation" above); kUnstamped forces a compare.
-  uint64_t stamp = kUnstamped;
-  static constexpr uint64_t kUnstamped = ~0ull;
+  // memory.code_writes() when the words were last read or compared (see
+  // "Invalidation" above).
+  uint64_t stamp = 0;
   // Folded timing (valid when PipelineModel::fold_eligible):
   // stall_prefix[k] = number of internal load-use stalls among the first k
   // ops, assuming no pending load at entry (corrected dynamically from op
@@ -165,122 +158,9 @@ struct TraceExecResult {
   bool taken_exit = false;       // left through a taken branch or a jump
 };
 
-// 1-entry host TLB over mem::Memory pages for trace-interior loads/stores:
-// one hash lookup per page *change* instead of per access. Pointers are
-// stable until restore_pages (see mem::Memory::page_data); TraceCache::clear
-// resets it. Null pages are not cached so a later allocating store is seen.
-struct DataTlb {
-  uint32_t key = 0xFFFFFFFFu;  // page index (addr >> kPageBits), sentinel
-  uint8_t* data = nullptr;
-};
-
-namespace trace_detail {
-
-inline uint8_t* tlb_page(DataTlb& tlb, mem::Memory& mem, uint32_t addr) {
-  const uint32_t key = addr >> mem::Memory::kPageBits;
-  if (tlb.key == key) return tlb.data;
-  uint8_t* p = mem.page_data_mut(addr);
-  if (p != nullptr) {
-    tlb.key = key;
-    tlb.data = p;
-  }
-  return p;
-}
-
-constexpr uint32_t kOffMask = mem::Memory::kPageSize - 1;
-
-inline uint32_t t_read8(DataTlb& tlb, mem::Memory& mem, uint32_t addr) {
-  if (uint8_t* p = tlb_page(tlb, mem, addr)) return p[addr & kOffMask];
-  return mem.read8(addr);
-}
-
-inline uint32_t t_read16(DataTlb& tlb, mem::Memory& mem, uint32_t addr) {
-  const uint32_t off = addr & kOffMask;
-  if (off <= mem::Memory::kPageSize - 2) {
-    if (uint8_t* p = tlb_page(tlb, mem, addr)) {
-      return static_cast<uint32_t>(p[off]) | (static_cast<uint32_t>(p[off + 1]) << 8);
-    }
-  }
-  return mem.read16(addr);
-}
-
-inline uint32_t t_read32(DataTlb& tlb, mem::Memory& mem, uint32_t addr) {
-  const uint32_t off = addr & kOffMask;
-  if (off <= mem::Memory::kPageSize - 4) {
-    if (uint8_t* p = tlb_page(tlb, mem, addr)) {
-      return static_cast<uint32_t>(p[off]) | (static_cast<uint32_t>(p[off + 1]) << 8) |
-             (static_cast<uint32_t>(p[off + 2]) << 16) |
-             (static_cast<uint32_t>(p[off + 3]) << 24);
-    }
-  }
-  return mem.read32(addr);
-}
-
-inline void t_write8(DataTlb& tlb, mem::Memory& mem, uint32_t addr, uint8_t v) {
-  if (uint8_t* p = tlb_page(tlb, mem, addr)) {
-    p[addr & kOffMask] = v;
-    return;
-  }
-  mem.write8(addr, v);  // allocates; the next tlb_page re-resolves
-}
-
-inline void t_write16(DataTlb& tlb, mem::Memory& mem, uint32_t addr, uint16_t v) {
-  const uint32_t off = addr & kOffMask;
-  if (off <= mem::Memory::kPageSize - 2) {
-    if (uint8_t* p = tlb_page(tlb, mem, addr)) {
-      p[off] = static_cast<uint8_t>(v);
-      p[off + 1] = static_cast<uint8_t>(v >> 8);
-      return;
-    }
-  }
-  mem.write16(addr, v);
-}
-
-inline void t_write32(DataTlb& tlb, mem::Memory& mem, uint32_t addr, uint32_t v) {
-  const uint32_t off = addr & kOffMask;
-  if (off <= mem::Memory::kPageSize - 4) {
-    if (uint8_t* p = tlb_page(tlb, mem, addr)) {
-      p[off] = static_cast<uint8_t>(v);
-      p[off + 1] = static_cast<uint8_t>(v >> 8);
-      p[off + 2] = static_cast<uint8_t>(v >> 16);
-      p[off + 3] = static_cast<uint8_t>(v >> 24);
-      return;
-    }
-  }
-  mem.write32(addr, v);
-}
-
-}  // namespace trace_detail
-
 class TraceCache {
  public:
   TraceCache() : heads_(kSlots) {}
-
-  // The data TLB and each trace's code page point into the source's
-  // Memory, and each stamp counts the source's writes; a copied cache must
-  // not alias either, so copies start with a cold TLB, unstamped traces
-  // and no code pages: each trace revalidates once through page lookups
-  // in the copy's own Memory (where it caches no page until rebuilt).
-  TraceCache(const TraceCache& o)
-      : heads_(o.heads_),
-        pool_(o.pool_),
-        stats_(o.stats_),
-        code_epoch_(o.code_epoch_),
-        code_lo_(o.code_lo_),
-        code_hi_(o.code_hi_) {
-    detach_from_memory();
-  }
-  TraceCache& operator=(const TraceCache& o) {
-    heads_ = o.heads_;
-    pool_ = o.pool_;
-    stats_ = o.stats_;
-    code_epoch_ = o.code_epoch_;
-    code_lo_ = o.code_lo_;
-    code_hi_ = o.code_hi_;
-    tlb_ = DataTlb{};
-    detach_from_memory();
-    return *this;
-  }
 
   // Baseline fast path (Machine::run): executes hot, valid traces one
   // after another from state.pc, charging cycles exactly as
@@ -310,19 +190,14 @@ class TraceCache {
     return execute<Env>(*t, state, memory, budget, env);
   }
 
-  // Drops every trace, head counter and cached page pointer. Must be
-  // called whenever the backing image is replaced (Machine::reset,
-  // snapshot restore): a new image restarts or replays Memory's write
-  // count, so a stale trace's stamp could match, and head heat, rejection
-  // flags, code pages and the TLB are not word-checked either.
+  // Drops every trace and head counter. Must be called whenever the
+  // backing image is replaced (Machine::reset, snapshot restore): a new
+  // Memory restarts its code-write count, so a stale trace's stamp could
+  // match, and head heat and rejection flags are not word-checked either.
   void clear() {
     std::fill(heads_.begin(), heads_.end(), Head{});
     pool_.clear();
-    tlb_ = DataTlb{};
     stats_ = TraceStats{};
-    code_epoch_ = 0;
-    code_lo_ = kNoCode;
-    code_hi_ = 0;
   }
 
   const TraceStats& stats() const { return stats_; }
@@ -368,43 +243,23 @@ class TraceCache {
   // accounting, word compares and (re)formation are not. May grow pool_,
   // which moves every Trace: a returned pointer is good until the next
   // call.
-  Trace* hot_trace(uint32_t pc, const mem::Memory& memory) {
+  Trace* hot_trace(uint32_t pc, mem::Memory& memory) {
     Head& h = heads_[slot_index(pc)];
     if (h.head == pc && !h.rejected) {
       Trace& t = pool_[h.trace];
-      if (t.stamp == stamp(memory)) return &t;
+      if (t.stamp == memory.code_writes()) return &t;
     }
     return hot_trace_slow(pc, memory);
   }
-  Trace* hot_trace_slow(uint32_t pc, const mem::Memory& memory);
+  Trace* hot_trace_slow(uint32_t pc, mem::Memory& memory);
 
-  // The value a trace whose words match memory right now records.
-  uint64_t stamp(const mem::Memory& memory) const { return memory.writes() + code_epoch_; }
-
-  // Reads the trace at `pc` from memory, stamps it and widens the code
-  // range to cover it.
-  bool build_trace(Trace& t, uint32_t pc, const mem::Memory& memory);
-  // The trace's words still match memory (the stamp-mismatch path).
-  bool validate(const Trace& t, const mem::Memory& memory) const;
-  void detach_from_memory() {
-    for (Trace& t : pool_) {
-      t.code_page = nullptr;
-      t.stamp = Trace::kUnstamped;
-    }
-  }
-
-  static constexpr uint64_t kNoCode = ~0ull;
+  // Reads the trace at `pc` from memory, has memory watch its words, and
+  // stamps it.
+  bool build_trace(Trace& t, uint32_t pc, mem::Memory& memory);
 
   std::vector<Head> heads_;
   std::vector<Trace> pool_;
-  DataTlb tlb_;
   TraceStats stats_;
-  // Bumped by every executor store into [code_lo_, code_hi_), the union
-  // of the word ranges of all traces built since clear() (64-bit bounds,
-  // like Trace::end64; empty while code_lo_ is kNoCode).
-  uint64_t code_epoch_ = 0;
-  uint64_t code_lo_ = kNoCode;
-  uint64_t code_hi_ = 0;
 };
 
 // --- Core trace executor -----------------------------------------------
@@ -419,31 +274,22 @@ class TraceCache {
 template <class Env>
 TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
                                     uint64_t budget, Env& env) {
-  using trace_detail::t_read16;
-  using trace_detail::t_read32;
-  using trace_detail::t_read8;
-  using trace_detail::t_write16;
-  using trace_detail::t_write32;
-  using trace_detail::t_write8;
-
   TraceExecResult result;
   const size_t limit =
       budget < t.ops.size() ? static_cast<size_t>(budget) : t.ops.size();
   if (limit == 0) return result;
   uint32_t* const r = st.regs.data();
   r[0] = 0;  // step() maintains this invariant after every retire
-  DataTlb& tlb = tlb_;
-  const uint64_t code_lo = code_lo_;  // fixed while a trace runs
-  const uint64_t code_hi = code_hi_;
+  const uint64_t own_lo = t.start_pc;  // the trace's own code range
+  const uint64_t own_hi = t.end64;
   const TraceOp* const first = t.ops.data();
   const TraceOp* const end = first + limit;
   const TraceOp* op = first;
 
 // Handler epilogues. RETIRE_LINEAR advances past a straight-line op;
 // BRANCH leaves at the target when taken and advances like RETIRE_LINEAR
-// when not; terminals set the next PC and leave. A store into any trace's
-// code range bumps the code epoch, so every trace compares its words at
-// its next entry; one that hit this trace's own range also retires
+// when not; terminals set the next PC and leave. A store goes through
+// Memory like any other write; one into this trace's own range retires
 // normally, then bails (the interpreter would fetch the freshly written
 // word for the next op).
 #define DIMSIM_RETIRE(next_pc, taken, memacc, addr) \
@@ -475,14 +321,11 @@ TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
   do {                                                                        \
     DIMSIM_RETIRE(op->pc + 4, false, true, (addr));                           \
     const uint64_t a64 = static_cast<uint64_t>(addr);                         \
-    if (a64 + (width) > code_lo && a64 < code_hi) {                           \
-      ++code_epoch_;                                                          \
-      if (a64 + (width) > t.start_pc && a64 < t.end64) {                      \
-        ++stats_.smc_bails;                                                   \
-        st.pc = op->pc + 4;                                                   \
-        ++op;                                                                 \
-        goto out;                                                             \
-      }                                                                       \
+    if (a64 + (width) > own_lo && a64 < own_hi) {                             \
+      ++stats_.smc_bails;                                                     \
+      st.pc = op->pc + 4;                                                     \
+      ++op;                                                                   \
+      goto out;                                                               \
     }                                                                         \
     DIMSIM_NEXT();                                                            \
   } while (0)
@@ -640,14 +483,14 @@ H_TMtlo:
 H_TLb: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
   const uint32_t v =
-      static_cast<uint32_t>(static_cast<int8_t>(t_read8(tlb, mem, addr)));
+      static_cast<uint32_t>(static_cast<int8_t>(mem.read8(addr)));
   if (op->d) r[op->d] = v;
   DIMSIM_RETIRE(op->pc + 4, false, true, addr);
   DIMSIM_NEXT();
 }
 H_TLbu: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  const uint32_t v = t_read8(tlb, mem, addr);
+  const uint32_t v = mem.read8(addr);
   if (op->d) r[op->d] = v;
   DIMSIM_RETIRE(op->pc + 4, false, true, addr);
   DIMSIM_NEXT();
@@ -655,38 +498,38 @@ H_TLbu: {
 H_TLh: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
   const uint32_t v = static_cast<uint32_t>(
-      static_cast<int16_t>(t_read16(tlb, mem, addr)));
+      static_cast<int16_t>(mem.read16(addr)));
   if (op->d) r[op->d] = v;
   DIMSIM_RETIRE(op->pc + 4, false, true, addr);
   DIMSIM_NEXT();
 }
 H_TLhu: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  const uint32_t v = t_read16(tlb, mem, addr);
+  const uint32_t v = mem.read16(addr);
   if (op->d) r[op->d] = v;
   DIMSIM_RETIRE(op->pc + 4, false, true, addr);
   DIMSIM_NEXT();
 }
 H_TLw: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  const uint32_t v = t_read32(tlb, mem, addr);
+  const uint32_t v = mem.read32(addr);
   if (op->d) r[op->d] = v;
   DIMSIM_RETIRE(op->pc + 4, false, true, addr);
   DIMSIM_NEXT();
 }
 H_TSb: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  t_write8(tlb, mem, addr, static_cast<uint8_t>(r[op->b]));
+  mem.write8(addr, static_cast<uint8_t>(r[op->b]));
   DIMSIM_STORE_TAIL(addr, 1);
 }
 H_TSh: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  t_write16(tlb, mem, addr, static_cast<uint16_t>(r[op->b]));
+  mem.write16(addr, static_cast<uint16_t>(r[op->b]));
   DIMSIM_STORE_TAIL(addr, 2);
 }
 H_TSw: {
   const uint32_t addr = r[op->a] + static_cast<uint32_t>(op->imm);
-  t_write32(tlb, mem, addr, r[op->b]);
+  mem.write32(addr, r[op->b]);
   DIMSIM_STORE_TAIL(addr, 4);
 }
 

@@ -304,11 +304,10 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
                         "snapshot was taken under a different system configuration");
   }
 
-  // restore_pages replaces the image and frees its pages: drop all
-  // host-side decoded state (decode cache, superblock traces with their
-  // cached code-page and data-TLB pointers) first, so even a restore that
-  // fails below leaves no pointer into a freed page. Both caches are
-  // architecture-invisible and rebuild lazily.
+  // restore_pages replaces the image: drop all host-side decoded state
+  // (decode cache, superblock traces) first, so even a restore that fails
+  // below leaves none of it behind. Both caches are architecture-invisible
+  // and rebuild lazily.
   system.decode_cache_.clear();
   system.trace_cache_.clear();
   try {

@@ -308,6 +308,61 @@ TEST(Assembler, SymbolOffsetPastThirtyTwoBitsIsAnError) {
   expect_asm_error("main: la $t0, main+0x1000000000\n", "line 1: integer literal out of range");
 }
 
+// A section image spans its lowest address to the highest location its
+// counter reached, and may not pass 64 MiB or wrap past 2^32: otherwise a
+// short source could make the assembler zero-fill up to 4 GiB. Each form
+// below lands just past the bound.
+TEST(Assembler, SpacePastSixtyFourMiBIsAnError) {
+  expect_asm_error(".data\nx: .word 1\n.space 67108861\n",
+                   "line 3: section image exceeds 64 MiB");
+  expect_asm_error("main: nop\n.space 67108861\n", "line 2: section image exceeds 64 MiB");
+  // Exactly 64 MiB still assembles.
+  const Program p = assemble(".data\nx: .word 1\n.space 67108860\n");
+  EXPECT_EQ(p.segments[1].bytes.size(), 64u << 20);
+}
+
+TEST(Assembler, NegativeSpaceIsAnError) {
+  expect_asm_error(".data\n.space 16\n.space -4\n",
+                   "line 3: location counter wraps past 0xFFFFFFFF");
+}
+
+TEST(Assembler, SectionAddressPastSixtyFourMiBIsAnError) {
+  expect_asm_error(".data 0x14010001\n", "line 1: section image exceeds 64 MiB");
+  expect_asm_error("main: nop\n.text 0x04400004\nnop\n",
+                   "line 2: section image exceeds 64 MiB");
+  // A lower address widens the image down to it.
+  expect_asm_error(".data\n.space 4\n.data 0x0C00FFFC\n",
+                   "line 3: section image exceeds 64 MiB");
+}
+
+TEST(Assembler, LocationCounterWrapIsAnError) {
+  expect_asm_error(".data\n.space 4294967295\n.space 1\n",
+                   "line 2: location counter wraps past 0xFFFFFFFF");
+  AsmOptions top;
+  top.text_base = 0xFFFFFFF8u;
+  try {
+    assemble("main: nop\nnop\nnop\n", top);
+    ADD_FAILURE() << "no error for a third word past 0xFFFFFFFF";
+  } catch (const AsmError& e) {
+    EXPECT_STREQ(e.what(), "line 3: location counter wraps past 0xFFFFFFFF");
+    EXPECT_EQ(e.line(), 3);
+  }
+  // Two words end exactly at the top of memory.
+  EXPECT_EQ(assemble("main: nop\nnop\n", top).segments[0].bytes.size(), 8u);
+}
+
+TEST(Assembler, SectionAddressGoingBackKeepsEarlierData) {
+  // The image covers every location the counter reached, so data laid
+  // out before a move to a lower address stays in it.
+  const Program p = assemble(".data 0x10010100\nb: .word 7\n.data 0x10010000\na: .word 5\n");
+  EXPECT_EQ(p.segments[1].base, 0x10010000u);
+  EXPECT_EQ(p.segments[1].bytes.size(), 0x104u);
+  mem::Memory m;
+  p.load_into(m);
+  EXPECT_EQ(m.read32(p.symbol("a")), 5u);
+  EXPECT_EQ(m.read32(p.symbol("b")), 7u);
+}
+
 // Random .byte/.half/.word lines in the forms the assembler accepts, with
 // the image bytes and label addresses computed here independently. Plain
 // decimal lists take the assembler's numeric fast path; labels, hex, char

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -193,6 +195,319 @@ TEST(Memory, ContentHashIsByteSerialFnv1a) {
     descending.write32(page * Memory::kPageSize + 4 * page, 0xC0DE0000u | page);
   }
   EXPECT_EQ(descending.content_hash(), reference_hash(descending));
+}
+
+// --- the page cache -------------------------------------------------------
+//
+// Every accessor goes through a two-entry cache of page pointers. These
+// tests run the sequences that could leave an entry stale or aliased.
+
+TEST(Memory, AbsentPageReadThenAllocatingWrite) {
+  Memory m;
+  m.write8(0x20010, 0x5A);  // page 2 is cached
+  EXPECT_EQ(m.read8(0x30010), 0u);  // page 3 is absent and must stay so
+  EXPECT_EQ(m.read16(0x30010), 0u);
+  EXPECT_EQ(m.read32(0x30010), 0u);
+  EXPECT_EQ(m.pages_allocated(), 1u);
+  m.write32(0x30010, 0xDEADBEEF);  // now it is allocated
+  EXPECT_EQ(m.pages_allocated(), 2u);
+  EXPECT_EQ(m.read32(0x30010), 0xDEADBEEFu);
+  EXPECT_EQ(m.read8(0x20010), 0x5Au);
+  EXPECT_EQ(m.read8(0x40000), 0u);  // a third page evicts the older entry
+  m.write8(0x40000, 1);
+  EXPECT_EQ(m.read32(0x30010), 0xDEADBEEFu);
+  EXPECT_EQ(m.read8(0x20010), 0x5Au);
+  EXPECT_EQ(m.read8(0x40000), 1u);
+  EXPECT_EQ(m.pages_allocated(), 3u);
+}
+
+// Writes two pages and reads both, so both cache entries are warm.
+std::unique_ptr<Memory> warm_memory() {
+  auto m = std::make_unique<Memory>();
+  m->write32(0x10000, 0x11111111);
+  m->write32(0x7FFF0000, 0x22222222);
+  EXPECT_EQ(m->read32(0x10000), 0x11111111u);
+  EXPECT_EQ(m->read32(0x7FFF0000), 0x22222222u);
+  return m;
+}
+
+// The copy holds the source's bytes in pages of its own: reads after the
+// source is gone are right (a stale entry would read freed pages, which
+// ASan reports), and writes to either side stay on that side.
+void expect_own_pages(Memory& copy, std::unique_ptr<Memory> source) {
+  source->write32(0x10000, 0x33333333);
+  EXPECT_EQ(copy.read32(0x10000), 0x11111111u);
+  copy.write32(0x7FFF0000, 0x44444444);
+  EXPECT_EQ(source->read32(0x7FFF0000), 0x22222222u);
+  source.reset();
+  EXPECT_EQ(copy.read32(0x10000), 0x11111111u);
+  EXPECT_EQ(copy.read32(0x7FFF0000), 0x44444444u);
+  copy.write8(0x10001, 0xAB);
+  EXPECT_EQ(copy.read32(0x10000), 0x1111AB11u);
+}
+
+TEST(Memory, CopyAndMoveStartWithTheirOwnPageCache) {
+  {
+    SCOPED_TRACE("copy construction");
+    std::unique_ptr<Memory> source = warm_memory();
+    Memory copy(*source);
+    expect_own_pages(copy, std::move(source));
+  }
+  {
+    SCOPED_TRACE("copy assignment");
+    std::unique_ptr<Memory> source = warm_memory();
+    Memory copy;
+    copy.write32(0x10000, 0x55555555);  // warm entries into pages that go
+    EXPECT_EQ(copy.read32(0x50000), 0u);
+    copy = *source;
+    expect_own_pages(copy, std::move(source));
+  }
+  {
+    SCOPED_TRACE("move construction");
+    std::unique_ptr<Memory> source = warm_memory();
+    Memory moved(std::move(*source));
+    EXPECT_EQ(moved.read32(0x10000), 0x11111111u);
+    // The moved-from side writes pages of its own, not the moved ones.
+    source->write32(0x10000, 0x66666666);
+    EXPECT_EQ(moved.read32(0x10000), 0x11111111u);
+    source.reset();
+    EXPECT_EQ(moved.read32(0x7FFF0000), 0x22222222u);
+  }
+  {
+    SCOPED_TRACE("move assignment");
+    std::unique_ptr<Memory> source = warm_memory();
+    Memory moved;
+    moved.write32(0x7FFF0000, 0x77777777);
+    moved = std::move(*source);
+    source->write32(0x7FFF0000, 0x66666666);
+    EXPECT_EQ(moved.read32(0x7FFF0000), 0x22222222u);
+    source.reset();
+    EXPECT_EQ(moved.read32(0x10000), 0x11111111u);
+    EXPECT_EQ(moved.read32(0x7FFF0000), 0x22222222u);
+  }
+}
+
+TEST(Memory, RestorePagesResetsThePageCache) {
+  Memory m;
+  m.write32(0x10000, 0x11111111);
+  m.write32(0x20000, 0x22222222);
+  EXPECT_EQ(m.read32(0x10000), 0x11111111u);  // both entries warm
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages;
+  pages.emplace_back(1u, std::vector<uint8_t>(Memory::kPageSize, 0xCD));
+  m.restore_pages(pages);  // page 1 replaced, page 2 gone
+  EXPECT_EQ(m.read32(0x10000), 0xCDCDCDCDu);
+  EXPECT_EQ(m.read32(0x20000), 0u);
+  EXPECT_EQ(m.pages_allocated(), 1u);
+  m.write8(0x20000, 9);
+  EXPECT_EQ(m.read8(0x20000), 9u);
+  EXPECT_EQ(m.read8(0x10000), 0xCDu);
+  EXPECT_EQ(m.pages_allocated(), 2u);
+}
+
+TEST(Memory, AccessesStraddlingPageEndAndTopOfMemory) {
+  for (const uint32_t end : {Memory::kPageSize, 0u}) {  // 0: the top wraps
+    for (uint32_t back = 1; back <= 3; ++back) {
+      const uint32_t addr = end - back;
+      SCOPED_TRACE("address " + std::to_string(addr));
+      Memory m;
+      m.write32(addr, 0xA1B2C3D4);
+      for (uint32_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(m.read8(addr + k), (0xA1B2C3D4u >> (8 * k)) & 0xFF);
+      }
+      EXPECT_EQ(m.read32(addr), 0xA1B2C3D4u);
+      EXPECT_EQ(m.read16(addr + 1), 0xB2C3u);
+      EXPECT_EQ(m.pages_allocated(), 2u);
+      m.write16(addr + 2, 0x0102);
+      EXPECT_EQ(m.read32(addr), 0x0102C3D4u);
+      EXPECT_EQ(m.read16(end - 1), static_cast<uint16_t>(m.read8(end - 1) | (m.read8(end) << 8)));
+    }
+  }
+}
+
+// --- the code-write counter -----------------------------------------------
+
+TEST(Memory, CodeWritesMoveOnlyForWatchedBytes) {
+  Memory m;
+  m.write32(0x1000, 1);
+  EXPECT_EQ(m.code_writes(), 0u) << "nothing is watched yet";
+  m.watch_code(0x1000, 0x1010);
+  struct Case {
+    uint32_t addr;
+    int width;
+    bool moves;
+  };
+  const Case cases[] = {
+      {0x0FFF, 1, false}, {0x1000, 1, true},  {0x100F, 1, true},  {0x1010, 1, false},
+      {0x0FFE, 2, false}, {0x0FFF, 2, true},  {0x100F, 2, true},  {0x1010, 2, false},
+      {0x0FFC, 4, false}, {0x0FFD, 4, true},  {0x100D, 4, true},  {0x1010, 4, false},
+      {0x1004, 4, true},  {0x2000, 4, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("width " + std::to_string(c.width) + " at " + std::to_string(c.addr));
+    const uint64_t before = m.code_writes();
+    switch (c.width) {
+      case 1: m.write8(c.addr, 0x5A); break;
+      case 2: m.write16(c.addr, 0x5A5A); break;
+      default: m.write32(c.addr, 0x5A5A5A5A); break;
+    }
+    EXPECT_EQ(m.code_writes(), before + (c.moves ? 1 : 0));
+  }
+  const uint64_t before = m.code_writes();
+  EXPECT_EQ(m.read32(0x1004), 0x5A5A5A5Au);  // reads never move it
+  EXPECT_EQ(m.code_writes(), before);
+
+  // The watch only widens.
+  m.watch_code(0x3000, 0x3004);
+  m.write8(0x2000, 1);
+  EXPECT_EQ(m.code_writes(), before + 1) << "the union [0x1000, 0x3004) is watched";
+}
+
+TEST(Memory, CodeWritesSeeWrapsPastTheTopOfMemory) {
+  Memory m;
+  m.watch_code(0, 4);
+  m.write32(0xFFFFFFFC, 1);  // bytes up to the top: outside
+  EXPECT_EQ(m.code_writes(), 0u);
+  m.write32(0xFFFFFFFE, 1);  // its last two bytes wrap into [0, 4)
+  EXPECT_GT(m.code_writes(), 0u);
+
+  Memory top;
+  top.watch_code(0xFFFFFFFC, uint64_t{1} << 32);
+  top.write8(0, 1);
+  EXPECT_EQ(top.code_writes(), 0u);
+  top.write8(0xFFFFFFFF, 1);
+  EXPECT_EQ(top.code_writes(), 1u);
+  top.write16(0xFFFFFFFF, 1);  // straddles the top: one byte inside
+  EXPECT_GT(top.code_writes(), 1u);
+}
+
+TEST(Memory, ImageReplacementsAlwaysMoveCodeWrites) {
+  Memory m;
+  const uint8_t bytes[3] = {1, 2, 3};
+  m.write_block(0x9000, bytes, sizeof bytes);  // nothing watched
+  EXPECT_EQ(m.code_writes(), 1u);
+  m.watch_code(0x1000, 0x1004);
+  m.write_block(0x9000, bytes, sizeof bytes);  // far from the watch
+  EXPECT_EQ(m.code_writes(), 2u);
+  m.restore_pages({});
+  EXPECT_EQ(m.code_writes(), 3u);
+
+  // A copy carries the count and the watch along.
+  Memory copy(m);
+  EXPECT_EQ(copy.code_writes(), 3u);
+  copy.write8(0x1003, 7);
+  EXPECT_EQ(copy.code_writes(), 4u);
+  EXPECT_EQ(m.code_writes(), 3u);
+}
+
+// ~100k mixed operations against a byte-map reference: accesses of every
+// width at random addresses (clustered on page ends and the top of
+// memory, so page changes and straddles are frequent), bulk reads and
+// writes, copies, moves, restores and watch changes. Every read must match
+// the reference, the allocated page set must match the pages written, and
+// code_writes() must move exactly when a written byte is watched.
+TEST(Memory, RandomizedOperationsMatchByteMapReference) {
+  std::mt19937_64 rng(0xC0FFEE23u);
+  auto pick = [&](uint64_t n) { return rng() % n; };
+  const uint32_t kPages[] = {0x0000, 0x0001, 0x0040, 0x1001, 0x7FFF, 0xFFFF};
+  auto random_addr = [&] {
+    const uint32_t page = kPages[pick(std::size(kPages))];
+    const uint32_t off = pick(2) ? static_cast<uint32_t>(pick(Memory::kPageSize))
+                                 : Memory::kPageSize - 1 - static_cast<uint32_t>(pick(6));
+    return (page << Memory::kPageBits) | off;
+  };
+
+  std::map<uint32_t, uint8_t> bytes;  // absent = 0
+  std::set<uint32_t> pages;
+  auto ref_read = [&](uint32_t addr, int width) {
+    uint32_t v = 0;
+    for (int k = 0; k < width; ++k) {
+      const auto it = bytes.find(addr + static_cast<uint32_t>(k));
+      if (it != bytes.end()) v |= static_cast<uint32_t>(it->second) << (8 * k);
+    }
+    return v;
+  };
+  auto ref_write = [&](uint32_t addr, int width, uint32_t v) {
+    for (int k = 0; k < width; ++k) {
+      const uint32_t at = addr + static_cast<uint32_t>(k);
+      bytes[at] = static_cast<uint8_t>(v >> (8 * k));
+      pages.insert(at >> Memory::kPageBits);
+    }
+  };
+  uint64_t watch_lo = ~0ull;
+  uint64_t watch_hi = 0;
+  auto watched = [&](uint32_t addr, int width) {
+    for (int k = 0; k < width; ++k) {
+      const uint64_t at = static_cast<uint32_t>(addr + static_cast<uint32_t>(k));
+      if (at >= watch_lo && at < watch_hi) return true;
+    }
+    return false;
+  };
+
+  auto m = std::make_unique<Memory>();
+  for (int step = 0; step < 100'000; ++step) {
+    const uint64_t op = pick(1000);
+    const uint32_t addr = random_addr();
+    const int width = 1 << pick(3);
+    const uint64_t before = m->code_writes();
+    bool moves = false;  // whether code_writes() must move
+    if (op < 400) {
+      const uint32_t v = static_cast<uint32_t>(rng());
+      switch (width) {
+        case 1: m->write8(addr, static_cast<uint8_t>(v)); break;
+        case 2: m->write16(addr, static_cast<uint16_t>(v)); break;
+        default: m->write32(addr, v); break;
+      }
+      ref_write(addr, width, v);
+      moves = watched(addr, width);
+    } else if (op < 880) {
+      const uint32_t got = width == 1   ? m->read8(addr)
+                           : width == 2 ? m->read16(addr)
+                                        : m->read32(addr);
+      ASSERT_EQ(got, ref_read(addr, width)) << "step " << step << " addr " << addr;
+    } else if (op < 920) {
+      std::vector<uint8_t> block(1 + pick(64));
+      for (uint8_t& b : block) b = static_cast<uint8_t>(rng());
+      m->write_block(addr, block.data(), block.size());
+      for (size_t k = 0; k < block.size(); ++k) {
+        ref_write(addr + static_cast<uint32_t>(k), 1, block[k]);
+      }
+      moves = true;
+    } else if (op < 950) {
+      const size_t n = 1 + pick(100);
+      const std::vector<uint8_t> got = m->read_block(addr, n);
+      for (size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(got[k], ref_read(addr + static_cast<uint32_t>(k), 1)) << "step " << step;
+      }
+    } else if (op < 970) {
+      const uint64_t lo = random_addr();
+      const uint64_t hi = std::min<uint64_t>(lo + 1 + pick(64), uint64_t{1} << 32);
+      m->watch_code(lo, hi);
+      watch_lo = std::min(watch_lo, lo);
+      watch_hi = std::max(watch_hi, hi);
+    } else if (op < 990) {
+      // A copy or move replaces the live Memory; the old one is destroyed.
+      auto next = std::make_unique<Memory>();
+      next->write8(random_addr(), 1);  // pages and cache entries of its own
+      switch (op % 4) {
+        case 0: next = std::make_unique<Memory>(*m); break;
+        case 1: *next = *m; break;
+        case 2: next = std::make_unique<Memory>(std::move(*m)); break;
+        default: *next = std::move(*m); break;
+      }
+      m = std::move(next);
+    } else if (op < 991) {
+      // Restore the reference image with one byte changed.
+      ref_write(addr, 1, static_cast<uint8_t>(rng()));
+      std::map<uint32_t, std::vector<uint8_t>> image;
+      for (const uint32_t page : pages) image[page].assign(Memory::kPageSize, 0);
+      for (const auto& [at, b] : bytes) image[at >> Memory::kPageBits][at & 0xFFFF] = b;
+      m->restore_pages({image.begin(), image.end()});
+      moves = true;
+    }
+    ASSERT_EQ(m->code_writes() > before, moves) << "step " << step;
+    ASSERT_EQ(m->pages_allocated(), pages.size()) << "step " << step;
+  }
+  for (const auto& [at, b] : bytes) ASSERT_EQ(m->read8(at), b) << at;
 }
 
 TEST(Cache, DisabledIsFree) {

@@ -707,10 +707,11 @@ loop:
 
 TEST(TraceCache, CopiedMachineValidatesAgainstItsOwnMemory) {
   // A copied Machine (copy-constructed or copy-assigned) carries the
-  // source's hot traces, whose cached code pages belong to the source's
-  // Memory. Patching the copy's code must rebuild the copy's traces from
-  // its own image. The source is destroyed before the copy runs, so a
-  // read of its pages would be a use-after-free.
+  // source's hot traces and a copy of its Memory, whose page cache must
+  // not point into the source's pages. Patching the copy's code must
+  // rebuild the copy's traces from its own image. The source is destroyed
+  // before the copy runs, so a read of its pages would be a
+  // use-after-free.
   const asmblr::Program p = asmblr::assemble(kHotLoop);
   isa::Instr subu;  // replaces `xor $t2, $t1, $t3`
   subu.op = isa::Op::kSubu;
@@ -756,9 +757,9 @@ TEST(TraceCache, CopiedMachineValidatesAgainstItsOwnMemory) {
 // --- every way a write reaches a hot trace's words ----------------------
 //
 // A trace runs without comparing its words while its stamp matches
-// memory.writes() + the code epoch, so each path that can change code must
-// move one of the two. Each test below changes code through one path and
-// must stay bit-identical to the slow path.
+// memory.code_writes(), so each path that can change code must move it.
+// Each test below changes code through one path and must stay
+// bit-identical to the slow path.
 
 TEST(TraceCache, SlowPathStoreIntoHotTraceRebuildsIt) {
   // `loop` is hot in the first phase. Between the phases, code reached
@@ -798,9 +799,9 @@ patch:
 
 TEST(TraceCache, StoreFromOneTraceIntoAnotherRebuildsTheOther) {
   // The patch code ends in a jump, so its stores run in traces that do
-  // not hold `site`: they bump the code epoch instead of bailing, and the
-  // victim trace must notice the new word at its next entry. The donors
-  // alternate, so the site changes on every iteration.
+  // not hold `site`: they move the code-write count instead of bailing,
+  // and the victim trace must notice the new word at its next entry. The
+  // donors alternate, so the site changes on every iteration.
   const asmblr::Program p = asmblr::assemble(R"(
 main:
         li   $t3, 60
@@ -919,6 +920,26 @@ TEST(TraceCache, ScaleOneBaselinesCompareWordsRarely) {
   }
   EXPECT_LE(word_checks, 100u);
   EXPECT_GT(executions, 1'000'000u);
+}
+
+TEST(TraceCache, AcceleratedPathComparesWordsRarely) {
+  // Array stores go through Memory like every other write, and only those
+  // that overlap traced code move its code-write count; the array core's
+  // data stores must not make the next trace entries compare their words.
+  uint64_t word_checks = 0;
+  uint64_t executions = 0;
+  const accel::SystemConfig cfg =
+      accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
+  for (const std::string& name : work::workload_names()) {
+    const work::Workload wl = work::make_workload(name, 1);
+    accel::AcceleratedSystem system(asmblr::assemble(wl.source), cfg);
+    const accel::AccelStats stats = system.run();
+    EXPECT_EQ(stats.final_state.output, wl.expected_output) << name;
+    word_checks += system.trace_cache().stats().word_checks;
+    executions += system.trace_cache().stats().executions;
+  }
+  EXPECT_LE(word_checks, 100u);
+  EXPECT_EQ(executions, 671'915u);
 }
 
 std::string stats_json(const accel::AccelStats& stats) {
@@ -1119,8 +1140,8 @@ TEST(TraceCache, RunUntilBoundariesSplitTracesCorrectly) {
 
 TEST(TraceCache, SnapshotRestoreClearsHostCaches) {
   // Restore into a system whose decode/trace caches are hot from a full
-  // prior run: restore_snapshot_payload must drop them (page pointers are
-  // invalidated by restore_pages, and trace heat belongs to the old run),
+  // prior run: restore_snapshot_payload must drop them (the old run's
+  // traces and trace heat belong to the replaced image),
   // after which the continuation equals the straight run bit for bit.
   const asmblr::Program p = asmblr::assemble(kHotLoop);
   accel::SystemConfig cfg = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
