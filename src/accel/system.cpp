@@ -11,11 +11,9 @@ namespace dim::accel {
 
 AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
                                      const SystemConfig& config)
-    : config_(config), pipeline_(config.machine.timing), exec_model_(config.exec_mode) {
+    : config_(config), state_(sim::entry_state(program.entry)),
+      pipeline_(config.machine.timing), exec_model_(config.exec_mode) {
   program.load_into(memory_);
-  state_.pc = program.entry;
-  state_.regs[29] = config_.machine.initial_sp;
-  state_.regs[28] = config_.machine.initial_gp;
 
   rcache_ = std::make_unique<bt::ReconfigCache>(config_.cache_slots,
                                                 config_.cache_replacement);
@@ -35,7 +33,7 @@ AcceleratedSystem::AcceleratedSystem(const asmblr::Program& program,
 AcceleratedSystem::~AcceleratedSystem() = default;
 
 void AcceleratedSystem::drop_residency(AccelStats& stats, uint32_t pc) {
-  has_resident_ = false;
+  latches_.has_resident = false;
   ++stats.residency_drops;
   if (events_.enabled()) {
     obs::Event e;
@@ -48,7 +46,7 @@ void AcceleratedSystem::drop_residency(AccelStats& stats, uint32_t pc) {
 void AcceleratedSystem::execute_on_array(rra::Configuration* config,
                                          AccelStats& stats) {
   translator_->on_array_executed();
-  extension_candidate_ = false;
+  latches_.extension_candidate = false;
 
   const uint32_t config_pc = config->start_pc;
 
@@ -57,8 +55,8 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   // rcache revision stamp match — any rewrite of the entry (extension,
   // re-translation after a flush) bumped the revision.
   bool resident = false;
-  if (has_resident_ && resident_pc_ == config_pc) {
-    if (resident_rev_ != config->revision) {
+  if (latches_.has_resident && latches_.resident_pc == config_pc) {
+    if (latches_.resident_rev != config->revision) {
       drop_residency(stats, config_pc);
     } else {
       resident = true;
@@ -72,7 +70,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   if (outcome.elastic_fallback) ++stats.elastic_deadlock_fallbacks;
   stats.array_instructions += static_cast<uint64_t>(outcome.committed_ops);
   stats.instructions += static_cast<uint64_t>(outcome.committed_ops);
-  array_cycle_acc_ += outcome.total_cycles();
+  latches_.array_cycle_acc += outcome.total_cycles();
   stats.array_exec_cycles += outcome.exec_cycles;
   stats.reconfig_stall_cycles += outcome.reconfig_stall_cycles;
   stats.array_dcache_stall_cycles += outcome.dcache_stall_cycles;
@@ -120,19 +118,19 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
   if (config_.residency && !resident) {
     uint32_t hi = config_pc;
     for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
-    has_resident_ = true;
-    resident_pc_ = config_pc;
-    resident_rev_ = config->revision;
-    resident_lo_ = config_pc;
-    resident_hi_ = hi + 4;
+    latches_.has_resident = true;
+    latches_.resident_pc = config_pc;
+    latches_.resident_rev = config->revision;
+    latches_.resident_lo = config_pc;
+    latches_.resident_hi = hi + 4;
   }
 
   // Self-modifying code from inside the array: a committed store into the
   // latched code range invalidates the residency (conservatively, by the
   // store bytes actually written).
-  if (has_resident_ && outcome.wrote_memory && outcome.store_lo < resident_hi_ &&
-      outcome.store_hi > resident_lo_) {
-    drop_residency(stats, resident_pc_);
+  if (latches_.has_resident && outcome.wrote_memory &&
+      outcome.store_lo < latches_.resident_hi && outcome.store_hi > latches_.resident_lo) {
+    drop_residency(stats, latches_.resident_pc);
   }
 
   if (outcome.misspeculated) {
@@ -175,9 +173,9 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
     const uint32_t word = memory_.read32(state_.pc);
     const isa::Instr next = decode_cache_.get(state_.pc, word);
     if (isa::is_branch(next.op)) {
-      extension_candidate_ = true;
-      extension_config_pc_ = config_pc;
-      extension_branch_pc_ = state_.pc;
+      latches_.extension_candidate = true;
+      latches_.extension_config_pc = config_pc;
+      latches_.extension_branch_pc = state_.pc;
     }
   }
 }
@@ -200,9 +198,9 @@ inline void AcceleratedSystem::retire_on_core(sim::RetireRecord rec,
   if (info.mem_access) ++stats_.proc_mem_accesses;
   // Processor store into the resident code range (SMC): drop the latch.
   // Conservative 4-byte width — sub-word stores still hit their word.
-  if (has_resident_ && info.mem_access && isa::is_store(info.instr.op) &&
-      info.mem_addr < resident_hi_ && info.mem_addr + 4 > resident_lo_) {
-    drop_residency(stats_, resident_pc_);
+  if (latches_.has_resident && info.mem_access && isa::is_store(info.instr.op) &&
+      info.mem_addr < latches_.resident_hi && info.mem_addr + 4 > latches_.resident_lo) {
+    drop_residency(stats_, latches_.resident_pc);
   }
 }
 
@@ -268,7 +266,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
     // in one call, probing the rcache before every interior PC exactly as
     // the loop top would. Skipped while an extension check is armed — that
     // state is consumed by the slow path's next retirement.
-    if (config_.machine.host_trace_dispatch && !extension_candidate_) {
+    if (config_.machine.host_trace_dispatch && !latches_.extension_candidate) {
       const uint64_t limit = std::min(max_instructions, instruction_boundary);
       TraceEnv env{this};
       const sim::TraceExecResult res =
@@ -280,8 +278,8 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
       if (res.executed > 0) continue;
     }
 
-    const bool was_extension_candidate = extension_candidate_;
-    extension_candidate_ = false;
+    const bool was_extension_candidate = latches_.extension_candidate;
+    latches_.extension_candidate = false;
 
     const sim::StepInfo info = sim::step(state_, memory_, &decode_cache_);
     retire_on_core(sim::RetireRecord::classify(info.instr), info);
@@ -290,13 +288,13 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
     // just retired. If its counter is saturated in the direction it went,
     // the following basic block becomes part of the configuration.
     bool branch_absorbed_by_extension = false;
-    if (was_extension_candidate && info.pc == extension_branch_pc_ &&
+    if (was_extension_candidate && info.pc == latches_.extension_branch_pc &&
         isa::is_branch(info.instr.op)) {
       const auto dir = predictor_.saturated_direction(info.pc);
       if (dir.has_value() && *dir == info.taken) {
         // Bookkeeping access, not a dispatch: probe() keeps the hit count
         // equal to the number of array activations.
-        if (rra::Configuration* config = rcache_->probe(extension_config_pc_)) {
+        if (rra::Configuration* config = rcache_->probe(latches_.extension_config_pc)) {
           if (!translator_->begin_extension(*config, info.instr, info.pc, *dir)) {
             config->no_extend = true;
           } else {
@@ -317,7 +315,7 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
   // so they are correct both at a checkpoint boundary and at the end.
   stats.hit_limit = !state_.halted && stats.instructions >= max_instructions;
   stats.proc_cycles = pipeline_.cycles();
-  stats.array_cycles = array_cycle_acc_;
+  stats.array_cycles = latches_.array_cycle_acc;
   stats.cycles = stats.proc_cycles + stats.array_cycles;
   stats.rcache_hits = rcache_->hits();
   stats.rcache_misses = rcache_->misses();

@@ -80,6 +80,25 @@ struct SystemConfig : bt::TranslatorParams {
   }
 };
 
+// The system's own run latches: what the snapshot's sys section persists.
+struct RunLatches {
+  // Speculation-extension bookkeeping: set after a fully-committed array
+  // execution whose resume instruction is a conditional branch.
+  bool extension_candidate = false;
+  uint32_t extension_config_pc = 0;
+  uint32_t extension_branch_pc = 0;
+  uint64_t array_cycle_acc = 0;  // array cycles (outside the pipeline model)
+  // Residency latch: the configuration currently held on the array.
+  // Valid only while the cached entry's revision still matches (the rcache
+  // stamps every write); resident_lo/hi cover the translated code bytes
+  // so stores into them (SMC) drop the latch.
+  bool has_resident = false;
+  uint32_t resident_pc = 0;
+  uint64_t resident_rev = 0;
+  uint32_t resident_lo = 0;
+  uint32_t resident_hi = 0;  // exclusive
+};
+
 class AcceleratedSystem : private obs::RunClock {
  public:
   AcceleratedSystem(const asmblr::Program& program, const SystemConfig& config);
@@ -145,7 +164,7 @@ class AcceleratedSystem : private obs::RunClock {
   // obs::RunClock — the stamp every emitted event carries.
   uint64_t retired_instructions() const override { return stats_.instructions; }
   uint64_t clock_proc_cycles() const override { return pipeline_.cycles(); }
-  uint64_t clock_array_cycles() const override { return array_cycle_acc_; }
+  uint64_t clock_array_cycles() const override { return latches_.array_cycle_acc; }
 
   SystemConfig config_;
   mem::Memory memory_;
@@ -157,26 +176,10 @@ class AcceleratedSystem : private obs::RunClock {
   std::unique_ptr<bt::ReconfigCache> rcache_;
   std::unique_ptr<bt::Translator> translator_;
 
-  // Speculation-extension bookkeeping: set after a fully-committed array
-  // execution whose resume instruction is a conditional branch.
-  bool extension_candidate_ = false;
-  uint32_t extension_config_pc_ = 0;
-  uint32_t extension_branch_pc_ = 0;
-
-  // Residency latch: the configuration currently held on the array.
-  // Valid only while the cached entry's revision still matches (the rcache
-  // stamps every write); resident_lo_/hi_ cover the translated code bytes
-  // so stores into them (SMC) drop the latch.
-  bool has_resident_ = false;
-  uint32_t resident_pc_ = 0;
-  uint64_t resident_rev_ = 0;
-  uint32_t resident_lo_ = 0;
-  uint32_t resident_hi_ = 0;  // exclusive
+  RunLatches latches_;
 
   // The array's execution personality (row-sync by default).
   rra::ExecutionModel exec_model_;
-
-  uint64_t array_cycle_acc_ = 0;  // array cycles (outside the pipeline model)
 
   // The run's live counters (event stamps read instructions from here).
   AccelStats stats_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 namespace dim::bt {
 
@@ -18,7 +19,7 @@ void ReconfigCache::emit(obs::EventKind kind, uint32_t pc, int32_t words) {
 rra::Configuration* ReconfigCache::lookup(uint32_t pc) {
   auto it = entries_.find(pc);
   if (it == entries_.end()) return nullptr;  // misses are noted by the translator
-  ++hits_;
+  ++c_.hits;
   if (policy_ == Replacement::kLru) {
     // Refresh recency: splice this PC's node to the back of the order list.
     order_.splice(order_.end(), order_, order_pos_.find(pc)->second);
@@ -33,11 +34,11 @@ void ReconfigCache::insert(rra::Configuration config) {
   if (it != entries_.end()) {
     // Every (re)write gets a fresh revision, so an array-resident copy of
     // the old contents is detectable as stale by the dispatching system.
-    config.revision = ++revision_counter_;
+    config.revision = ++c_.revision_counter;
     // Replacement (e.g. a speculation extension): the entry is rewritten in
     // place — a real cache write. FIFO keeps the original insertion
     // position; LRU treats the rewrite as a use and refreshes recency.
-    words_written_ += words;
+    c_.words_written += words;
     *it->second = std::move(config);
     if (policy_ == Replacement::kLru) {
       order_.splice(order_.end(), order_, order_pos_.find(pc)->second);
@@ -54,14 +55,14 @@ void ReconfigCache::insert(rra::Configuration config) {
     emit(obs::EventKind::kRcacheEvict, victim,
          victim_it->second->instruction_count());
     entries_.erase(victim_it);
-    ++evictions_;
+    ++c_.evictions;
   }
-  words_written_ += words;
-  config.revision = ++revision_counter_;
+  c_.words_written += words;
+  config.revision = ++c_.revision_counter;
   entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
   order_.push_back(pc);
   order_pos_.emplace(pc, std::prev(order_.end()));
-  ++insertions_;
+  ++c_.insertions;
   emit(obs::EventKind::kRcacheInsert, pc, static_cast<int32_t>(words));
 }
 
@@ -72,32 +73,33 @@ std::vector<rra::Configuration> ReconfigCache::export_entries() const {
   return out;
 }
 
-void ReconfigCache::restore(std::vector<rra::Configuration> entries,
-                            const RcacheCounters& counters) {
+void ReconfigCache::check_entries(const std::vector<rra::Configuration>& entries) const {
   if (entries.size() > slots_) {
     throw std::invalid_argument("restore of " + std::to_string(entries.size()) +
                                 " entries into a " + std::to_string(slots_) +
                                 "-slot cache");
   }
+  std::unordered_set<uint32_t> pcs;
+  for (const rra::Configuration& config : entries) {
+    if (!pcs.insert(config.start_pc).second) {
+      throw std::invalid_argument("duplicate start PC in restored cache entries");
+    }
+  }
+}
+
+void ReconfigCache::restore(std::vector<rra::Configuration> entries,
+                            const RcacheCounters& counters) {
+  check_entries(entries);
   entries_.clear();
   order_.clear();
   order_pos_.clear();
   for (rra::Configuration& config : entries) {
     const uint32_t pc = config.start_pc;
-    if (!entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)))
-             .second) {
-      throw std::invalid_argument("duplicate start PC in restored cache entries");
-    }
+    entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
     order_.push_back(pc);
     order_pos_.emplace(pc, std::prev(order_.end()));
   }
-  hits_ = counters.hits;
-  misses_ = counters.misses;
-  insertions_ = counters.insertions;
-  evictions_ = counters.evictions;
-  flushes_ = counters.flushes;
-  words_written_ = counters.words_written;
-  revision_counter_ = counters.revision_counter;
+  c_ = counters;
 }
 
 bool ReconfigCache::preload(rra::Configuration config) {
@@ -106,7 +108,7 @@ bool ReconfigCache::preload(rra::Configuration config) {
   // Preloading keeps the revision the entry was saved with (so a warm run
   // re-exports byte-identically) and only advances the counter past it, so
   // later insertions can never reissue a stamp the file already used.
-  revision_counter_ = std::max(revision_counter_, config.revision);
+  c_.revision_counter = std::max(c_.revision_counter, config.revision);
   entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
   order_.push_back(pc);
   order_pos_.emplace(pc, std::prev(order_.end()));
@@ -121,7 +123,7 @@ void ReconfigCache::flush(uint32_t pc) {
   auto pos = order_pos_.find(pc);
   order_.erase(pos->second);
   order_pos_.erase(pos);
-  ++flushes_;
+  ++c_.flushes;
 }
 
 }  // namespace dim::bt

@@ -18,7 +18,7 @@ namespace dim::bt {
 // bench.
 enum class Replacement : uint8_t { kFifo, kLru };
 
-// The cache's statistic counters as one block, exported for checkpointing.
+// The cache's counters: with the entries, what a checkpoint persists.
 struct RcacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -57,7 +57,7 @@ class ReconfigCache {
 
   // Registers one counted miss: a translation-start candidate had no
   // stored configuration. Called by the translator, not by probes.
-  void note_miss() { ++misses_; }
+  void note_miss() { ++c_.misses; }
 
   // True if `pc` has an entry (no hit/miss accounting) — used by the
   // translator to avoid re-translating cached sequences.
@@ -91,14 +91,14 @@ class ReconfigCache {
   size_t slots() const { return slots_; }
   Replacement policy() const { return policy_; }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t insertions() const { return insertions_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t flushes() const { return flushes_; }
+  uint64_t hits() const { return c_.hits; }
+  uint64_t misses() const { return c_.misses; }
+  uint64_t insertions() const { return c_.insertions; }
+  uint64_t evictions() const { return c_.evictions; }
+  uint64_t flushes() const { return c_.flushes; }
   // Total configuration words written across all insertions/replacements
   // (one word per translated instruction; feeds the power model).
-  uint64_t words_written() const { return words_written_; }
+  uint64_t words_written() const { return c_.words_written; }
 
   // Oldest-first eviction order, materialized for tests and serialization
   // (the live order is an intrusive list, not indexable).
@@ -106,20 +106,21 @@ class ReconfigCache {
     return std::vector<uint32_t>(order_.begin(), order_.end());
   }
 
-  RcacheCounters counters() const {
-    return {hits_,    misses_,        insertions_,       evictions_,
-            flushes_, words_written_, revision_counter_};
-  }
+  const RcacheCounters& counters() const { return c_; }
 
   // Stored configurations in eviction order (oldest first) — together with
   // counters(), the cache's complete checkpointable state.
   std::vector<rra::Configuration> export_entries() const;
 
-  // Checkpoint restore: replaces the whole cache with `entries` (oldest
-  // first) and the given counters. Completely silent — no statistics, no
-  // lifecycle events — because restoring state is not cache activity.
-  // Entries beyond slots() or with duplicate start PCs are rejected
-  // (std::invalid_argument): a checkpoint of a valid cache never has them.
+  // Throws std::invalid_argument for entries this cache cannot hold: more
+  // than slots(), or one start PC twice. A checkpoint of a valid cache
+  // never has them.
+  void check_entries(const std::vector<rra::Configuration>& entries) const;
+
+  // Checkpoint restore: checks `entries` (oldest first), then replaces the
+  // whole cache with them and the given counters. Completely silent — no
+  // statistics, no lifecycle events — because restoring state is not
+  // cache activity.
   void restore(std::vector<rra::Configuration> entries,
                const RcacheCounters& counters);
 
@@ -144,13 +145,7 @@ class ReconfigCache {
   // flushes and evictions never scan: LRU refresh is a splice, O(1).
   OrderList order_;
   std::unordered_map<uint32_t, OrderList::iterator> order_pos_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t insertions_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t flushes_ = 0;
-  uint64_t words_written_ = 0;
-  uint64_t revision_counter_ = 0;
+  RcacheCounters c_;
 };
 
 }  // namespace dim::bt

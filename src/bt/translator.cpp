@@ -1,6 +1,7 @@
 #include "bt/translator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/executor.hpp"
@@ -70,45 +71,13 @@ bool is_join_jump_instr(const Instr& i) {
 // --- ConfigBuilder -----------------------------------------------------------
 
 ConfigBuilder::ConfigBuilder(uint32_t start_pc, const TranslatorParams& params)
-    : params_(params), start_pc_(start_pc) {
-  last_writer_row_.fill(-1);
-}
-
-ConfigBuilder::ConfigBuilder(const BuilderState& state, const TranslatorParams& params)
-    : params_(params), start_pc_(state.start_pc) {
-  ops_ = state.ops;
-  rows_.reserve(state.rows.size());
-  for (const std::array<int, 3>& r : state.rows) {
-    rows_.push_back(RowUse{r[0], r[1], r[2]});
-  }
-  last_writer_row_ = state.last_writer_row;
-  input_ctx_ = std::bitset<rra::kNumCtxRegs>(state.input_ctx_bits);
-  written_ = std::bitset<rra::kNumCtxRegs>(state.written_bits);
-  last_mem_row_ = state.last_mem_row;
-  last_store_row_ = state.last_store_row;
-  bb_ = state.bb;
-  immediates_ = state.immediates;
-  pred_slots_ = state.pred_slots;
-}
-
-BuilderState ConfigBuilder::export_state() const {
-  BuilderState s;
-  s.start_pc = start_pc_;
-  s.ops = ops_;
-  s.rows.reserve(rows_.size());
-  for (const RowUse& r : rows_) s.rows.push_back({r.alu, r.mul, r.ldst});
-  s.last_writer_row = last_writer_row_;
-  s.input_ctx_bits = input_ctx_.to_ullong();
-  s.written_bits = written_.to_ullong();
-  s.last_mem_row = last_mem_row_;
-  s.last_store_row = last_store_row_;
-  s.bb = bb_;
-  s.immediates = immediates_;
-  s.pred_slots = pred_slots_;
-  return s;
+    : params_(&params) {
+  s_.start_pc = start_pc;
+  s_.last_writer_row.fill(-1);
 }
 
 bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts) {
+  const TranslatorParams& params = *params_;
   // The join jump compares $0 == $0 on an ALU, like any other branch slot.
   const FuKind kind =
       opts.is_join_jump ? FuKind::kAlu : fu_for(instr, opts.is_branch);
@@ -120,50 +89,53 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   // strictly below the pred-defining branch so the write-back gate is
   // resolved by the time the row drives the bus).
   int min_row = opts.min_row_floor;
-  std::bitset<rra::kNumCtxRegs> new_inputs;
+  uint64_t new_inputs = 0;
   for (int k = 0; k < nsrc; ++k) {
     const int s = srcs[k];
     if (s == 0) continue;  // $zero
-    const int producer = last_writer_row_[static_cast<size_t>(s)];
+    const int producer = s_.last_writer_row[static_cast<size_t>(s)];
     if (producer >= 0) {
       min_row = std::max(min_row, producer + 1);
-    } else if (!input_ctx_.test(static_cast<size_t>(s))) {
-      new_inputs.set(static_cast<size_t>(s));
+    } else if (((s_.input_ctx_bits >> s) & 1) == 0) {
+      new_inputs |= uint64_t{1} << s;
     }
   }
 
   // Memory ordering: no disambiguation hardware — loads may not pass
   // stores, stores may not pass any memory operation.
   if (isa::is_load(instr.op)) {
-    min_row = std::max(min_row, last_store_row_ + 1);
+    min_row = std::max(min_row, s_.last_store_row + 1);
   } else if (isa::is_store(instr.op)) {
-    min_row = std::max(min_row, last_mem_row_ + 1);
+    min_row = std::max(min_row, s_.last_mem_row + 1);
   }
 
   // Capacity checks that must not mutate state on failure.
-  if ((input_ctx_ | new_inputs).count() >
-      static_cast<size_t>(params_.max_input_regs)) {
+  if (static_cast<size_t>(std::popcount(s_.input_ctx_bits | new_inputs)) >
+      static_cast<size_t>(params.max_input_regs)) {
     return false;
   }
   int dests[2];
   const int ndst = rra::array_dests(instr, dests);
-  std::bitset<rra::kNumCtxRegs> new_written = written_;
-  for (int k = 0; k < ndst; ++k) new_written.set(static_cast<size_t>(dests[k]));
-  if (new_written.count() > static_cast<size_t>(params_.max_output_regs)) return false;
+  uint64_t new_written = s_.written_bits;
+  for (int k = 0; k < ndst; ++k) new_written |= uint64_t{1} << dests[k];
+  if (static_cast<size_t>(std::popcount(new_written)) >
+      static_cast<size_t>(params.max_output_regs)) {
+    return false;
+  }
 
   // Resource table: first line >= min_row with a free unit of this group.
-  const int per_line = kind == FuKind::kAlu    ? params_.shape.alus_per_line
-                       : kind == FuKind::kMul  ? params_.shape.muls_per_line
-                                               : params_.shape.ldsts_per_line;
+  const size_t group = kind == FuKind::kAlu ? 0 : kind == FuKind::kMul ? 1 : 2;
+  const int per_line = group == 0   ? params.shape.alus_per_line
+                       : group == 1 ? params.shape.muls_per_line
+                                    : params.shape.ldsts_per_line;
   if (per_line <= 0) return false;
   int row = -1;
   int col = -1;
-  for (int r = min_row; r < params_.shape.lines; ++r) {
-    if (r >= static_cast<int>(rows_.size())) {
-      rows_.resize(static_cast<size_t>(r) + 1);
+  for (int r = min_row; r < params.shape.lines; ++r) {
+    if (r >= static_cast<int>(s_.rows.size())) {
+      s_.rows.resize(static_cast<size_t>(r) + 1);
     }
-    RowUse& use = rows_[static_cast<size_t>(r)];
-    int& used = kind == FuKind::kAlu ? use.alu : kind == FuKind::kMul ? use.mul : use.ldst;
+    int& used = s_.rows[static_cast<size_t>(r)][group];
     if (used < per_line) {
       row = r;
       col = used;
@@ -174,23 +146,23 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   if (row < 0) return false;
 
   // Commit all table updates.
-  input_ctx_ |= new_inputs;
-  written_ = new_written;
+  s_.input_ctx_bits |= new_inputs;
+  s_.written_bits = new_written;
   const bool predicated_write = opts.pred_slot >= 0 && !opts.is_pred_def;
   for (int k = 0; k < ndst; ++k) {
-    int& writer = last_writer_row_[static_cast<size_t>(dests[k])];
+    int& writer = s_.last_writer_row[static_cast<size_t>(dests[k])];
     // A predicated write may be squashed at runtime, so a later reader must
     // sit below BOTH the other arm's writer and this one: keep the deepest
     // writer row instead of overwriting it.
     writer = predicated_write ? std::max(writer, row) : row;
   }
   if (isa::is_load(instr.op)) {
-    last_mem_row_ = std::max(last_mem_row_, row);
+    s_.last_mem_row = std::max(s_.last_mem_row, row);
   } else if (isa::is_store(instr.op)) {
-    last_mem_row_ = std::max(last_mem_row_, row);
-    last_store_row_ = std::max(last_store_row_, row);
+    s_.last_mem_row = std::max(s_.last_mem_row, row);
+    s_.last_store_row = std::max(s_.last_store_row, row);
   }
-  if (uses_immediate(instr)) ++immediates_;
+  if (uses_immediate(instr)) ++s_.immediates;
 
   rra::ArrayOp op;
   op.instr = instr;
@@ -198,9 +170,9 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   // semantics (never the dependence/resource bookkeeping above, which used
   // the pristine instruction) so the bug surfaces only as divergent
   // architectural state when the configuration executes.
-  if (params_.fault == FaultInjection::kAddiuImmOffByOne && instr.op == Op::kAddiu) {
+  if (params.fault == FaultInjection::kAddiuImmOffByOne && instr.op == Op::kAddiu) {
     op.instr.imm16 ^= 1;
-  } else if (params_.fault == FaultInjection::kSubuSwapOperands &&
+  } else if (params.fault == FaultInjection::kSubuSwapOperands &&
              instr.op == Op::kSubu) {
     std::swap(op.instr.rs, op.instr.rt);
   }
@@ -208,19 +180,19 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   op.row = row;
   op.col = col;
   op.kind = kind;
-  op.bb_index = bb_;
+  op.bb_index = s_.bb;
   op.is_branch = opts.is_branch;
   op.predicted_taken = opts.predicted_taken;
   op.pred_slot = opts.pred_slot;
   op.pred_when_taken = opts.pred_when_taken;
   op.is_pred_def = opts.is_pred_def;
   op.is_join_jump = opts.is_join_jump;
-  ops_.push_back(op);
+  s_.ops.push_back(op);
   return true;
 }
 
 bool ConfigBuilder::try_add(const Instr& instr, uint32_t pc) {
-  return op_allowed(instr, params_) && place(instr, pc, PlaceOpts{});
+  return op_allowed(instr, *params_) && place(instr, pc, PlaceOpts{});
 }
 
 bool ConfigBuilder::try_add_branch(const Instr& instr, uint32_t pc,
@@ -233,7 +205,7 @@ bool ConfigBuilder::try_add_branch(const Instr& instr, uint32_t pc,
   opts.is_branch = true;
   opts.predicted_taken = predicted_taken;
   if (!place(instr, pc, opts)) return false;
-  ++bb_;  // subsequent ops belong to the next (speculative) basic block
+  ++s_.bb;  // subsequent ops belong to the next (speculative) basic block
   return true;
 }
 
@@ -241,7 +213,7 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
                                       const std::vector<HammockOp>& not_taken_arm,
                                       const HammockOp* join_jump,
                                       const std::vector<HammockOp>& taken_arm) {
-  const int slot = pred_slots_;
+  const int slot = s_.pred_slots;
   if (slot >= rra::kMaxPredSlots) return false;
 
   PlaceOpts def;
@@ -249,14 +221,14 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
   def.is_pred_def = true;
   def.pred_slot = slot;
   if (!place(branch, branch_pc, def)) return false;
-  const int pred_row = ops_.back().row;
+  const int pred_row = s_.ops.back().row;
 
   PlaceOpts arm;
   arm.pred_slot = slot;
   arm.min_row_floor = pred_row + 1;
   arm.pred_when_taken = false;  // fall-through arm runs when NOT taken
   for (const HammockOp& h : not_taken_arm) {
-    if (!arm_op_allowed(h.instr, params_)) return false;
+    if (!arm_op_allowed(h.instr, *params_)) return false;
     if (!place(h.instr, h.pc, arm)) return false;
   }
   if (join_jump != nullptr) {
@@ -266,10 +238,10 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
   }
   arm.pred_when_taken = true;
   for (const HammockOp& h : taken_arm) {
-    if (!arm_op_allowed(h.instr, params_)) return false;
+    if (!arm_op_allowed(h.instr, *params_)) return false;
     if (!place(h.instr, h.pc, arm)) return false;
   }
-  ++pred_slots_;
+  ++s_.pred_slots;
   return true;
 }
 
@@ -289,29 +261,29 @@ bool ConfigBuilder::replay(const rra::Configuration& config) {
       opts.min_row_floor = pred_row[static_cast<size_t>(op.pred_slot)] + 1;
     }
     if (!place(op.instr, op.pc, opts)) return false;
-    if (op.is_pred_def) pred_row[static_cast<size_t>(op.pred_slot)] = ops_.back().row;
-    if (op.is_branch && !op.is_pred_def) ++bb_;
+    if (op.is_pred_def) pred_row[static_cast<size_t>(op.pred_slot)] = s_.ops.back().row;
+    if (op.is_branch && !op.is_pred_def) ++s_.bb;
   }
-  pred_slots_ = config.pred_slots;
+  s_.pred_slots = config.pred_slots;
   return true;
 }
 
 rra::Configuration ConfigBuilder::finalize(uint32_t end_pc) const {
   rra::Configuration config;
-  config.start_pc = start_pc_;
+  config.start_pc = s_.start_pc;
   config.end_pc = end_pc;
-  config.ops = ops_;
-  config.num_bbs = bb_ + 1;
-  config.input_regs = static_cast<int>(input_ctx_.count());
-  config.output_regs = static_cast<int>(written_.count());
-  config.immediates = immediates_;
-  config.pred_slots = pred_slots_;
+  config.ops = s_.ops;
+  config.num_bbs = s_.bb + 1;
+  config.input_regs = std::popcount(s_.input_ctx_bits);
+  config.output_regs = std::popcount(s_.written_bits);
+  config.immediates = s_.immediates;
+  config.pred_slots = s_.pred_slots;
 
   int rows_used = 0;
-  for (const rra::ArrayOp& op : ops_) rows_used = std::max(rows_used, op.row + 1);
+  for (const rra::ArrayOp& op : s_.ops) rows_used = std::max(rows_used, op.row + 1);
   config.rows_used = rows_used;
   config.row_kinds.assign(static_cast<size_t>(rows_used), rra::RowKind::kAlu);
-  for (const rra::ArrayOp& op : ops_) {
+  for (const rra::ArrayOp& op : s_.ops) {
     rra::RowKind& kind = config.row_kinds[static_cast<size_t>(op.row)];
     if (op.kind == FuKind::kLdSt) {
       kind = rra::RowKind::kMem;
@@ -345,8 +317,8 @@ void Translator::finalize_capture(uint32_t end_pc) {
   if (builder_->size() >= params_.min_instructions) {
     emit(obs::EventKind::kConfigFinalized, builder_->start_pc(),
          builder_->size(), builder_->num_bbs());
-    if (extending_) {
-      ++stats_.extensions_completed;
+    if (s_.extending) {
+      ++s_.stats.extensions_completed;
       emit(obs::EventKind::kExtensionCompleted, builder_->start_pc(),
            builder_->size(), builder_->num_bbs());
     }
@@ -362,31 +334,31 @@ void Translator::finalize_capture(uint32_t end_pc) {
       }
     }
     cache_->insert(std::move(config));
-    ++stats_.configs_inserted;
+    ++s_.stats.configs_inserted;
   } else {
-    ++stats_.too_short;
+    ++s_.stats.too_short;
     emit(obs::EventKind::kCaptureTooShort, builder_->start_pc(), builder_->size());
   }
   builder_.reset();
-  extending_ = false;
-  skipping_ = false;
+  s_.extending = false;
+  s_.skipping = false;
 }
 
 void Translator::abort_capture() {
   if (builder_) {
-    ++stats_.captures_aborted;
+    ++s_.stats.captures_aborted;
     emit(obs::EventKind::kCaptureAborted, builder_->start_pc(), builder_->size());
   }
   builder_.reset();
-  extending_ = false;
-  skipping_ = false;
+  s_.extending = false;
+  s_.skipping = false;
 }
 
 void Translator::on_array_executed() {
   abort_capture();
   // The configuration's resume point behaves like a sequence boundary: the
   // next branch retirement will re-arm detection (handled by observe()).
-  start_pending_ = false;
+  s_.start_pending = false;
 }
 
 bool Translator::begin_extension(const rra::Configuration& config,
@@ -399,34 +371,18 @@ bool Translator::begin_extension(const rra::Configuration& config,
     return false;
   }
   builder_ = std::move(builder);
-  extending_ = true;
-  ++stats_.captures_started;
+  s_.extending = true;
+  ++s_.stats.captures_started;
   emit(obs::EventKind::kExtensionBegun, config.start_pc,
        config.instruction_count(), config.num_bbs);
   return true;
 }
 
-TranslatorState Translator::export_state() const {
-  TranslatorState s;
-  s.stats = stats_;
-  s.start_pending = start_pending_;
-  s.extending = extending_;
-  s.skipping = skipping_;
-  s.skip_lo = skip_lo_;
-  s.skip_until = skip_until_;
-  if (builder_) s.builder = builder_->export_state();
-  return s;
-}
-
-void Translator::restore_state(const TranslatorState& state) {
-  stats_ = state.stats;
-  start_pending_ = state.start_pending;
-  extending_ = state.extending;
-  skipping_ = state.skipping;
-  skip_lo_ = state.skip_lo;
-  skip_until_ = state.skip_until;
-  if (state.builder) {
-    builder_.emplace(*state.builder, params_);
+void Translator::restore_state(const TranslatorState& state,
+                               std::optional<BuilderState> capture) {
+  s_ = state;
+  if (capture) {
+    builder_.emplace(std::move(*capture), params_);
   } else {
     builder_.reset();
   }
@@ -443,7 +399,7 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
   if (fall_len > kMaxHammockOps + 1) {
     // Even a diamond (whose fall-through region carries one join jump on
     // top of the arm) cannot fit — the cap fallback the tests exercise.
-    ++stats_.hammock_rejects;
+    ++s_.stats.hammock_rejects;
     return false;
   }
 
@@ -474,17 +430,17 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
           return arm_op_allowed(h.instr, params_);
         });
     if (!body_ok || !is_join_jump_instr(last.instr)) {
-      ++stats_.hammock_rejects;
+      ++s_.stats.hammock_rejects;
       return false;
     }
     join_pc = sim::branch_target(last.instr, last.pc);
     if (join_pc <= target) {
-      ++stats_.hammock_rejects;
+      ++s_.stats.hammock_rejects;
       return false;
     }
     const int taken_len = static_cast<int>((join_pc - target) / 4);
     if (fall_len - 1 + taken_len > kMaxHammockOps) {
-      ++stats_.hammock_rejects;
+      ++s_.stats.hammock_rejects;
       return false;
     }
     taken.reserve(static_cast<size_t>(taken_len));
@@ -492,7 +448,7 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
       const uint32_t pc = target + static_cast<uint32_t>(k) * 4;
       std::optional<Instr> instr = code_reader_(pc);
       if (!instr || !arm_op_allowed(*instr, params_)) {
-        ++stats_.hammock_rejects;
+        ++s_.stats.hammock_rejects;
         return false;
       }
       taken.push_back(HammockOp{*instr, pc});
@@ -500,7 +456,7 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
     not_taken.pop_back();
     join_jump = last;
   } else if (fall_len > kMaxHammockOps) {
-    ++stats_.hammock_rejects;
+    ++s_.stats.hammock_rejects;
     return false;
   }
 
@@ -509,14 +465,14 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
   ConfigBuilder trial = *builder_;
   if (!trial.try_merge_hammock(branch, branch_pc, not_taken,
                                join_jump ? &*join_jump : nullptr, taken)) {
-    ++stats_.hammock_rejects;
+    ++s_.stats.hammock_rejects;
     return false;
   }
   builder_ = std::move(trial);
-  skipping_ = true;
-  skip_lo_ = branch_pc + 4;
-  skip_until_ = join_pc;
-  ++stats_.hammocks_merged;
+  s_.skipping = true;
+  s_.skip_lo = branch_pc + 4;
+  s_.skip_until = join_pc;
+  ++s_.stats.hammocks_merged;
   emit(obs::EventKind::kHammockMerged, builder_->start_pc(),
        static_cast<int32_t>(not_taken.size() + taken.size()),
        builder_->pred_slots(), branch_pc);
@@ -524,17 +480,17 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
 }
 
 void Translator::observe(const sim::StepInfo& info) {
-  ++stats_.observed_instructions;
+  ++s_.stats.observed_instructions;
   const Instr& i = info.instr;
   const bool is_cond_branch = isa::is_branch(i.op);
   const bool is_flow = is_cond_branch || isa::is_jump(i.op);
 
-  if (builder_ && skipping_) {
-    if (info.pc == skip_until_) {
+  if (builder_ && s_.skipping) {
+    if (info.pc == s_.skip_until) {
       // The hammock's join point: both arms are already placed, resume the
       // normal capture with this instruction.
-      skipping_ = false;
-    } else if (info.pc >= skip_lo_ && info.pc < skip_until_) {
+      s_.skipping = false;
+    } else if (info.pc >= s_.skip_lo && info.pc < s_.skip_until) {
       // Inside the merged hammock: whichever arm retires on the processor
       // is already in the configuration. Only the predictor observes it
       // (the join jump included — exactly what the software path trains).
@@ -571,34 +527,34 @@ void Translator::observe(const sim::StepInfo& info) {
       if (!merged) merged = try_hammock_merge(i, info.pc);
       if (!merged) {
         finalize_capture(info.pc);
-        start_pending_ = true;  // next instruction follows a branch
+        s_.start_pending = true;  // next instruction follows a branch
       }
     } else if (!translatable(i.op)) {
       finalize_capture(info.pc);
-      start_pending_ = is_flow;  // jumps also delimit basic blocks
+      s_.start_pending = is_flow;  // jumps also delimit basic blocks
     } else if (!builder_->try_add(i, info.pc)) {
       // Array capacity exhausted: save what fits (this instruction resumes
       // on the processor).
       finalize_capture(info.pc);
-      start_pending_ = false;
+      s_.start_pending = false;
     }
   } else {
-    if (start_pending_ && !is_flow && translatable(i.op) &&
+    if (s_.start_pending && !is_flow && translatable(i.op) &&
         cache_->probe(info.pc) == nullptr &&
         (params_.allowed_starts.empty() || params_.allowed_starts.count(info.pc) != 0)) {
       // A genuine sequence start with no stored configuration: the one
       // event that counts as a reconfiguration-cache miss.
       cache_->note_miss();
       builder_.emplace(info.pc, params_);
-      ++stats_.captures_started;
+      ++s_.stats.captures_started;
       emit(obs::EventKind::kCaptureStarted, info.pc);
-      start_pending_ = false;
+      s_.start_pending = false;
       if (!builder_->try_add(i, info.pc)) abort_capture();
     } else if (is_flow) {
-      start_pending_ = true;
-    } else if (start_pending_ && cache_->contains(info.pc)) {
+      s_.start_pending = true;
+    } else if (s_.start_pending && cache_->contains(info.pc)) {
       // Already translated; wait for the next boundary.
-      start_pending_ = false;
+      s_.start_pending = false;
     }
   }
 

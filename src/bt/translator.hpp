@@ -20,11 +20,11 @@
 #pragma once
 
 #include <array>
-#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bt/predictor.hpp"
@@ -98,18 +98,24 @@ struct TranslatorParams {
   FaultInjection fault = FaultInjection::kNone;
 };
 
-// Mutable state of one in-flight ConfigBuilder, exported for
-// checkpointing. A checkpoint can land in the middle of a capture, and a
+// The DIM detection-phase tables of one in-flight translation: the
+// ConfigBuilder's whole state, and what a checkpoint persists of an open
+// capture. A checkpoint can land in the middle of a capture, and a
 // resumed run must keep building the configuration exactly where the
-// straight run would — so the dependence/resource tables are serialized
-// as-is, never reconstructed by replaying ops (replaying would re-apply
-// fault injection and double-corrupt planted-bug ops).
+// straight run would — so the tables are serialized as-is, never
+// reconstructed by replaying ops (replaying would re-apply fault
+// injection and double-corrupt planted-bug ops).
 struct BuilderState {
   uint32_t start_pc = 0;
   std::vector<rra::ArrayOp> ops;
-  std::vector<std::array<int, 3>> rows;  // per-row units in use: alu, mul, ldst
+  // Resource table: per line, the units in use of each group (alu, mul,
+  // ldst).
+  std::vector<std::array<int, 3>> rows;
+  // Dependence table: last line writing each context register (-1 = none).
   std::array<int, rra::kNumCtxRegs> last_writer_row{};
-  uint64_t input_ctx_bits = 0;  // kNumCtxRegs (34) bits fit one u64
+  // Reads table (input context) and writes table, one bit per context
+  // register: kNumCtxRegs (34) bits fit one u64.
+  uint64_t input_ctx_bits = 0;
   uint64_t written_bits = 0;
   int last_mem_row = -1;
   int last_store_row = -1;
@@ -130,14 +136,20 @@ struct HammockOp {
 // the owner re-attaches it after a checkpoint restore.
 using CodeReader = std::function<std::optional<isa::Instr>(uint32_t)>;
 
-// The DIM detection-phase tables for one in-flight translation.
+// Places instructions into the detection-phase tables of one in-flight
+// translation. It refers to `params` without copying them, so they must
+// outlive the builder (the translator's own copy does); a temporary is
+// refused at compile time.
 class ConfigBuilder {
  public:
   ConfigBuilder(uint32_t start_pc, const TranslatorParams& params);
+  ConfigBuilder(uint32_t start_pc, TranslatorParams&& params) = delete;
 
-  // Checkpoint restore: rebuilds the builder from exported state. The
-  // params must be the ones the state was exported under.
-  ConfigBuilder(const BuilderState& state, const TranslatorParams& params);
+  // Checkpoint restore: adopts exported tables. The params must be the
+  // ones the state was exported under.
+  ConfigBuilder(BuilderState state, const TranslatorParams& params)
+      : params_(&params), s_(std::move(state)) {}
+  ConfigBuilder(BuilderState state, TranslatorParams&& params) = delete;
 
   // Attempts to place a (supported, non-branch) instruction. Returns false
   // when a capacity limit is hit; the builder is left unchanged.
@@ -163,20 +175,14 @@ class ConfigBuilder {
 
   rra::Configuration finalize(uint32_t end_pc) const;
 
-  BuilderState export_state() const;
+  const BuilderState& export_state() const { return s_; }
 
-  int size() const { return static_cast<int>(ops_.size()); }
-  int num_bbs() const { return bb_ + 1; }
-  int pred_slots() const { return pred_slots_; }
-  uint32_t start_pc() const { return start_pc_; }
+  int size() const { return static_cast<int>(s_.ops.size()); }
+  int num_bbs() const { return s_.bb + 1; }
+  int pred_slots() const { return s_.pred_slots; }
+  uint32_t start_pc() const { return s_.start_pc; }
 
  private:
-  struct RowUse {
-    int alu = 0;
-    int mul = 0;
-    int ldst = 0;
-  };
-
   // Placement options for the core routine shared by every add path.
   struct PlaceOpts {
     bool is_branch = false;
@@ -190,19 +196,8 @@ class ConfigBuilder {
 
   bool place(const isa::Instr& instr, uint32_t pc, const PlaceOpts& opts);
 
-  TranslatorParams params_;
-  uint32_t start_pc_;
-  std::vector<rra::ArrayOp> ops_;
-  std::vector<RowUse> rows_;
-  // Dependence table: last line writing each context register (-1 = none).
-  std::array<int, rra::kNumCtxRegs> last_writer_row_;
-  std::bitset<rra::kNumCtxRegs> input_ctx_;  // reads table (input context)
-  std::bitset<rra::kNumCtxRegs> written_;    // writes table
-  int last_mem_row_ = -1;
-  int last_store_row_ = -1;
-  int bb_ = 0;
-  int immediates_ = 0;
-  int pred_slots_ = 0;
+  const TranslatorParams* params_;  // never null
+  BuilderState s_;
 };
 
 struct TranslatorStats {
@@ -216,18 +211,18 @@ struct TranslatorStats {
   uint64_t hammock_rejects = 0;     // candidates declined (caps / capacity)
 };
 
-// The translator's complete checkpointable state: counters, the detection
-// latches, and the in-flight capture (if one is open).
+// The translator's state outside an open capture: counters and detection
+// latches. With the open capture's BuilderState (Translator::capture()),
+// what a checkpoint persists.
 struct TranslatorState {
   TranslatorStats stats;
-  bool start_pending = true;
+  bool start_pending = true;  // program entry starts a sequence
   bool extending = false;
   // Hammock skip window: after a merge the already-placed arm instructions
   // retire on the processor and must not be re-captured.
   bool skipping = false;
   uint32_t skip_lo = 0;
   uint32_t skip_until = 0;
-  std::optional<BuilderState> builder;
 };
 
 // The detection engine. Consumes the retired stream of the processor and
@@ -236,6 +231,9 @@ class Translator {
  public:
   Translator(const TranslatorParams& params, ReconfigCache* cache,
              BimodalPredictor* predictor);
+  // The open capture refers to params(), so a copy would dangle.
+  Translator(const Translator&) = delete;
+  Translator& operator=(const Translator&) = delete;
 
   // Observes one normally-retired instruction.
   void observe(const sim::StepInfo& info);
@@ -250,15 +248,19 @@ class Translator {
   bool begin_extension(const rra::Configuration& config, const isa::Instr& branch,
                        uint32_t branch_pc, bool predicted_taken);
 
-  bool extending() const { return extending_; }
+  bool extending() const { return s_.extending; }
   bool capturing() const { return builder_.has_value(); }
-  const TranslatorStats& stats() const { return stats_; }
+  const TranslatorStats& stats() const { return s_.stats; }
   const TranslatorParams& params() const { return params_; }
 
-  // Checkpoint support. Restore is silent (no events): restoring state is
+  // Checkpoint support: the latches, and the open capture's tables (null
+  // when none is open). Restore is silent (no events): restoring state is
   // not translation activity.
-  TranslatorState export_state() const;
-  void restore_state(const TranslatorState& state);
+  const TranslatorState& export_state() const { return s_; }
+  const BuilderState* capture() const {
+    return builder_ ? &builder_->export_state() : nullptr;
+  }
+  void restore_state(const TranslatorState& state, std::optional<BuilderState> capture);
 
   // Attaches the capture-lifecycle event stream (started / aborted /
   // too-short / finalized, extension begun / completed). Null disables.
@@ -281,12 +283,7 @@ class Translator {
   ReconfigCache* cache_;
   BimodalPredictor* predictor_;
   std::optional<ConfigBuilder> builder_;
-  bool start_pending_ = true;  // program entry starts a sequence
-  bool extending_ = false;
-  bool skipping_ = false;      // inside a merged hammock's retire window
-  uint32_t skip_lo_ = 0;
-  uint32_t skip_until_ = 0;
-  TranslatorStats stats_;
+  TranslatorState s_;
   obs::EventStream* events_ = nullptr;  // not owned; null = tracing off
   CodeReader code_reader_;              // null = no hammock look-ahead
 };

@@ -21,36 +21,32 @@ Cache::Cache(const CacheParams& params) : params_(params) {
   num_lines_ = params_.size_bytes / params_.line_bytes;
   if (num_lines_ == 0) num_lines_ = 1;
   line_shift_ = log2_floor(params_.line_bytes);
-  tags_.assign(num_lines_, 0);
+  s_.tags.assign(num_lines_, 0);
 }
 
 uint32_t Cache::access(uint32_t addr) {
   if (!params_.enabled) return 0;
   const uint32_t line = (addr >> line_shift_) % num_lines_;
   const uint64_t tag = (static_cast<uint64_t>(addr) >> line_shift_) / num_lines_ + 1;
-  if (tags_[line] == tag) {
-    ++hits_;
+  if (s_.tags[line] == tag) {
+    ++s_.hits;
     return 0;
   }
-  tags_[line] = tag;
-  ++misses_;
+  s_.tags[line] = tag;
+  ++s_.misses;
   return params_.miss_penalty;
 }
 
 void Cache::reset() {
-  tags_.assign(num_lines_, 0);
-  hits_ = 0;
-  misses_ = 0;
+  s_ = CacheState{};
+  s_.tags.assign(num_lines_, 0);
 }
 
-void Cache::restore_state(const CacheState& state) {
-  if (state.tags.size() != tags_.size()) {
+void Cache::check_state(const CacheState& state) const {
+  if (state.tags.size() != num_lines_) {
     throw std::invalid_argument("cache state has " + std::to_string(state.tags.size()) +
-                                " tags, geometry needs " + std::to_string(tags_.size()));
+                                " tags, geometry needs " + std::to_string(num_lines_));
   }
-  tags_ = state.tags;
-  hits_ = state.hits;
-  misses_ = state.misses;
 }
 
 }  // namespace dim::mem

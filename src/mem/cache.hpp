@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dim::mem {
@@ -18,8 +19,8 @@ struct CacheParams {
   bool enabled = false;        // default: perfect memory (paper baseline)
 };
 
-// Mutable state of a Cache (everything except its geometry), exported for
-// checkpointing. `tags` has one entry per line of the configured geometry.
+// Mutable state of a Cache (everything except its geometry): what a
+// checkpoint persists. `tags` holds tag+1 per line (0 == invalid).
 struct CacheState {
   std::vector<uint64_t> tags;
   uint64_t hits = 0;
@@ -35,22 +36,25 @@ class Cache {
 
   void reset();
 
-  // Checkpoint support. restore_state throws std::invalid_argument when
-  // the tag count does not match this cache's geometry.
-  CacheState export_state() const { return {tags_, hits_, misses_}; }
-  void restore_state(const CacheState& state);
+  // Checkpoint support. check_state throws std::invalid_argument when the
+  // tag count does not match this cache's geometry; restore_state checks,
+  // then assigns.
+  const CacheState& export_state() const { return s_; }
+  void check_state(const CacheState& state) const;
+  void restore_state(CacheState state) {
+    check_state(state);
+    s_ = std::move(state);
+  }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
+  uint64_t hits() const { return s_.hits; }
+  uint64_t misses() const { return s_.misses; }
   const CacheParams& params() const { return params_; }
 
  private:
   CacheParams params_;
   uint32_t num_lines_ = 0;
   uint32_t line_shift_ = 0;
-  std::vector<uint64_t> tags_;  // tag+1, 0 == invalid
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  CacheState s_;
 };
 
 }  // namespace dim::mem

@@ -156,10 +156,10 @@ void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
 
   // Migration resume: a prior checkpoint's snapshot replaces simulator
   // state wholesale, so the finished response is byte-identical to a run
-  // that never migrated. An absent file, a payload that fails to restore
-  // (foreign program/config), or a checkpoint past this budget means a cold
-  // start: same bytes, more work. The last is a stale job-N.snap left by
-  // another daemon (job ids restart at 1), not a prefix of this run.
+  // that never migrated. An absent file, a payload that fails to restore,
+  // or a checkpoint past this budget means a cold start on a new system:
+  // same bytes, more work. The last is a stale job-N.snap left by another
+  // daemon (job ids restart at 1), not a prefix of this run.
   if (!job.checkpoint_path.empty()) {
     try {
       snap::restore_snapshot_payload(
@@ -168,6 +168,7 @@ void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
           program);
       if (system->stats().instructions > req.budget) system.emplace(program, config);
     } catch (const snap::SnapshotError&) {
+      system.emplace(program, config);
     }
   }
 

@@ -32,6 +32,21 @@ struct CpuState {
   }
 };
 
+// Stack and global pointers at program entry: the stack grows down from
+// just below 0x7FFF0000, and $gp points into the data segment.
+inline constexpr uint32_t kInitialSp = 0x7FFF0000;
+inline constexpr uint32_t kInitialGp = 0x10008000;
+
+// The core's state at program entry: PC at `entry`, $sp and $gp set,
+// everything else zero.
+inline CpuState entry_state(uint32_t entry) {
+  CpuState s;
+  s.pc = entry;
+  s.regs[29] = kInitialSp;
+  s.regs[28] = kInitialGp;
+  return s;
+}
+
 // Everything the rest of the system needs to know about one retired
 // instruction.
 struct StepInfo {

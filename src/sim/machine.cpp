@@ -3,20 +3,14 @@
 namespace dim::sim {
 
 Machine::Machine(const asmblr::Program& program, const MachineConfig& config)
-    : config_(config), pipeline_(config.timing) {
+    : config_(config), state_(entry_state(program.entry)), pipeline_(config.timing) {
   program.load_into(memory_);
-  state_.pc = program.entry;
-  state_.regs[29] = config_.initial_sp;  // $sp
-  state_.regs[28] = config_.initial_gp;  // $gp
 }
 
 void Machine::reset(const asmblr::Program& program) {
   memory_ = mem::Memory{};
   program.load_into(memory_);
-  state_ = CpuState{};
-  state_.pc = program.entry;
-  state_.regs[29] = config_.initial_sp;
-  state_.regs[28] = config_.initial_gp;
+  state_ = entry_state(program.entry);
   pipeline_.reset();
   decode_cache_.clear();
   trace_cache_.clear();

@@ -30,8 +30,6 @@ struct RunResult {
 struct MachineConfig {
   TimingParams timing;
   uint64_t max_instructions = 200'000'000;
-  uint32_t initial_sp = 0x7FFF0000;
-  uint32_t initial_gp = 0x10008000;
   // Superblock trace-threaded dispatch (sim/trace_cache.hpp): the host
   // fast path for unobserved runs. Bit-identical to the slow path by
   // contract (fuzzed by dimsim-fuzz --cmp-dispatch); on by default so

@@ -57,20 +57,20 @@ struct RetireRecord {
   static RetireRecord classify(const isa::Instr& i);
 };
 
-// Mutable state of a PipelineModel, exported for checkpointing: the cycle
-// counter, every inter-instruction hazard latch, and both cache models.
-// Everything a resumed run needs to charge the next instruction exactly as
-// an uninterrupted run would.
+// The hazard latches of a PipelineModel: the cycle counter and every
+// inter-instruction latch, all a resumed run needs (with the two cache
+// models' own CacheState) to charge the next instruction exactly as an
+// uninterrupted run would.
 struct PipelineState {
   uint64_t cycles = 0;
-  int pending_load_reg = -1;
-  uint64_t hilo_ready = 0;
+  int pending_load_reg = -1;  // destination of the previous load, if any
+  uint64_t hilo_ready = 0;    // absolute cycle when HI/LO become readable
+  // Dual-issue pairing: the instruction occupying the first slot of the
+  // current issue cycle (if any).
   bool slot_open = false;
   int slot_dest = -1;
   bool slot_mem = false;
   bool slot_hilo = false;
-  mem::CacheState icache;
-  mem::CacheState dcache;
 };
 
 class PipelineModel {
@@ -94,8 +94,8 @@ class PipelineModel {
     return params_.issue_width < 2 && !icache_.params().enabled &&
            !dcache_.params().enabled;
   }
-  int pending_load_reg() const { return pending_load_reg_; }
-  uint64_t hilo_ready() const { return hilo_ready_; }
+  int pending_load_reg() const { return s_.pending_load_reg; }
+  uint64_t hilo_ready() const { return s_.hilo_ready; }
   uint32_t load_use_stall_cycles() const { return params_.load_use_stall; }
   uint32_t taken_branch_penalty() const { return params_.taken_branch_penalty; }
 
@@ -117,48 +117,40 @@ class PipelineModel {
   // issue_width 1, the only width folding is eligible for).
   void fold_commit(uint64_t cycles, int exit_pending_load_reg, int slot_dest,
                    bool slot_mem, bool slot_hilo, uint64_t exit_hilo_ready) {
-    cycles_ += cycles;
-    pending_load_reg_ = exit_pending_load_reg;
-    hilo_ready_ = exit_hilo_ready;
-    slot_open_ = false;
-    slot_dest_ = slot_dest;
-    slot_mem_ = slot_mem;
-    slot_hilo_ = slot_hilo;
+    s_.cycles += cycles;
+    s_.pending_load_reg = exit_pending_load_reg;
+    s_.hilo_ready = exit_hilo_ready;
+    s_.slot_open = false;
+    s_.slot_dest = slot_dest;
+    s_.slot_mem = slot_mem;
+    s_.slot_hilo = slot_hilo;
   }
 
-  // Accounts a fetch redirect caused by the reconfigurable array updating
-  // the PC past a translated region (charged like a taken branch would be
-  // if the array did not hide it; the paper's scheme hides it, so the
-  // accelerated system does NOT call this by default — it exists for
-  // ablations).
-  void charge(uint64_t cycles) { cycles_ += cycles; }
+  // Adds processor cycles outside retire(): the accelerated system charges
+  // the software-BT cost of each configuration a core-retired instruction
+  // made DIM insert (SystemConfig::translation_cost_per_instr, 0 for the
+  // paper's hardware DIM).
+  void charge(uint64_t cycles) { s_.cycles += cycles; }
 
   void reset();
 
-  // Checkpoint support (see PipelineState). restore_state throws
-  // std::invalid_argument when a cache state does not fit the geometry.
-  PipelineState export_state() const;
-  void restore_state(const PipelineState& state);
+  // Checkpoint support: the latches (see PipelineState). The cache models
+  // persist their own state through icache() and dcache().
+  const PipelineState& export_state() const { return s_; }
+  void restore_state(const PipelineState& state) { s_ = state; }
 
-  uint64_t cycles() const { return cycles_; }
+  uint64_t cycles() const { return s_.cycles; }
   mem::Cache& icache() { return icache_; }
   mem::Cache& dcache() { return dcache_; }
+  const mem::Cache& icache() const { return icache_; }
+  const mem::Cache& dcache() const { return dcache_; }
   const TimingParams& params() const { return params_; }
 
  private:
   TimingParams params_;
   mem::Cache icache_;
   mem::Cache dcache_;
-  uint64_t cycles_ = 0;
-  int pending_load_reg_ = -1;   // destination of the previous load, if any
-  uint64_t hilo_ready_ = 0;     // absolute cycle when HI/LO become readable
-
-  // Dual-issue pairing state: description of the instruction occupying the
-  // first slot of the current issue cycle (if any).
-  bool slot_open_ = false;
-  int slot_dest_ = -1;
-  bool slot_mem_ = false;
-  bool slot_hilo_ = false;
+  PipelineState s_;
 };
 
 }  // namespace dim::sim

@@ -34,8 +34,10 @@ void encode_machine(Writer& w, const sim::MachineConfig& m) {
   encode_cache_params(w, m.timing.icache);
   encode_cache_params(w, m.timing.dcache);
   w.u64(m.max_instructions);
-  w.u32(m.initial_sp);
-  w.u32(m.initial_gp);
+  // The entry $sp and $gp are constants; they stay in the hash so every
+  // fingerprint, and with it every golden and store key, keeps its value.
+  w.u32(sim::kInitialSp);
+  w.u32(sim::kInitialGp);
   // host_trace_dispatch is deliberately NOT encoded: it selects a host-side
   // execution strategy with no architectural or timing effect (pinned by
   // dimsim-fuzz --cmp-dispatch), so snapshots restore across dispatch modes

@@ -1,5 +1,6 @@
 #include "snap/snapshot.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -21,7 +22,7 @@ constexpr uint16_t kSecPred = 5;    // bimodal counters, ascending by PC
 constexpr uint16_t kSecRcache = 6;  // counters + entries oldest-first
 constexpr uint16_t kSecXlate = 7;   // translator stats + in-flight capture
 constexpr uint16_t kSecStats = 8;   // accumulated AccelStats
-constexpr uint16_t kSecSys = 9;     // extension latch + array cycle acc
+constexpr uint16_t kSecSys = 9;     // the system's RunLatches
 // Optional trailing section, present ONLY when a non-row-sync execution
 // personality is active (SystemConfig::exec_mode): the execution-mode
 // stats counters. Row-sync snapshots omit it; readers default the fields
@@ -36,6 +37,34 @@ void expect_section(Reader& r, uint16_t id) {
   }
 }
 
+// The meta section: what the snapshot is of.
+template <class IO>
+void meta_fields(IO& io, Field<IO, uint64_t>& program, Field<IO, uint64_t>& system) {
+  io.u64(program);
+  io.u64(system);
+}
+
+// Memory pages ascending by index, each a u32 index and kPageSize raw
+// bytes. Writing takes Memory::pages_sorted()'s page pointers; reading
+// fills owned pages.
+using PageList = std::vector<std::pair<uint32_t, std::vector<uint8_t>>>;
+
+template <class IO, class Pages>
+void pages_fields(IO& io, Pages&& pages) {
+  io.count(pages, 4 + mem::Memory::kPageSize);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    auto& [index, bytes] = pages[i];
+    io.u32(index);
+    if constexpr (IO::kReading) {
+      bytes.resize(mem::Memory::kPageSize);
+      io.raw(bytes.data(), bytes.size());
+      if (i > 0 && index <= pages[i - 1].first) io.fail("memory pages not ascending");
+    } else {
+      io.raw(bytes->data(), bytes->size());
+    }
+  }
+}
+
 template <class IO>
 void cache_fields(IO& io, Field<IO, mem::CacheState>& c) {
   io.count(c.tags, 8);
@@ -44,8 +73,10 @@ void cache_fields(IO& io, Field<IO, mem::CacheState>& c) {
   io.u64(c.misses);
 }
 
+// The pipeline's latches, then its I- and D-cache models.
 template <class IO>
-void pipeline_fields(IO& io, Field<IO, sim::PipelineState>& p) {
+void pipe_fields(IO& io, Field<IO, sim::PipelineState>& p,
+                 Field<IO, mem::CacheState>& icache, Field<IO, mem::CacheState>& dcache) {
   io.u64(p.cycles);
   io.i32(p.pending_load_reg);
   io.u64(p.hilo_ready);
@@ -53,12 +84,31 @@ void pipeline_fields(IO& io, Field<IO, sim::PipelineState>& p) {
   io.i32(p.slot_dest);
   io.boolean(p.slot_mem);
   io.boolean(p.slot_hilo);
-  cache_fields(io, p.icache);
-  cache_fields(io, p.dcache);
+  cache_fields(io, icache);
+  cache_fields(io, dcache);
 }
 
+// Bimodal counters as (PC, counter) pairs ascending by PC.
+using CounterList = std::vector<std::pair<uint32_t, uint8_t>>;
+
 template <class IO>
-void rcache_counter_fields(IO& io, Field<IO, bt::RcacheCounters>& c) {
+void predictor_fields(IO& io, Field<IO, CounterList>& counters) {
+  io.count(counters, 5);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    auto& [pc, counter] = counters[i];
+    io.u32(pc);
+    io.u8(counter);
+    if constexpr (IO::kReading) {
+      if (counter > 3) io.fail("bimodal counter " + std::to_string(counter));
+      if (i > 0 && pc <= counters[i - 1].first) io.fail("predictor counters not ascending");
+    }
+  }
+}
+
+// The rcache's counters, then its entries oldest-first.
+template <class IO>
+void rcache_fields(IO& io, Field<IO, bt::RcacheCounters>& c,
+                   Field<IO, std::vector<rra::Configuration>>& entries) {
   io.u64(c.hits);
   io.u64(c.misses);
   io.u64(c.insertions);
@@ -66,6 +116,7 @@ void rcache_counter_fields(IO& io, Field<IO, bt::RcacheCounters>& c) {
   io.u64(c.flushes);
   io.u64(c.words_written);
   io.u64(c.revision_counter);
+  configurations_fields(io, entries);
 }
 
 template <class IO>
@@ -89,11 +140,17 @@ void builder_fields(IO& io, Field<IO, bt::BuilderState>& b) {
     if (b.bb < 0 || b.immediates < 0 || b.pred_slots < 0) {
       io.fail("negative builder counter");
     }
+    if ((b.input_ctx_bits | b.written_bits) >> rra::kNumCtxRegs != 0) {
+      io.fail("builder context bits past the last context register");
+    }
   }
 }
 
-template <class IO>
-void translator_fields(IO& io, Field<IO, bt::TranslatorState>& t) {
+// The translator's counters and latches, then its open capture, if any:
+// a std::optional<bt::BuilderState> when reading, Translator::capture()'s
+// pointer when writing.
+template <class IO, class Capture>
+void translator_fields(IO& io, Field<IO, bt::TranslatorState>& t, Capture&& capture) {
   io.u64(t.stats.captures_started);
   io.u64(t.stats.configs_inserted);
   io.u64(t.stats.captures_aborted);
@@ -107,11 +164,11 @@ void translator_fields(IO& io, Field<IO, bt::TranslatorState>& t) {
   io.boolean(t.skipping);
   io.u32(t.skip_lo);
   io.u32(t.skip_until);
-  bool capturing = t.builder.has_value();
+  bool capturing = static_cast<bool>(capture);
   io.boolean(capturing);
   if (capturing) {
-    if constexpr (IO::kReading) t.builder.emplace();
-    builder_fields(io, *t.builder);
+    if constexpr (IO::kReading) capture.emplace();
+    builder_fields(io, *capture);
   }
   if constexpr (IO::kReading) {
     if (t.extending && !capturing) {
@@ -123,101 +180,67 @@ void translator_fields(IO& io, Field<IO, bt::TranslatorState>& t) {
   }
 }
 
-// Fully parsed snapshot, staged before any system mutation so a malformed
-// payload is (mostly) rejected without touching the target.
+template <class IO>
+void latches_fields(IO& io, Field<IO, accel::RunLatches>& l) {
+  io.boolean(l.extension_candidate);
+  io.u32(l.extension_config_pc);
+  io.u32(l.extension_branch_pc);
+  io.u64(l.array_cycle_acc);
+  io.boolean(l.has_resident);
+  io.u32(l.resident_pc);
+  io.u64(l.resident_rev);
+  io.u32(l.resident_lo);
+  io.u32(l.resident_hi);
+  if constexpr (IO::kReading) {
+    if (l.has_resident && l.resident_lo >= l.resident_hi) {
+      io.fail("empty resident code range");
+    }
+  }
+}
+
+// A parsed snapshot, staged so every check runs before the target changes.
 struct SnapshotData {
   uint64_t program_hash = 0;
   uint64_t system_fingerprint = 0;
   sim::CpuState cpu;
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages;
+  PageList pages;
   sim::PipelineState pipe;
-  std::vector<std::pair<uint32_t, uint8_t>> predictor;
+  mem::CacheState icache;
+  mem::CacheState dcache;
+  CounterList predictor;
   bt::RcacheCounters rcache_counters;
   std::vector<rra::Configuration> rcache_entries;
   bt::TranslatorState xlate;
+  std::optional<bt::BuilderState> capture;
   accel::AccelStats stats;
-  bool extension_candidate = false;
-  uint32_t extension_config_pc = 0;
-  uint32_t extension_branch_pc = 0;
-  uint64_t array_cycle_acc = 0;
-  bool has_resident = false;
-  uint32_t resident_pc = 0;
-  uint64_t resident_rev = 0;
-  uint32_t resident_lo = 0;
-  uint32_t resident_hi = 0;
+  accel::RunLatches latches;
 };
 
 SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
   Reader r(payload);
   SnapshotData d;
-
   expect_section(r, kSecMeta);
-  d.program_hash = r.u64();
-  d.system_fingerprint = r.u64();
-
+  meta_fields(r, d.program_hash, d.system_fingerprint);
   expect_section(r, kSecCpu);
   cpu_fields(r, d.cpu);
-
   expect_section(r, kSecMem);
-  const uint64_t npages = r.u64();
-  r.expect_count(npages, 4 + mem::Memory::kPageSize);
-  d.pages.reserve(npages);
-  for (uint64_t i = 0; i < npages; ++i) {
-    const uint32_t index = r.u32();
-    std::vector<uint8_t> bytes(mem::Memory::kPageSize);
-    r.raw(bytes.data(), bytes.size());
-    if (i > 0 && index <= d.pages.back().first) {
-      r.fail("memory pages not ascending");
-    }
-    d.pages.emplace_back(index, std::move(bytes));
-  }
-
+  pages_fields(r, d.pages);
   expect_section(r, kSecPipe);
-  pipeline_fields(r, d.pipe);
-
+  pipe_fields(r, d.pipe, d.icache, d.dcache);
   expect_section(r, kSecPred);
-  const uint64_t nbranches = r.u64();
-  r.expect_count(nbranches, 5);
-  d.predictor.reserve(nbranches);
-  for (uint64_t i = 0; i < nbranches; ++i) {
-    const uint32_t pc = r.u32();
-    const uint8_t counter = r.u8();
-    if (counter > 3) r.fail("bimodal counter " + std::to_string(counter));
-    if (i > 0 && pc <= d.predictor.back().first) {
-      r.fail("predictor counters not ascending");
-    }
-    d.predictor.emplace_back(pc, counter);
-  }
-
+  predictor_fields(r, d.predictor);
   expect_section(r, kSecRcache);
-  rcache_counter_fields(r, d.rcache_counters);
-  configurations_fields(r, d.rcache_entries);
-
+  rcache_fields(r, d.rcache_counters, d.rcache_entries);
   expect_section(r, kSecXlate);
-  translator_fields(r, d.xlate);
-
+  translator_fields(r, d.xlate, d.capture);
   expect_section(r, kSecStats);
   stats_fields(r, d.stats);
-
   expect_section(r, kSecSys);
-  d.extension_candidate = r.boolean();
-  d.extension_config_pc = r.u32();
-  d.extension_branch_pc = r.u32();
-  d.array_cycle_acc = r.u64();
-  d.has_resident = r.boolean();
-  d.resident_pc = r.u32();
-  d.resident_rev = r.u64();
-  d.resident_lo = r.u32();
-  d.resident_hi = r.u32();
-  if (d.has_resident && d.resident_lo >= d.resident_hi) {
-    r.fail("empty resident code range");
-  }
-
+  latches_fields(r, d.latches);
   if (!r.done()) {
     expect_section(r, kSecExec);
     exec_stats_fields(r, d.stats);
   }
-
   if (!r.done()) r.fail("trailing bytes after final section");
   return d;
 }
@@ -226,60 +249,31 @@ SnapshotData parse_snapshot(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> encode_snapshot(const accel::AcceleratedSystem& system,
                                      const asmblr::Program& program) {
+  const sim::PipelineModel& pipeline = system.pipeline_;
   Writer w;
-
   w.u16(kSecMeta);
-  w.u64(program_hash(program));
-  w.u64(system_fingerprint(system.config_));
-
+  meta_fields(w, program_hash(program), system_fingerprint(system.config_));
   w.u16(kSecCpu);
   cpu_fields(w, system.state_);
-
   w.u16(kSecMem);
-  const auto pages = system.memory_.pages_sorted();
-  w.u64(pages.size());
-  for (const auto& [index, bytes] : pages) {
-    w.u32(index);
-    w.raw(bytes->data(), bytes->size());
-  }
-
+  pages_fields(w, system.memory_.pages_sorted());
   w.u16(kSecPipe);
-  pipeline_fields(w, system.pipeline_.export_state());
-
+  pipe_fields(w, pipeline.export_state(), pipeline.icache().export_state(),
+              pipeline.dcache().export_state());
   w.u16(kSecPred);
-  const auto counters = system.predictor_.export_counters();
-  w.u64(counters.size());
-  for (const auto& [pc, counter] : counters) {
-    w.u32(pc);
-    w.u8(counter);
-  }
-
+  predictor_fields(w, system.predictor_.export_counters());
   w.u16(kSecRcache);
-  rcache_counter_fields(w, system.rcache_->counters());
-  configurations_fields(w, system.rcache_->export_entries());
-
+  rcache_fields(w, system.rcache_->counters(), system.rcache_->export_entries());
   w.u16(kSecXlate);
-  translator_fields(w, system.translator_->export_state());
-
+  translator_fields(w, system.translator_->export_state(), system.translator_->capture());
   w.u16(kSecStats);
   stats_fields(w, system.stats_);
-
   w.u16(kSecSys);
-  w.boolean(system.extension_candidate_);
-  w.u32(system.extension_config_pc_);
-  w.u32(system.extension_branch_pc_);
-  w.u64(system.array_cycle_acc_);
-  w.boolean(system.has_resident_);
-  w.u32(system.resident_pc_);
-  w.u64(system.resident_rev_);
-  w.u32(system.resident_lo_);
-  w.u32(system.resident_hi_);
-
+  latches_fields(w, system.latches_);
   if (system.config_.exec_mode.mode != rra::ExecMode::kRowSync) {
     w.u16(kSecExec);
     exec_stats_fields(w, system.stats_);
   }
-
   return w.take();
 }
 
@@ -293,8 +287,9 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
                               const asmblr::Program& program) {
   SnapshotData d = parse_snapshot(payload);
 
-  // Identity checks before any mutation: a snapshot only restores into a
-  // system that would have produced it.
+  // Every check runs before the first mutation, so a rejected snapshot
+  // leaves the target as it was. Identity first: a snapshot only restores
+  // into a system that would have produced it.
   if (d.program_hash != program_hash(program)) {
     throw SnapshotError(SnapErrc::kMismatch,
                         "snapshot was taken from a different program image");
@@ -303,36 +298,33 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
     throw SnapshotError(SnapErrc::kMismatch,
                         "snapshot was taken under a different system configuration");
   }
-
-  // restore_pages replaces the image: drop all host-side decoded state
-  // (decode cache, superblock traces) first, so even a restore that fails
-  // below leaves none of it behind. Both caches are architecture-invisible
-  // and rebuild lazily.
-  system.decode_cache_.clear();
-  system.trace_cache_.clear();
+  // Then the component checks (cache geometry, slot overflow, duplicate
+  // PCs). The fingerprint matched, so a well-formed snapshot cannot trip
+  // them: a rejection here is payload corruption.
+  sim::PipelineModel& pipeline = system.pipeline_;
   try {
-    system.memory_.restore_pages(d.pages);
-    system.state_ = d.cpu;
-    system.pipeline_.restore_state(d.pipe);
-    system.predictor_.restore_counters(d.predictor);
-    system.rcache_->restore(std::move(d.rcache_entries), d.rcache_counters);
-    system.translator_->restore_state(d.xlate);
+    pipeline.icache().check_state(d.icache);
+    pipeline.dcache().check_state(d.dcache);
+    system.rcache_->check_entries(d.rcache_entries);
   } catch (const std::invalid_argument& e) {
-    // Component-level rejections (cache geometry, slot overflow, duplicate
-    // PCs) are payload corruption by this point — the fingerprint already
-    // matched, so a well-formed snapshot cannot trip them.
     throw SnapshotError(SnapErrc::kMalformed, e.what());
   }
+
+  // Commit. The host-side caches (decoded words, superblock traces) are
+  // architecture-invisible: they start empty, as in a new system, and
+  // rebuild lazily.
+  system.decode_cache_.clear();
+  system.trace_cache_.clear();
+  system.memory_.restore_pages(d.pages);
+  system.state_ = std::move(d.cpu);
+  pipeline.restore_state(d.pipe);
+  pipeline.icache().restore_state(std::move(d.icache));
+  pipeline.dcache().restore_state(std::move(d.dcache));
+  system.predictor_.restore_counters(d.predictor);
+  system.rcache_->restore(std::move(d.rcache_entries), d.rcache_counters);
+  system.translator_->restore_state(d.xlate, std::move(d.capture));
   system.stats_ = d.stats;
-  system.extension_candidate_ = d.extension_candidate;
-  system.extension_config_pc_ = d.extension_config_pc;
-  system.extension_branch_pc_ = d.extension_branch_pc;
-  system.array_cycle_acc_ = d.array_cycle_acc;
-  system.has_resident_ = d.has_resident;
-  system.resident_pc_ = d.resident_pc;
-  system.resident_rev_ = d.resident_rev;
-  system.resident_lo_ = d.resident_lo;
-  system.resident_hi_ = d.resident_hi;
+  system.latches_ = d.latches;
 }
 
 void restore_snapshot(accel::AcceleratedSystem& system, std::istream& in,
@@ -365,10 +357,10 @@ SnapshotInfo inspect_snapshot(const std::vector<uint8_t>& payload) {
     info.rcache_entries.push_back(e);
   }
   info.translator_stats = d.xlate.stats;
-  info.capture_in_flight = d.xlate.builder.has_value();
-  if (d.xlate.builder.has_value()) {
-    info.capture_pc = d.xlate.builder->start_pc;
-    info.capture_ops = static_cast<int>(d.xlate.builder->ops.size());
+  info.capture_in_flight = d.capture.has_value();
+  if (d.capture) {
+    info.capture_pc = d.capture->start_pc;
+    info.capture_ops = static_cast<int>(d.capture->ops.size());
   }
   info.stats = d.stats;
   return info;

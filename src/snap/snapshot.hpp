@@ -39,9 +39,8 @@ void save_snapshot(std::ostream& out, const accel::AcceleratedSystem& system,
 // fingerprint. Throws SnapshotError: kMismatch when the snapshot belongs
 // to a different program/configuration, kMalformed (and the other
 // container taxonomy codes for the stream variant) on a corrupt
-// artifact. On throw the system may be partially restored and must be
-// discarded — validation happens before any mutation for the identity
-// checks, but a malformed payload can be detected mid-apply.
+// artifact. Every check runs before the first mutation: on throw the
+// system is unchanged.
 void restore_snapshot_payload(accel::AcceleratedSystem& system,
                               const std::vector<uint8_t>& payload,
                               const asmblr::Program& program);

@@ -36,7 +36,8 @@ bt::TranslatorParams default_params() {
 }
 
 TEST(ArrayExec, ComputesAluChain) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));   // t0 = 5
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 9, 8, 8), 0x104));     // t1 = 10
   ASSERT_TRUE(b.try_add(imm(Op::kXori, 10, 9, 3), 0x108));   // t2 = 9
@@ -55,7 +56,8 @@ TEST(ArrayExec, ComputesAluChain) {
 }
 
 TEST(ArrayExec, UsesInputContextFromRegisterBank) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x100));
   const Configuration c = b.finalize(0x104);
   sim::CpuState s;
@@ -67,7 +69,8 @@ TEST(ArrayExec, UsesInputContextFromRegisterBank) {
 }
 
 TEST(ArrayExec, WawOnlyLastWriteSurvives) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 9, 8, 8), 0x104));  // reads first t0
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 99), 0x108));
@@ -80,7 +83,8 @@ TEST(ArrayExec, WawOnlyLastWriteSurvives) {
 }
 
 TEST(ArrayExec, StoreToLoadForwardingInsideConfig) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 0x55), 0x100));
   ASSERT_TRUE(b.try_add(imm(Op::kSw, 8, 28, 0), 0x104));   // [gp] = t0
   ASSERT_TRUE(b.try_add(imm(Op::kLw, 9, 28, 0), 0x108));   // t1 = [gp]
@@ -96,7 +100,8 @@ TEST(ArrayExec, StoreToLoadForwardingInsideConfig) {
 }
 
 TEST(ArrayExec, PartialStoreForwarding) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 0x7B), 0x100));
   ASSERT_TRUE(b.try_add(imm(Op::kSb, 8, 28, 1), 0x104));   // one byte at +1
   ASSERT_TRUE(b.try_add(imm(Op::kLw, 9, 28, 0), 0x108));   // word read overlapping
@@ -110,7 +115,8 @@ TEST(ArrayExec, PartialStoreForwarding) {
 }
 
 TEST(ArrayExec, CorrectSpeculationCommitsAllBlocks) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 0, 8, 3), 0x104, true));  // t0 != 0: taken
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x114));
@@ -128,7 +134,8 @@ TEST(ArrayExec, CorrectSpeculationCommitsAllBlocks) {
 }
 
 TEST(ArrayExec, MisspeculationSquashesYoungerBlocks) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 0), 0x100));            // t0 = 0
   ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 0, 8, 3), 0x104, true)); // predicted taken; actual NT
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 77), 0x114));           // speculative
@@ -148,7 +155,8 @@ TEST(ArrayExec, MisspeculationSquashesYoungerBlocks) {
 }
 
 TEST(ArrayExec, MisspeculatedTakenBranchRedirectsToTarget) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
   // Predicted not-taken, actually taken (t0 != 0). Displacement +3 words.
   ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 0, 8, 3), 0x104, false));
@@ -163,7 +171,8 @@ TEST(ArrayExec, MisspeculatedTakenBranchRedirectsToTarget) {
 }
 
 TEST(ArrayExec, HiLoTravelThroughContext) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 7), 0x100));
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 6), 0x104));
   ASSERT_TRUE(b.try_add(r3(Op::kMult, 0, 8, 9), 0x108));
@@ -179,7 +188,8 @@ TEST(ArrayExec, HiLoTravelThroughContext) {
 
 TEST(ArrayExec, HiLoInputContext) {
   // mflo with LO produced before the configuration.
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(r3(Op::kMflo, 10, 0, 0), 0x100));
   const Configuration c = b.finalize(0x104);
   sim::CpuState s;
@@ -230,7 +240,8 @@ TEST(ArrayTiming, MisspeculatedCommitDrainsOnlyCommittedWrites) {
   // configuration's output_regs even when a misspeculation squashed the
   // suffix. A partial commit drains only the registers the committed prefix
   // actually wrote.
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 0), 0x100));             // t0 = 0 (1 write)
   ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 0, 8, 9), 0x104, true));  // predicted T; actual NT
   // Squashed suffix holds most of the configuration's outputs.
@@ -256,7 +267,8 @@ TEST(ArrayTiming, MisspeculatedCommitDrainsOnlyCommittedWrites) {
 TEST(ArrayTiming, FullCommitStillDrainsAllOutputs) {
   // Companion to the regression above: a correct full commit is unchanged —
   // it drains every output register of the configuration.
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   for (int r = 8; r <= 14; ++r) {
     ASSERT_TRUE(b.try_add(imm(Op::kAddiu, r, 0, static_cast<int16_t>(r)),
                           0x100 + 4 * static_cast<uint32_t>(r - 8)));
@@ -274,7 +286,8 @@ TEST(ArrayTiming, FullCommitStillDrainsAllOutputs) {
 }
 
 TEST(ArrayTiming, DcacheMissesStallArray) {
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kLw, 9, 28, 0), 0x100));
   const Configuration c = b.finalize(0x104);
   sim::CpuState s;

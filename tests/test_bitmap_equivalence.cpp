@@ -10,6 +10,7 @@
 // supported sequences.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <random>
 
 #include "bt/translator.hpp"

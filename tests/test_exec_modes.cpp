@@ -69,7 +69,8 @@ bt::TranslatorParams default_params() {
 TEST(ExecModes, PureChainAdmissibleAtCapacityOne) {
   // Each op consumes its predecessor: one op per row, so no row ever holds
   // more tokens than its consumer has drained.
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 9, 8, 8), 0x104));
   ASSERT_TRUE(b.try_add(r3(Op::kXor, 10, 9, 9), 0x108));
@@ -84,7 +85,8 @@ TEST(ExecModes, JointConsumerDeadlocksAtCapacityOne) {
   // needs both tokens at once. With one slot in the row's output queue the
   // second producer cannot fire until the consumer drains the first token,
   // and the consumer cannot fire until the second producer does: deadlock.
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x108));
@@ -103,7 +105,8 @@ TEST(ExecModes, BackpressureStallsAtCapacityOneOnly) {
   // chain, so at capacity 1 the second producer sits behind an undrained
   // token (a stall, not a deadlock: nothing downstream of the second
   // producer feeds the chain).
-  bt::ConfigBuilder b(0x100, default_params());
+  const bt::TranslatorParams params = default_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 15, 0, 3), 0x100));   // chain root, row 0
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 14, 15, 15), 0x104));   // row 1
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 13, 14, 14), 0x108));   // row 2

@@ -51,7 +51,8 @@ bt::TranslatorParams pred_params() {
 //   0x118  mult  $t0, $t0
 //   join = 0x11C
 Configuration build_diamond() {
-  bt::ConfigBuilder b(0x100, pred_params());
+  const bt::TranslatorParams params = pred_params();
+  bt::ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
   const std::vector<bt::HammockOp> not_taken = {
       {imm(Op::kAddiu, 9, 0, 1), 0x108},
@@ -140,7 +141,8 @@ TEST(Predication, SquashedOpsToggleFusButDoNotRetire) {
 TEST(Predication, PredSlotCapRejectsMerge) {
   // A configuration has kMaxPredSlots predicate slots; once all of them
   // guard a hammock, the next one is not merged.
-  bt::ConfigBuilder b(0x100, pred_params());
+  const bt::TranslatorParams params = pred_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
   uint32_t pc = 0x104;
   for (int k = 0; k < kMaxPredSlots; ++k, pc += 8) {
@@ -154,7 +156,8 @@ TEST(Predication, PredSlotCapRejectsMerge) {
 }
 
 TEST(Predication, ArmRejectsControlFlowAndUnsupportedOps) {
-  bt::ConfigBuilder b(0x100, pred_params());
+  const bt::TranslatorParams params = pred_params();
+  bt::ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 5), 0x100));
   // A branch inside an arm is never mergeable (arms are straight-line).
   const std::vector<bt::HammockOp> arm = {{imm(Op::kBne, 9, 8, 4), 0x108}};

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,8 @@
 #include "fuzz/generator.hpp"
 #include "mem/memory.hpp"
 #include "obs/event.hpp"
+#include "serve/executor.hpp"
+#include "serve/protocol.hpp"
 #include "snap/codec.hpp"
 #include "snap/io.hpp"
 #include "snap/resultstore.hpp"
@@ -220,14 +223,125 @@ loop:   addiu $s1, $s1, -1
 }
 
 TEST(Snapshot, SaveRestoreSaveIsByteStable) {
-  const auto program = asmblr::assemble(kCheckpointProgram);
-  accel::AcceleratedSystem a(program, small_config());
-  a.run_until(500);
-  const std::vector<uint8_t> payload = snap::encode_snapshot(a, program);
+  // The format goldens run with caches off, no predication and no
+  // residency, so each point here brings other latches into the payload.
+  // The FNV-1a pins fix those bytes: a change to any of them needs a
+  // kFormatVersion bump, as for the goldens.
+  struct Point {
+    const char* what;
+    const char* workload;  // null: kCheckpointProgram
+    accel::SystemConfig config;
+    uint64_t boundary;
+    uint64_t payload_fnv;
+  };
+  const accel::SystemConfig base = small_config();
+  accel::SystemConfig hammock = base;
+  hammock.speculation = false;
+  hammock.predication = true;
+  accel::SystemConfig resident = base;
+  resident.residency = true;
+  accel::SystemConfig caches = base;
+  caches.machine.timing.icache.enabled = true;
+  caches.machine.timing.dcache.enabled = true;
+  accel::SystemConfig dual = base;
+  dual.machine.timing.issue_width = 2;
+  accel::SystemConfig lru = base;
+  lru.cache_replacement = bt::Replacement::kLru;
+  lru.cache_slots = 4;
+  const Point points[] = {
+      {"small cache, speculation", nullptr, base, 500, 0x016acb911e9f507aull},
+      {"in-flight hammock skip window", "gsm_e", hammock, 2994, 0x019ae012de240833ull},
+      {"live residency latch", "crc32", resident, 2000, 0x248fdea0750f0b39ull},
+      {"I/D-cache tags", "crc32", caches, 2000, 0xef5ede24184d1dcdull},
+      {"open dual-issue slot, capture in flight", "bitcount", dual, 1026,
+       0xf0b8c84c3593c2baull},
+      {"LRU order unlike insertion order", "gsm_e", lru, 5000, 0xf77de27bd0c2ee7full},
+  };
+  for (const Point& p : points) {
+    SCOPED_TRACE(p.what);
+    const auto program = asmblr::assemble(
+        p.workload != nullptr ? work::make_workload(p.workload).source : kCheckpointProgram);
+    accel::AcceleratedSystem a(program, p.config);
+    a.run_until(p.boundary);
+    const std::vector<uint8_t> payload = snap::encode_snapshot(a, program);
+    EXPECT_EQ(snap::fnv1a64(payload), p.payload_fnv);
 
-  accel::AcceleratedSystem b(program, small_config());
-  snap::restore_snapshot_payload(b, payload, program);
-  EXPECT_EQ(payload, snap::encode_snapshot(b, program));
+    accel::AcceleratedSystem b(program, p.config);
+    snap::restore_snapshot_payload(b, payload, program);
+    EXPECT_EQ(payload, snap::encode_snapshot(b, program));
+  }
+}
+
+// A crc32 checkpoint (C#2, 8 slots, speculation, 20,000 instructions)
+// whose second rcache entry is replaced by a copy of the first: every
+// section parses, but no cache holds one start PC twice.
+struct DuplicateEntryCheckpoint {
+  asmblr::Program program = asmblr::assemble(work::make_workload("crc32").source);
+  accel::SystemConfig config = accel::SystemConfig::with(rra::ArrayShape::config2(), 8, true);
+  std::vector<uint8_t> payload;
+
+  DuplicateEntryCheckpoint() {
+    accel::AcceleratedSystem sys(program, config);
+    sys.run_until(20000);
+    const std::vector<uint8_t> good = snap::encode_snapshot(sys, program);
+    std::vector<rra::Configuration> entries = sys.rcache().export_entries();
+    snap::Writer before;
+    snap::configurations_fields(before, entries);
+    entries.at(1) = entries.at(0);
+    snap::Writer after;
+    snap::configurations_fields(after, entries);
+    const auto at = std::search(good.begin(), good.end(), before.bytes().begin(),
+                                before.bytes().end());
+    EXPECT_NE(at, good.end());
+    payload.assign(good.begin(), at);
+    payload.insert(payload.end(), after.bytes().begin(), after.bytes().end());
+    payload.insert(payload.end(), at + static_cast<std::ptrdiff_t>(before.bytes().size()),
+                   good.end());
+  }
+};
+
+TEST(Snapshot, RejectedRestoreLeavesTheTargetUnchanged) {
+  const DuplicateEntryCheckpoint bad;
+  accel::AcceleratedSystem target(bad.program, bad.config);
+  target.run_until(7000);
+  const std::vector<uint8_t> before = snap::encode_snapshot(target, bad.program);
+  try {
+    snap::restore_snapshot_payload(target, bad.payload, bad.program);
+    FAIL() << "duplicate rcache entry accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_EQ(e.code(), snap::SnapErrc::kMalformed);
+  }
+  EXPECT_EQ(snap::encode_snapshot(target, bad.program), before);
+}
+
+TEST(Snapshot, ServeStartsColdAfterARejectedCheckpoint) {
+  // A budgeted serve run whose migration checkpoint is a valid container
+  // holding an unrestorable payload answers what a run without one does.
+  const DuplicateEntryCheckpoint bad;
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "dimsim-rejected-checkpoint").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string checkpoint = dir + "/job-1.snap";
+  snap::write_artifact_file(checkpoint, snap::ArtifactKind::kSnapshot, bad.payload);
+
+  const auto answer = [](const std::string& checkpoint_path) {
+    serve::Executor executor("", 1, 4096);
+    serve::Executor::Job job;
+    job.request = serve::parse_request(
+                      R"({"id": 1, "kind": "run", "workload": "crc32", "shape": "config2", )"
+                      R"("slots": 8, "budget": 100000})")
+                      .request;
+    std::string out;
+    job.respond = [&out](std::string line) { out = std::move(line); };
+    job.checkpoint_path = checkpoint_path;
+    executor.run({job});
+    return out;
+  };
+  const std::string cold = answer("");
+  EXPECT_NE(cold.find("\"hit_budget\": true"), std::string::npos) << cold;
+  EXPECT_EQ(answer(checkpoint), cold);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, InspectReportsTheSavedState) {

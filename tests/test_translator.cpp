@@ -48,7 +48,8 @@ int row_of(const rra::Configuration& c, uint32_t pc) {
 }
 
 TEST(ConfigBuilder, IndependentOpsShareRowZero) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 10, 0, 3), 0x108));
@@ -62,7 +63,8 @@ TEST(ConfigBuilder, IndependentOpsShareRowZero) {
 }
 
 TEST(ConfigBuilder, RawDependenceForcesLowerRow) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));       // t0 @ row 0
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 9, 8, 8), 0x104));         // t1 = t0+t0 @ row 1
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 9, 8), 0x108));        // t2 = t1+t0 @ row 2
@@ -88,7 +90,8 @@ TEST(ConfigBuilder, ProducerRowInvariantHoldsOnRealCode) {
       " subu $t6, $t5, $t1\n"
       " break\n";
   const asmblr::Program p = asmblr::assemble(body);
-  ConfigBuilder b(p.entry, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(p.entry, params);
   sim::CpuState st;
   st.pc = p.entry;
   mem::Memory m;
@@ -121,7 +124,8 @@ TEST(ConfigBuilder, ProducerRowInvariantHoldsOnRealCode) {
 TEST(ConfigBuilder, FalseDependenciesDoNotSerialize) {
   // WAR and WAW: t0 rewritten; reader of the OLD t0 can share the row of
   // the new writer (renaming through the context bus).
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));   // t0 = 1   row 0
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 9, 8, 8), 0x104));     // t1 = t0+t0 row 1 (reads old t0)
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 7), 0x108));   // t0 = 7 (WAW) row 0
@@ -131,7 +135,8 @@ TEST(ConfigBuilder, FalseDependenciesDoNotSerialize) {
 
 TEST(ConfigBuilder, ResourceLimitFillsNextRow) {
   rra::ArrayShape tiny{8, 2, 1, 1};  // 2 ALUs per line
-  ConfigBuilder b(0x100, params_with(tiny));
+  const TranslatorParams params = params_with(tiny);
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 10, 0, 3), 0x108));  // row 0 full -> row 1
@@ -141,7 +146,8 @@ TEST(ConfigBuilder, ResourceLimitFillsNextRow) {
 
 TEST(ConfigBuilder, CapacityExhaustionFails) {
   rra::ArrayShape tiny{2, 1, 1, 1};  // 2 lines x 1 ALU
-  ConfigBuilder b(0x100, params_with(tiny));
+  const TranslatorParams params = params_with(tiny);
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
   EXPECT_FALSE(b.try_add(imm(Op::kAddiu, 10, 0, 3), 0x108));
@@ -149,7 +155,8 @@ TEST(ConfigBuilder, CapacityExhaustionFails) {
 }
 
 TEST(ConfigBuilder, MemoryOrderingLoadsMayNotPassStores) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kSw, 9, 28, 0), 0x100));   // store @ row 0
   EXPECT_TRUE(b.try_add(imm(Op::kLw, 10, 28, 8), 0x104));  // independent addr load
   const auto c = b.finalize(0x108);
@@ -157,7 +164,8 @@ TEST(ConfigBuilder, MemoryOrderingLoadsMayNotPassStores) {
 }
 
 TEST(ConfigBuilder, MemoryOrderingStoresMayNotPassLoads) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kLw, 10, 28, 8), 0x100));
   EXPECT_TRUE(b.try_add(imm(Op::kSw, 9, 28, 0), 0x104));
   const auto c = b.finalize(0x108);
@@ -165,7 +173,8 @@ TEST(ConfigBuilder, MemoryOrderingStoresMayNotPassLoads) {
 }
 
 TEST(ConfigBuilder, LoadsMayRunInParallel) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kLw, 10, 28, 0), 0x100));
   EXPECT_TRUE(b.try_add(imm(Op::kLw, 11, 28, 4), 0x104));
   const auto c = b.finalize(0x108);
@@ -174,7 +183,8 @@ TEST(ConfigBuilder, LoadsMayRunInParallel) {
 }
 
 TEST(ConfigBuilder, MultWritesHiLoAndMfloReadsThem) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(r3(Op::kMult, 0, 8, 9), 0x100));
   EXPECT_TRUE(b.try_add(r3(Op::kMflo, 10, 0, 0), 0x104));
   EXPECT_TRUE(b.try_add(r3(Op::kMfhi, 11, 0, 0), 0x108));
@@ -186,7 +196,8 @@ TEST(ConfigBuilder, MultWritesHiLoAndMfloReadsThem) {
 }
 
 TEST(ConfigBuilder, InputAndOutputContextCounted) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x100));   // reads t0,t1 writes t2
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 11, 10, 8), 0x104));  // reads t2(int),t0 writes t3
   const auto c = b.finalize(0x108);
@@ -195,14 +206,16 @@ TEST(ConfigBuilder, InputAndOutputContextCounted) {
 }
 
 TEST(ConfigBuilder, ZeroRegisterIsNeverContext) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 0, 0), 0x100));
   const auto c = b.finalize(0x104);
   EXPECT_EQ(c.input_regs, 0);
 }
 
 TEST(ConfigBuilder, BranchOpensSpeculativeBlock) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   EXPECT_TRUE(b.try_add_branch(imm(Op::kBne, 9, 8, -2), 0x104, true));
   EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 10, 0, 2), 0x108));
@@ -215,20 +228,22 @@ TEST(ConfigBuilder, BranchOpensSpeculativeBlock) {
 }
 
 TEST(ConfigBuilder, AndLinkBranchesRejected) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   Instr bz;
   bz.op = Op::kBltzal;
   EXPECT_FALSE(b.try_add_branch(bz, 0x100, true));
 }
 
 TEST(ConfigBuilder, ReplayReproducesConfiguration) {
-  ConfigBuilder b(0x100, params_with(rra::ArrayShape::config1()));
+  const TranslatorParams params = params_with(rra::ArrayShape::config1());
+  ConfigBuilder b(0x100, params);
   ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
   ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 9, 8, 4), 0x104, true));
   ASSERT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 8), 0x108));
   const auto c = b.finalize(0x10C);
 
-  ConfigBuilder b2(c.start_pc, params_with(rra::ArrayShape::config1()));
+  ConfigBuilder b2(c.start_pc, params);
   ASSERT_TRUE(b2.replay(c));
   const auto c2 = b2.finalize(0x10C);
   ASSERT_EQ(c2.ops.size(), c.ops.size());
