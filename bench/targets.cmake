@@ -18,7 +18,6 @@ set(DIMSIM_BENCHES
   bench_heterogeneous
   bench_related_work
   bench_ablation_btcost
-  bench_warmstart
 )
 
 foreach(b ${DIMSIM_BENCHES})

@@ -12,10 +12,6 @@
 //   --scale N              workload scale factor (default 1)
 //   --trace N              print the first N retired instructions
 //   --json                 emit run statistics as JSON
-//   --save-cache FILE      write a warm-start file of the translated
-//                          configurations after the run
-//   --load-cache FILE      preload a warm-start file (persistent translation;
-//                          checked against the program and array settings)
 //   --list                 list bundled workloads
 #include <cstdio>
 #include <cstring>
@@ -29,8 +25,6 @@
 #include "asm/assembler.hpp"
 #include "sim/machine.hpp"
 #include "sim/tracer.hpp"
-#include "snap/format.hpp"
-#include "snap/warmstart.hpp"
 #include "work/workload.hpp"
 
 namespace {
@@ -45,7 +39,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string name = "crc32";
-  std::string asm_file, save_path, load_path;
+  std::string asm_file;
   int config_id = 2, scale = 1;
   size_t slots = 64;
   bool spec = true, lru = false, json = false;
@@ -79,10 +73,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--asm") {
       asm_file = next();
-    } else if (arg == "--save-cache") {
-      save_path = next();
-    } else if (arg == "--load-cache") {
-      load_path = next();
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -134,16 +124,7 @@ int main(int argc, char** argv) {
   dim::accel::SystemConfig cfg = dim::accel::SystemConfig::with(shape, slots, spec);
   if (lru) cfg.cache_replacement = dim::bt::Replacement::kLru;
 
-  dim::accel::AcceleratedSystem system(program, cfg);
-  dim::accel::AccelStats st;
-  try {
-    if (!load_path.empty()) dim::snap::load_warm_start_file(system, load_path, program);
-    st = system.run();
-    if (!save_path.empty()) dim::snap::save_warm_start_file(save_path, system, program);
-  } catch (const dim::snap::SnapshotError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const dim::accel::AccelStats st = dim::accel::run_accelerated(program, cfg);
 
   // --- report ---
   const bool transparent = base.state.output == st.final_state.output &&

@@ -125,7 +125,7 @@ class AcceleratedSystem : private obs::RunClock {
   // continues from; derived fields are refreshed on every run_until exit).
   const AccelStats& stats() const { return stats_; }
   const SystemConfig& config() const { return config_; }
-  // The reconfiguration cache: warm-start export and preload, and tests.
+  // The reconfiguration cache: export and preload across runs, and tests.
   bt::ReconfigCache& rcache() { return *rcache_; }
   const bt::ReconfigCache& rcache() const { return *rcache_; }
 

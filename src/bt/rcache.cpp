@@ -105,9 +105,9 @@ void ReconfigCache::restore(std::vector<rra::Configuration> entries,
 bool ReconfigCache::preload(rra::Configuration config) {
   if (entries_.size() >= slots_ || entries_.count(config.start_pc) != 0) return false;
   const uint32_t pc = config.start_pc;
-  // Preloading keeps the revision the entry was saved with (so a warm run
-  // re-exports byte-identically) and only advances the counter past it, so
-  // later insertions can never reissue a stamp the file already used.
+  // Preloading keeps the revision the entry was exported with (so a
+  // preloaded cache re-exports byte-identically) and only advances the
+  // counter past it, so later insertions can never reissue a carried stamp.
   c_.revision_counter = std::max(c_.revision_counter, config.revision);
   entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
   order_.push_back(pc);

@@ -124,12 +124,13 @@ class ReconfigCache {
   void restore(std::vector<rra::Configuration> entries,
                const RcacheCounters& counters);
 
-  // Warm-start preload: stores one configuration silently (no insertion /
-  // words-written accounting, no events) so a pre-loaded cache begins its
-  // run with zeroed statistics — the paper's counters measure what the
-  // RUN does, not what the file shipped. Returns false (and stores
-  // nothing) when the cache is full or the start PC is already present;
-  // unlike insert(), preloading never evicts.
+  // Preload: stores one configuration silently (no insertion /
+  // words-written accounting, no events) so a cache that carries
+  // configurations over from an earlier run (bench_heterogeneous's task
+  // switches) begins its run with zeroed statistics — the paper's counters
+  // measure what the RUN does, not what was carried in. Returns false (and
+  // stores nothing) when the cache is full or the start PC is already
+  // present; unlike insert(), preloading never evicts.
   bool preload(rra::Configuration config);
 
  private:

@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dim::mem {
 
@@ -127,8 +128,7 @@ std::vector<std::pair<uint32_t, const std::vector<uint8_t>*>> Memory::pages_sort
   return out;
 }
 
-void Memory::restore_pages(
-    const std::vector<std::pair<uint32_t, std::vector<uint8_t>>>& pages) {
+void Memory::restore_pages(std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages) {
   for (const auto& [key, bytes] : pages) {
     if (bytes.size() != kPageSize) {
       throw std::invalid_argument("page " + std::to_string(key) + " has " +
@@ -139,7 +139,7 @@ void Memory::restore_pages(
   ++code_writes_;
   cache_.reset();
   pages_.clear();
-  for (const auto& [key, bytes] : pages) pages_[key] = bytes;
+  for (auto& [key, bytes] : pages) pages_[key] = std::move(bytes);
 }
 
 std::optional<uint32_t> Memory::first_difference(const Memory& other) const {

@@ -88,11 +88,12 @@ class Memory {
   // invalidated by any write to an unallocated page.
   std::vector<std::pair<uint32_t, const std::vector<uint8_t>*>> pages_sorted() const;
 
-  // Replaces the entire image with exactly `pages` (deserialization).
+  // Replaces the entire image with exactly `pages` (deserialization),
+  // moving each page's buffer in: pass an rvalue and no page is copied.
   // Every page must be kPageSize bytes; throws std::invalid_argument
-  // otherwise. Duplicate indices keep the last occurrence.
-  void restore_pages(
-      const std::vector<std::pair<uint32_t, std::vector<uint8_t>>>& pages);
+  // otherwise, before changing anything. Duplicate indices keep the last
+  // occurrence.
+  void restore_pages(std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages);
 
  private:
   using Page = std::vector<uint8_t>;

@@ -72,9 +72,10 @@ struct Configuration {
 
   // Elastic-admissibility memo (-1 unknown, 0 rejected, 1 admissible).
   // Derived from ops + fifo_capacity, so it is NOT serialized: entries
-  // arriving via snapshot restore or warm-start preload are reclassified
-  // lazily on first dispatch. Mutable because the execution model
-  // classifies through a const reference (rra::ExecutionModel::execute).
+  // arriving via snapshot restore are reclassified lazily on first
+  // dispatch, while a preloaded copy keeps the verdict of the system it was
+  // exported from. Mutable because the execution model classifies through
+  // a const reference (rra::ExecutionModel::execute).
   mutable int8_t elastic_memo = -1;
 
   int instruction_count() const { return static_cast<int>(ops.size()); }

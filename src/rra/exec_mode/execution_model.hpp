@@ -58,7 +58,7 @@ class ExecutionModel {
   // whose handshake graph deadlocks at `fifo_capacity` keeps its row-sync
   // timing and reports elastic_fallback. The verdict is memoized in
   // Configuration::elastic_memo: the translator sets it at build time, and
-  // entries that arrive without one (snapshots, warm-start files) are
+  // entries that arrive without one (restored from a snapshot) are
   // classified here on first dispatch.
   ArrayExecOutcome execute(const Configuration& config, sim::CpuState& state,
                            mem::Memory& memory, mem::Cache* dcache,

@@ -266,12 +266,16 @@ class TraceCache {
 //
 // Each handler jumps straight to the next op's handler through a
 // computed goto, a GCC/Clang extension; every compiler that builds the
-// POSIX serve layer provides it.
+// POSIX serve layer provides it. The executor starts on a 64-byte line so
+// its handlers keep their offsets within cache lines whatever code the
+// linker places before it: otherwise a size change anywhere earlier in
+// the library shifts them and moves the interpreter's speed.
 #if defined(DIMSIM_PORTABLE_DISPATCH) || !(defined(__GNUC__) || defined(__clang__))
 #error "the trace engine needs computed goto (GCC or Clang) and has no switch dispatch"
 #endif
 
 template <class Env>
+__attribute__((aligned(64)))
 TraceExecResult TraceCache::execute(Trace& t, CpuState& st, mem::Memory& mem,
                                     uint64_t budget, Env& env) {
   TraceExecResult result;

@@ -109,12 +109,6 @@ uint64_t system_fingerprint(const accel::SystemConfig& config) {
   return fnv1a64(w.bytes());
 }
 
-uint64_t translation_fingerprint(const accel::SystemConfig& config) {
-  Writer w;
-  encode_translation_knobs(w, config);
-  return fnv1a64(w.bytes());
-}
-
 bool has_exec_stats(const accel::AccelStats& stats) {
   return stats.fifo_stall_cycles != 0 || stats.elastic_deadlock_fallbacks != 0;
 }

@@ -1,6 +1,6 @@
-// Field-level codecs shared by the three persistence artifacts: CPU state,
-// run statistics, array configurations, event profiles, and the identity
-// hashes that key warm-start files and result-store cells.
+// Field-level codecs shared by the persistence artifacts: CPU state, run
+// statistics, array configurations, event profiles, and the identity
+// hashes that key snapshots and result-store cells.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,8 @@ namespace dim::snap {
 uint64_t fnv1a64(const std::vector<uint8_t>& bytes);
 
 // FNV-1a over the program image (entry point + every segment's base and
-// bytes). Symbols are excluded: they do not affect execution, and two
-// builds of the same image must warm-start each other.
+// bytes). Symbols are excluded: they do not affect execution, so two
+// builds of the same image share snapshots and result-store cells.
 uint64_t program_hash(const asmblr::Program& program);
 
 // FNV-1a over every SystemConfig field that can change simulated behavior
@@ -32,12 +32,6 @@ uint64_t program_hash(const asmblr::Program& program);
 // given program identically, so a snapshot may only be restored into a
 // system whose fingerprint matches.
 uint64_t system_fingerprint(const accel::SystemConfig& config);
-
-// Fingerprint of just the translator-facing knobs (shape + capacity +
-// speculation + restrictions): two systems with equal translation
-// fingerprints build identical configurations, which is the compatibility
-// contract of a warm-start file.
-uint64_t translation_fingerprint(const accel::SystemConfig& config);
 
 // Field functions: each persisted struct's layout, declared once for
 // both directions (see Writer/Reader in snap/io.hpp). Adding a field is
@@ -69,7 +63,7 @@ inline constexpr size_t kArrayOpBytes = 35;  // serialized ArrayOp size
 template <class IO>
 void configuration_fields(IO& io, Field<IO, rra::Configuration>& c);
 
-// A list of configurations (rcache entries oldest-first, warm-start files).
+// A list of configurations (rcache entries oldest-first).
 template <class IO>
 void configurations_fields(IO& io, Field<IO, std::vector<rra::Configuration>>& list);
 

@@ -5,7 +5,6 @@ namespace dim::snap {
 const char* artifact_kind_name(ArtifactKind kind) {
   switch (kind) {
     case ArtifactKind::kSnapshot: return "snapshot";
-    case ArtifactKind::kWarmStart: return "warm-start";
     case ArtifactKind::kResultCell: return "result-cell";
   }
   return "unknown";

@@ -1,10 +1,10 @@
 // On-disk container format shared by every persistence artifact: full
-// system snapshots, reconfiguration-cache warm-start files, and sweep
-// result-store cells. See docs/persistence.md for the byte-level layout.
+// system snapshots and sweep result-store cells. See docs/persistence.md
+// for the byte-level layout.
 //
-// All three artifacts share one 20-byte header — magic, format version,
+// Both artifacts share one 20-byte header — magic, format version,
 // artifact kind, payload size, payload CRC-32 — followed by a payload of
-// fixed-width little-endian fields. The loader distinguishes four failure
+// fixed-width little-endian fields. The loader distinguishes six failure
 // classes, each with its own error code, so corrupt files are diagnosable
 // (and a bit-flip fuzzer can assert the loader never crashes):
 //
@@ -12,9 +12,11 @@
 //   kBadVersion   the format version is not the one this build writes
 //   kTruncated    the header or payload ends early
 //   kCrcMismatch  the payload checksum does not match the header
-//   kMalformed    the container is intact but a payload field is invalid
-//   kMismatch     the artifact is valid but belongs to a different
-//                 program / system configuration than the restore target
+//   kMalformed    the artifact kind is unknown, or the container is intact
+//                 but a payload field is invalid
+//   kMismatch     the artifact is valid but of another kind than asked
+//                 for, or belongs to a different program / system
+//                 configuration than the restore target
 #pragma once
 
 #include <cstddef>
@@ -37,10 +39,11 @@ inline constexpr uint16_t kFormatVersion = 3;
 // change (the cell layout itself is covered by kFormatVersion).
 inline constexpr uint64_t kResultStoreCodeVersion = 1;
 
+// Kind values never change. Kind 2 was the retired rcache warm-start file;
+// readers now reject it as an unknown kind (kMalformed).
 enum class ArtifactKind : uint16_t {
-  kSnapshot = 1,   // full AcceleratedSystem state (checkpoint/resume)
-  kWarmStart = 2,  // translated configurations only (rcache pre-load)
-  kResultCell = 3, // one memoized SweepEngine grid cell
+  kSnapshot = 1,    // full AcceleratedSystem state (checkpoint/resume)
+  kResultCell = 3,  // one memoized SweepEngine grid cell
 };
 
 const char* artifact_kind_name(ArtifactKind kind);

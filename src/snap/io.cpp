@@ -72,7 +72,8 @@ std::vector<uint8_t> read_validated(std::istream& in, ArtifactKind* kind_out,
                             std::to_string(kFormatVersion));
   }
   h.kind = hr.u16();
-  if (h.kind < 1 || h.kind > 3) {
+  if (h.kind != static_cast<uint16_t>(ArtifactKind::kSnapshot) &&
+      h.kind != static_cast<uint16_t>(ArtifactKind::kResultCell)) {
     throw SnapshotError(SnapErrc::kMalformed,
                         "unknown artifact kind " + std::to_string(h.kind));
   }

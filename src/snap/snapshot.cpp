@@ -315,7 +315,7 @@ void restore_snapshot_payload(accel::AcceleratedSystem& system,
   // rebuild lazily.
   system.decode_cache_.clear();
   system.trace_cache_.clear();
-  system.memory_.restore_pages(d.pages);
+  system.memory_.restore_pages(std::move(d.pages));
   system.state_ = std::move(d.cpu);
   pipeline.restore_state(d.pipe);
   pipeline.icache().restore_state(std::move(d.icache));

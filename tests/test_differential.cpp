@@ -346,7 +346,9 @@ TEST_P(PredicatedDifferentialFuzz, MergedHammockMatchesFunctionalExecution) {
   }
   ASSERT_GE(pred_def_row, 0);
   for (const rra::ArrayOp& op : config.ops) {
-    if (op.pred_slot >= 0 && !op.is_pred_def) EXPECT_GT(op.row, pred_def_row);
+    if (op.pred_slot >= 0 && !op.is_pred_def) {
+      EXPECT_GT(op.row, pred_def_row);
+    }
   }
 }
 

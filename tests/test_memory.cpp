@@ -649,5 +649,37 @@ TEST(Memory, RestorePagesReplacesTheImage) {
   EXPECT_THROW(dst.restore_pages({{0u, std::vector<uint8_t>(100)}}), std::invalid_argument);
 }
 
+TEST(Memory, RestorePagesMovesTheCallersBuffers) {
+  // Restore takes the staged pages over instead of copying them: each page
+  // of the image is the very buffer the caller's vector held. Pages come
+  // out of order, and index 9 twice: the last occurrence wins.
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages;
+  pages.emplace_back(9u, std::vector<uint8_t>(Memory::kPageSize, 0x09));
+  pages.emplace_back(2u, std::vector<uint8_t>(Memory::kPageSize, 0x02));
+  pages.emplace_back(9u, std::vector<uint8_t>(Memory::kPageSize, 0x99));
+  std::map<uint32_t, const uint8_t*> buffers;
+  for (const auto& [index, bytes] : pages) buffers[index] = bytes.data();
+
+  Memory m;
+  m.write8(0x50000, 1);  // replaced
+  m.restore_pages(std::move(pages));
+  const auto restored = m.pages_sorted();
+  ASSERT_EQ(restored.size(), 2u);
+  for (const auto& [index, bytes] : restored) {
+    EXPECT_EQ(bytes->data(), buffers.at(index)) << "page " << index << " was copied";
+  }
+  EXPECT_EQ(m.read8(9 * Memory::kPageSize), 0x99u);
+  EXPECT_EQ(m.read8(2 * Memory::kPageSize), 0x02u);
+
+  // A page of the wrong size rejects the whole restore before any change.
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> bad;
+  bad.emplace_back(4u, std::vector<uint8_t>(Memory::kPageSize, 0x44));
+  bad.emplace_back(5u, std::vector<uint8_t>(100));
+  EXPECT_THROW(m.restore_pages(std::move(bad)), std::invalid_argument);
+  EXPECT_EQ(m.pages_allocated(), 2u);
+  EXPECT_EQ(m.read8(9 * Memory::kPageSize), 0x99u);
+  EXPECT_EQ(m.read8(4 * Memory::kPageSize), 0u);
+}
+
 }  // namespace
 }  // namespace dim::mem

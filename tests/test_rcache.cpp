@@ -224,8 +224,8 @@ TEST(ReconfigCache, EvictAndReinsertNeverReusesARevision) {
 }
 
 TEST(ReconfigCache, PreloadKeepsRevisionButAdvancesCounter) {
-  // Warm starts must re-export byte-identically, so preload keeps the
-  // serialized stamp — but later insertions may never reissue it.
+  // A preloaded cache must re-export byte-identically, so preload keeps
+  // the exported stamp — but later insertions may never reissue it.
   ReconfigCache rc(4);
   rra::Configuration warm = cfg(0x100);
   warm.revision = 7;

@@ -7,8 +7,7 @@
 // path — a job killed mid-run resumes from its run_until checkpoint on a
 // fresh worker and the seams must not show in the response.
 //
-// Requests here deliberately avoid `warm`, `stats` and deadlines: warm
-// export/preload flags depend on cross-worker timing, stats are
+// Requests here deliberately avoid `stats` and deadlines: stats are
 // topology-specific by design, and a deadline could legitimately expire
 // under kill-loop scheduling jitter. Everything else must be bit-stable.
 #include <signal.h>

@@ -33,7 +33,6 @@
 #include "snap/io.hpp"
 #include "snap/resultstore.hpp"
 #include "snap/snapshot.hpp"
-#include "snap/warmstart.hpp"
 #include "work/workload.hpp"
 
 namespace dim {
@@ -436,10 +435,12 @@ TEST(Snapshot, LoaderRejectsEachCorruptionClassDistinctly) {
     bytes[good.size() / 2] ^= 0x01;
     EXPECT_EQ(code_of(bytes), snap::SnapErrc::kCrcMismatch);
   }
-  {  // valid container of the wrong artifact kind
-    std::stringstream warm;
-    snap::save_warm_start(warm, sys, program);
-    EXPECT_EQ(code_of(warm.str()), snap::SnapErrc::kMismatch);
+  {  // valid container of the wrong artifact kind: the same payload framed
+     // as a result cell, so only the header's kind field differs
+    std::stringstream cell;
+    snap::write_container(cell, snap::ArtifactKind::kResultCell,
+                          snap::encode_snapshot(sys, program));
+    EXPECT_EQ(code_of(cell.str()), snap::SnapErrc::kMismatch);
   }
 }
 
@@ -488,13 +489,13 @@ TEST(SnapshotFuzz, LoaderSurvivesBitFlipsAndTruncation) {
 
 // Payload fuzz. The container CRC rejects nearly every edit of the test
 // above before a decoder runs, so here edited payloads go straight to the
-// decoders: snapshot restore, warm-start preload, and result-cell load
-// (the cell re-framed with a valid CRC). Whatever the edit, a decoder must
-// succeed or throw SnapshotError, a system that accepted an edited payload
-// must run on, and each decoder must reject at least one edit as
-// kMalformed. Snapshot edits stay out of the memory pages, which take any
-// bytes and make up most of the payload; cell edits stay out of the key,
-// so every cell the store discards was rejected by the decoder.
+// decoders: snapshot restore and result-cell load (the cell re-framed
+// with a valid CRC). Whatever the edit, a decoder must succeed or throw
+// SnapshotError, a system that accepted an edited payload must run on,
+// and each decoder must reject at least one edit as kMalformed. Snapshot
+// edits stay out of the memory pages, which take any bytes and make up
+// most of the payload; cell edits stay out of the key, so every cell the
+// store discards was rejected by the decoder.
 
 // Applies 1..4 edits (bit flip, byte rewrite, truncation) at offsets in
 // [from, skip_lo) and [skip_hi, size).
@@ -552,14 +553,12 @@ TEST(SnapshotFuzz, DecodersSurviveEditedPayloads) {
   fuzz::Rng rng(0xDEC0DE5ull);
   const int iterations = fuzz::seed_budget(200);
   int malformed_snap = 0;
-  int malformed_warm = 0;
   int accepted = 0;
   for (const Case& c : cases) {
     accel::AcceleratedSystem mid(c.program, c.config);
     mid.run_until(c.boundary);
     const std::vector<uint8_t> snapshot = snap::encode_snapshot(mid, c.program);
     const auto [pages_begin, pages_end] = page_bytes(snapshot);
-    const std::vector<uint8_t> warm = snap::encode_warm_start(mid, c.program);
 
     for (int i = 0; i < iterations; ++i) {
       accel::AcceleratedSystem target(c.program, c.config);
@@ -570,17 +569,6 @@ TEST(SnapshotFuzz, DecodersSurviveEditedPayloads) {
         ++accepted;
       } catch (const snap::SnapshotError& e) {
         malformed_snap += e.code() == snap::SnapErrc::kMalformed;
-      }
-    }
-    for (int i = 0; i < iterations; ++i) {
-      accel::AcceleratedSystem target(c.program, c.config);
-      try {
-        snap::load_warm_start_payload(target, edited(warm, rng, 0, warm.size(), warm.size()),
-                                      c.program);
-        target.run_until(2000);
-        ++accepted;
-      } catch (const snap::SnapshotError& e) {
-        malformed_warm += e.code() == snap::SnapErrc::kMalformed;
       }
     }
 
@@ -603,7 +591,6 @@ TEST(SnapshotFuzz, DecodersSurviveEditedPayloads) {
     }
   }
   EXPECT_GT(malformed_snap, 0);
-  EXPECT_GT(malformed_warm, 0);
   EXPECT_GT(store.counters().corrupt_discards, 0u);
   EXPECT_GT(accepted, 0);  // some edits decode: the run-on path is exercised
   std::filesystem::remove_all(dir);
@@ -690,12 +677,47 @@ TEST(SnapshotGolden, FormatFrozenUntilVersionBump) {
   std::stringstream snap_file;
   snap::save_snapshot(snap_file, mid, program);
   check_golden("golden.snap", snap_file.str());
+}
 
-  accel::AcceleratedSystem done(program, small_config());
-  done.run();
-  std::stringstream warm_file;
-  snap::save_warm_start(warm_file, done, program);
-  check_golden("golden.warm", warm_file.str());
+// Kind 2 was the retired rcache warm-start file, and tests/data/golden.warm
+// is one. Every reader rejects it as an unknown kind; the result store,
+// which never fails a load, counts it as a corrupt cell and misses.
+TEST(SnapshotGolden, RetiredWarmStartFileIsRejected) {
+  const std::string path = golden_path("golden.warm");
+  const auto expect_unknown_kind = [](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "artifact kind 2 accepted";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_EQ(e.code(), snap::SnapErrc::kMalformed);
+      EXPECT_NE(std::string(e.what()).find("unknown artifact kind 2"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unknown_kind([&] {
+    snap::ArtifactKind kind;
+    snap::read_artifact_file(path, &kind);
+  });
+
+  const auto program = asmblr::assemble(kCheckpointProgram);
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  accel::AcceleratedSystem target(program, small_config());
+  expect_unknown_kind([&] { snap::restore_snapshot(target, in, program); });
+
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "dimsim-retired-kind").string();
+  std::filesystem::remove_all(dir);
+  snap::ResultStore store(dir);
+  accel::SweepPoint point;
+  point.program = &program;
+  point.config = small_config();
+  std::filesystem::copy_file(path, store.cell_path(snap::ResultStore::cell_key(point, false)));
+  accel::SweepResult out;
+  EXPECT_FALSE(store.load(point, false, out));
+  EXPECT_EQ(store.counters().corrupt_discards, 1u);
+  EXPECT_EQ(store.counters().misses, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,16 @@
 // (never slower), and the speculation life-cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "accel/system.hpp"
 #include "asm/assembler.hpp"
+#include "obs/event.hpp"
+#include "snap/codec.hpp"
+#include "snap/io.hpp"
+#include "work/workload.hpp"
 
 namespace dim::accel {
 namespace {
@@ -282,6 +290,133 @@ inner:  sll $t4, $t2, 1
   const auto base = baseline_as_stats(prog, sim::MachineConfig{});
   EXPECT_EQ(st0.final_state.output, base.final_state.output);
   EXPECT_EQ(st3.final_state.output, base.final_state.output);
+}
+
+// Carrying translated configurations into a new run (export_entries, then
+// preload; bench_heterogeneous carries its shared cache across task
+// switches this way) must not change WHAT the program does, only how soon
+// the array takes over. The preloaded run retires the same instruction
+// stream to the same registers, output and memory image, and pays fewer
+// translation-phase costs. Preloading itself is silent.
+SystemConfig preload_config() {
+  // Enough slots that neither run evicts: isolates the translation-phase
+  // delta from replacement noise.
+  return SystemConfig::with(rra::ArrayShape::config2(), 64, true);
+}
+
+// The entries as a snapshot's rcache section encodes them.
+std::vector<uint8_t> entry_bytes(const std::vector<rra::Configuration>& entries) {
+  snap::Writer w;
+  snap::configurations_fields(w, entries);
+  return w.take();
+}
+
+TEST(System, PreloadedRunIsArchitecturallyIdenticalToCold) {
+  struct Case {
+    const char* name;
+    bool predication;
+  };
+  for (const Case& c : {Case{"crc32", false}, Case{"quicksort", false},
+                        Case{"bitcount", false}, Case{"rawaudio_d", true}}) {
+    SCOPED_TRACE(c.name);
+    const auto program = asmblr::assemble(work::make_workload(c.name).source);
+    SystemConfig config = preload_config();
+    config.predication = c.predication;
+
+    AcceleratedSystem cold(program, config);
+    const AccelStats cold_stats = cold.run();
+    const std::vector<rra::Configuration> exported = cold.rcache().export_entries();
+    ASSERT_FALSE(exported.empty());
+
+    AcceleratedSystem preloaded(program, config);
+    for (const rra::Configuration& entry : exported) {
+      EXPECT_TRUE(preloaded.rcache().preload(entry));
+    }
+    // Right after preload the cache holds exactly the exported entries, in
+    // order, so re-exporting reproduces them byte for byte. (Checked before
+    // the run: running may legitimately extend configurations.)
+    EXPECT_EQ(entry_bytes(preloaded.rcache().export_entries()), entry_bytes(exported));
+    if (c.predication) {
+      // If-converted configurations carry their predicate fields: the cold
+      // run merged hammocks, and at least one preloaded entry is predicated.
+      EXPECT_GT(cold_stats.hammocks_merged, 0u);
+      EXPECT_TRUE(std::any_of(exported.begin(), exported.end(),
+                              [](const auto& e) { return e.pred_slots > 0; }));
+    }
+    const AccelStats stats = preloaded.run();
+
+    // Architectural state: identical, bit for bit.
+    EXPECT_EQ(stats.instructions, cold_stats.instructions);
+    EXPECT_EQ(stats.final_state.reg_hash(), cold_stats.final_state.reg_hash());
+    EXPECT_EQ(stats.final_state.output, cold_stats.final_state.output);
+    EXPECT_EQ(stats.memory_hash, cold_stats.memory_hash);
+    EXPECT_EQ(stats.final_state.pc, cold_stats.final_state.pc);
+
+    // Translation phase: cheaper or equal. Every preloaded sequence skips
+    // its detection iteration, so the preloaded run inserts at most what
+    // the cold run inserted and finishes no later. Without if-conversion it
+    // also sees no more misses and the array can only take over earlier;
+    // with it the probe counts may move either way (rawaudio_d: 6 more
+    // misses and 2 fewer activations than cold).
+    EXPECT_LE(stats.rcache_insertions, cold_stats.rcache_insertions);
+    EXPECT_LE(stats.cycles, cold_stats.cycles);
+    if (!c.predication) {
+      EXPECT_LE(stats.rcache_misses, cold_stats.rcache_misses);
+      EXPECT_GE(stats.array_activations, cold_stats.array_activations);
+    }
+  }
+}
+
+TEST(System, PreloadIsSilent) {
+  const auto program = asmblr::assemble(work::make_workload("crc32").source);
+  AcceleratedSystem cold(program, preload_config());
+  cold.run();
+
+  obs::RecordingSink sink;
+  SystemConfig config = preload_config();
+  config.event_sink = &sink;
+  AcceleratedSystem preloaded(program, config);
+  for (rra::Configuration& entry : cold.rcache().export_entries()) {
+    ASSERT_TRUE(preloaded.rcache().preload(std::move(entry)));
+  }
+  // The cache is hot...
+  EXPECT_EQ(preloaded.rcache().size(), cold.rcache().size());
+  // ...but nothing was accounted or emitted: the run's statistics measure
+  // only the run itself.
+  const bt::RcacheCounters c = preloaded.rcache().counters();
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.insertions, 0u);
+  EXPECT_EQ(c.evictions, 0u);
+  EXPECT_EQ(c.flushes, 0u);
+  EXPECT_EQ(c.words_written, 0u);
+  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(preloaded.stats().instructions, 0u);
+}
+
+TEST(System, PreloadIntoASmallerCacheTakesTheOldestEntries) {
+  // quicksort's cold run caches 6 configurations (crc32's only 2).
+  const auto program = asmblr::assemble(work::make_workload("quicksort").source);
+  AcceleratedSystem cold(program, preload_config());
+  cold.run();
+  const std::vector<rra::Configuration> exported = cold.rcache().export_entries();
+  ASSERT_GT(exported.size(), 2u);
+
+  // Preload never evicts: a 2-slot cache takes entries oldest-first until
+  // it is full and refuses the rest.
+  const SystemConfig small = SystemConfig::with(rra::ArrayShape::config2(), 2, true);
+  AcceleratedSystem partial(program, small);
+  size_t loaded = 0;
+  for (const rra::Configuration& entry : exported) loaded += partial.rcache().preload(entry);
+  EXPECT_EQ(loaded, 2u);
+  EXPECT_EQ(partial.rcache().fifo_order(),
+            (std::vector<uint32_t>{exported[0].start_pc, exported[1].start_pc}));
+
+  const AccelStats run = partial.run();
+  const AccelStats straight = run_accelerated(program, small);
+  EXPECT_EQ(run.final_state.output, straight.final_state.output);
+  EXPECT_EQ(run.memory_hash, straight.memory_hash);
+  EXPECT_EQ(run.instructions, straight.instructions);
 }
 
 }  // namespace

@@ -16,10 +16,10 @@
 // contribution to array_cycles).
 //
 // Snapshot mode (--snapshot FILE): human-readable dump of a persistence
-// artifact written by the snap subsystem (docs/persistence.md) — full
-// snapshots and warm-start files get their header, statistics, cached
-// configurations (start PC, rows, ops) and predictor summary printed;
-// corrupt files are reported with the loader's precise failure class.
+// artifact written by the snap subsystem (docs/persistence.md) — a full
+// snapshot gets its header, statistics, cached configurations (start PC,
+// rows, ops) and predictor summary printed; corrupt files are reported
+// with the loader's precise failure class.
 //
 // Usage: dimsim-analyze (file.s | --workload NAME) [--config 1|2|3]
 //                       [--json] [--events FILE] [--hot-configs N]
@@ -43,7 +43,6 @@
 #include "rra/array_shape.hpp"
 #include "snap/io.hpp"
 #include "snap/snapshot.hpp"
-#include "snap/warmstart.hpp"
 #include "work/workload.hpp"
 
 namespace {
@@ -65,16 +64,8 @@ constexpr const char* kUsage =
     "[--json] [--events FILE] [--hot-configs N] [--scale N]\n"
     "       dimsim-analyze --snapshot FILE\n";
 
-void print_rcache_entries(const std::vector<dim::snap::SnapshotRcacheEntry>& entries) {
-  std::printf("  %-12s %-12s %5s %5s %4s\n", "start", "end", "ops", "rows", "bbs");
-  for (const auto& e : entries) {
-    std::printf("  0x%08x   0x%08x   %5d %5d %4d\n", e.start_pc, e.end_pc, e.ops,
-                e.rows_used, e.num_bbs);
-  }
-}
-
 // Dumps one persistence artifact. The artifact kind is taken from the
-// header, so snapshots, warm-start files and result-store cells all work.
+// header, so snapshots and result-store cells both work.
 int run_snapshot_dump(const std::string& path) {
   dim::snap::ArtifactKind kind;
   std::vector<uint8_t> payload;
@@ -131,18 +122,11 @@ int run_snapshot_dump(const std::string& path) {
                     static_cast<unsigned long long>(info.rcache_counters.hits),
                     static_cast<unsigned long long>(info.rcache_counters.misses),
                     static_cast<unsigned long long>(info.rcache_counters.evictions));
-        print_rcache_entries(info.rcache_entries);
-        return 0;
-      }
-      case dim::snap::ArtifactKind::kWarmStart: {
-        const dim::snap::WarmStartInfo info = dim::snap::inspect_warm_start(payload);
-        std::printf("program hash            0x%016llx\n",
-                    static_cast<unsigned long long>(info.program_hash));
-        std::printf("translation fingerprint 0x%016llx\n\n",
-                    static_cast<unsigned long long>(info.translation_fingerprint));
-        std::printf("%zu translated configurations (preload order):\n",
-                    info.entries.size());
-        print_rcache_entries(info.entries);
+        std::printf("  %-12s %-12s %5s %5s %4s\n", "start", "end", "ops", "rows", "bbs");
+        for (const auto& e : info.rcache_entries) {
+          std::printf("  0x%08x   0x%08x   %5d %5d %4d\n", e.start_pc, e.end_pc, e.ops,
+                      e.rows_used, e.num_bbs);
+        }
         return 0;
       }
       case dim::snap::ArtifactKind::kResultCell:
