@@ -26,10 +26,7 @@ double avg_speedup(const std::vector<PreparedWorkload>& workloads,
     accel::SystemConfig cfg = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
     cfg.machine = machine;
     const accel::AccelStats st = accel::run_accelerated(p.program, cfg);
-    if (st.final_state.output != base.state.output) {
-      std::fprintf(stderr, "TRANSPARENCY VIOLATION (%s)\n", p.workload.name.c_str());
-      std::abort();
-    }
+    require_transparent(p.workload.name, accel::baseline_as_stats(base), st);
     speedups.push_back(static_cast<double>(base.cycles) / static_cast<double>(st.cycles));
   }
   return mean(speedups);

@@ -31,10 +31,7 @@ int main() {
       accel::SystemConfig cfg = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
       cfg.machine = machine;
       const accel::AccelStats st = accel::run_accelerated(p.program, cfg);
-      if (st.final_state.output != base.state.output) {
-        std::fprintf(stderr, "TRANSPARENCY VIOLATION (%s)\n", p.workload.name.c_str());
-        return 1;
-      }
+      require_transparent(p.workload.name, accel::baseline_as_stats(base), st);
       speedups.push_back(static_cast<double>(base.cycles) / static_cast<double>(st.cycles));
       mpki_sum += 1000.0 * static_cast<double>(base.dcache_misses) /
                   static_cast<double>(base.instructions);
@@ -56,6 +53,7 @@ int main() {
       accel::SystemConfig cfg = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, true);
       cfg.machine = machine;
       const accel::AccelStats st = accel::run_accelerated(p.program, cfg);
+      require_transparent(p.workload.name, accel::baseline_as_stats(base), st);
       speedups.push_back(static_cast<double>(base.cycles) / static_cast<double>(st.cycles));
     }
     std::printf("%-14u %12.2f%s\n", penalty, mean(speedups),

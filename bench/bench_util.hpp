@@ -35,16 +35,21 @@ inline std::vector<PreparedWorkload> prepare_all(int scale = 1) {
   return out;
 }
 
-// Runs accelerated and returns the speedup vs the prepared baseline.
-// Asserts transparency — a bench that silently produced wrong results
-// would be worthless.
-inline double speedup_of(const PreparedWorkload& p, const accel::SystemConfig& cfg) {
-  const accel::AccelStats st = accel::run_accelerated(p.program, cfg);
-  if (st.final_state.output != p.baseline.final_state.output ||
-      st.memory_hash != p.baseline.memory_hash) {
-    std::fprintf(stderr, "TRANSPARENCY VIOLATION in %s\n", p.workload.name.c_str());
+// Aborts unless `accelerated` is transparent to `baseline` — a bench that
+// silently produced wrong results would be worthless.
+inline void require_transparent(const std::string& name, const accel::AccelStats& baseline,
+                                const accel::AccelStats& accelerated) {
+  const accel::RunComparison c = accel::compare_runs(baseline, accelerated);
+  if (!c.transparent()) {
+    std::fprintf(stderr, "TRANSPARENCY VIOLATION in %s: %s\n", name.c_str(), c.detail.c_str());
     std::abort();
   }
+}
+
+// Runs accelerated and returns the speedup vs the prepared baseline.
+inline double speedup_of(const PreparedWorkload& p, const accel::SystemConfig& cfg) {
+  const accel::AccelStats st = accel::run_accelerated(p.program, cfg);
+  require_transparent(p.workload.name, p.baseline, st);
   return static_cast<double>(p.baseline.cycles) / static_cast<double>(st.cycles);
 }
 

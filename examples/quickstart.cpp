@@ -61,11 +61,10 @@ loop:   sll $t4, $t3, 2
   const double e_accel = dim::power::compute_energy(accel, 64).total();
   std::printf("energy:  %.2fx less (%.1f nJ -> %.1f nJ)\n", e_base / e_accel, e_base, e_accel);
 
-  // 5. Transparency: architectural results are bit-identical.
-  const bool transparent =
-      baseline.final_state.output == accel.final_state.output &&
-      baseline.final_state.reg_hash() == accel.final_state.reg_hash() &&
-      baseline.memory_hash == accel.memory_hash;
-  std::printf("transparent: %s\n", transparent ? "yes" : "NO - BUG");
-  return transparent ? 0 : 1;
+  // 5. Transparency: output, registers, PC, HI/LO, memory and retired
+  //    count are bit-identical.
+  const dim::accel::RunComparison verdict = dim::accel::compare_runs(baseline, accel);
+  std::printf("transparent: %s\n", verdict.transparent() ? "yes" : "NO - BUG");
+  if (!verdict.transparent()) std::printf("  %s\n", verdict.detail.c_str());
+  return verdict.transparent() ? 0 : 1;
 }

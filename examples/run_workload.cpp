@@ -127,9 +127,8 @@ int main(int argc, char** argv) {
   const dim::accel::AccelStats st = dim::accel::run_accelerated(program, cfg);
 
   // --- report ---
-  const bool transparent = base.state.output == st.final_state.output &&
-                           base.memory_hash == st.memory_hash &&
-                           base.state.reg_hash() == st.final_state.reg_hash();
+  const dim::accel::RunComparison verdict =
+      dim::accel::compare_runs(dim::accel::baseline_as_stats(base), st);
   if (json) {
     dim::accel::write_json(std::cout, st, label);
   } else {
@@ -142,7 +141,8 @@ int main(int argc, char** argv) {
     std::ostringstream report;
     dim::accel::write_report(report, st);
     std::fputs(report.str().c_str(), stdout);
-    std::printf("transparent: %s\n", transparent ? "yes" : "NO - BUG");
+    std::printf("transparent: %s\n", verdict.transparent() ? "yes" : "NO - BUG");
+    if (!verdict.transparent()) std::printf("  %s\n", verdict.detail.c_str());
   }
-  return transparent ? 0 : 1;
+  return verdict.transparent() ? 0 : 1;
 }

@@ -48,9 +48,7 @@ SweepResult run_point(const SweepPoint& point, size_t index, bool collect_profil
     result.has_baseline = true;
   }
   if (result.has_baseline) {
-    result.transparent =
-        result.accelerated.final_state.output == result.baseline.final_state.output &&
-        result.accelerated.memory_hash == result.baseline.memory_hash;
+    result.transparent = compare_runs(result.baseline, result.accelerated).transparent();
   }
   if (cache != nullptr) cache->store(point, collect_profile, result);
   return result;

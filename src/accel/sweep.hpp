@@ -43,8 +43,8 @@ struct SweepResult {
   AccelStats accelerated;
   AccelStats baseline;
   bool has_baseline = false;
-  // Transparency check (only meaningful with a baseline): identical
-  // program output and final memory image.
+  // compare_runs(baseline, accelerated).transparent(): false only when
+  // the verdict is divergent. Only meaningful with a baseline.
   bool transparent = true;
   // Per-configuration event summary of the accelerated run (only with
   // SweepOptions::collect_profiles; folded by a worker-private sink, so

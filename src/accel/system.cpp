@@ -1,7 +1,10 @@
 #include "accel/system.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "common/bitutil.hpp"
 #include "isa/decoder.hpp"
@@ -334,9 +337,82 @@ AccelStats run_accelerated(const asmblr::Program& program, const SystemConfig& c
   return system.run();
 }
 
+namespace {
+
+std::string hex32(uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x", v);
+  return buf;
+}
+
+std::string hex64(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+}  // namespace
+
+RunComparison compare_runs(const AccelStats& reference, const AccelStats& candidate,
+                           const CompareSides& sides) {
+  const sim::CpuState& a = reference.final_state;
+  const sim::CpuState& b = candidate.final_state;
+  const size_t reg = static_cast<size_t>(
+      std::mismatch(a.regs.begin(), a.regs.end(), b.regs.begin()).first - a.regs.begin());
+  const bool byte_exact =
+      sides.reference_memory != nullptr && sides.candidate_memory != nullptr;
+  std::optional<uint32_t> byte;  // first differing memory byte
+  if (byte_exact) byte = sides.reference_memory->first_difference(*sides.candidate_memory);
+
+  RunComparison c;
+  // "<what>: <reference> <x> vs <candidate> <y>"
+  const auto differ = [&](RunField field, const std::string& what, const std::string& x,
+                          const std::string& y) {
+    c.field = field;
+    c.detail = what + ": " + sides.reference + " " + x + " vs " + sides.candidate + " " + y;
+  };
+  if (a.halted != b.halted) {
+    differ(RunField::kTermination, "halted", a.halted ? "true" : "false",
+           b.halted ? "true" : "false");
+  } else if (a.output != b.output) {
+    differ(RunField::kOutput, "program output differs", "\"" + a.output + "\"",
+           "\"" + b.output + "\"");
+  } else if (reg < a.regs.size()) {
+    differ(RunField::kRegister, "register $" + std::to_string(reg), hex32(a.regs[reg]),
+           hex32(b.regs[reg]));
+  } else if (a.pc != b.pc) {
+    differ(RunField::kRegister, "pc", hex32(a.pc), hex32(b.pc));
+  } else if (a.hi != b.hi || a.lo != b.lo) {
+    differ(RunField::kHiLo, "hi/lo", hex32(a.hi) + "/" + hex32(a.lo),
+           hex32(b.hi) + "/" + hex32(b.lo));
+  } else if (byte.has_value()) {
+    differ(RunField::kMemory, "memory byte at " + hex32(*byte),
+           hex32(sides.reference_memory->read8(*byte)),
+           hex32(sides.candidate_memory->read8(*byte)));
+  } else if (!byte_exact && reference.memory_hash != candidate.memory_hash) {
+    differ(RunField::kMemory, "memory hash", hex64(reference.memory_hash),
+           hex64(candidate.memory_hash));
+  } else if (reference.instructions != candidate.instructions) {
+    differ(RunField::kRetiredCount, "retired instructions",
+           std::to_string(reference.instructions), std::to_string(candidate.instructions));
+  }
+
+  if (a.halted != b.halted) {
+    c.verdict = Verdict::kDivergent;
+  } else if (!a.halted) {
+    c.verdict = Verdict::kInconclusive;
+  } else {
+    c.verdict = c.field == RunField::kNone ? Verdict::kTransparent : Verdict::kDivergent;
+  }
+  return c;
+}
+
 AccelStats baseline_as_stats(const asmblr::Program& program,
                              const sim::MachineConfig& machine) {
-  const sim::RunResult r = sim::run_baseline(program, machine);
+  return baseline_as_stats(sim::run_baseline(program, machine));
+}
+
+AccelStats baseline_as_stats(const sim::RunResult& r) {
   AccelStats stats;
   stats.instructions = r.instructions;
   stats.proc_instructions = r.instructions;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "asm/program.hpp"
@@ -201,9 +202,58 @@ struct SpeedupResult {
   }
 };
 
+// The transparency verdict, the paper's core claim: does a candidate run
+// (the accelerated system, or the fast dispatch) end in the reference
+// run's architectural state? Every bench, the sweep engine, the result
+// store, serve and both fuzz oracles decide it with compare_runs.
+enum class Verdict : uint8_t {
+  kTransparent,   // both halted and every compared field matches
+  kDivergent,     // exactly one halted, or both halted and a field differs
+  kInconclusive,  // neither halted: two cut-off runs make no claim
+};
+
+// The compared fields, in the order compare_runs checks them.
+enum class RunField : uint8_t {
+  kNone = 0,
+  kTermination,  // exactly one side halted
+  kOutput,       // syscall output bytes
+  kRegister,     // a general register or the PC (the detail names which)
+  kHiLo,
+  kMemory,
+  kRetiredCount,
+};
+
+struct RunComparison {
+  Verdict verdict = Verdict::kTransparent;
+  RunField field = RunField::kNone;  // first differing field
+  std::string detail;                // that field, with both values
+  // An inconclusive pair is not a violation.
+  bool transparent() const { return verdict != Verdict::kDivergent; }
+};
+
+// How the detail names the two runs, and optionally their memories: with
+// both given, memory is compared byte for byte and the detail names the
+// first differing address; otherwise memory_hash decides.
+struct CompareSides {
+  const char* reference = "reference";
+  const char* candidate = "candidate";
+  const mem::Memory* reference_memory = nullptr;
+  const mem::Memory* candidate_memory = nullptr;
+};
+
+// Both halted: transparent when output, registers, PC, HI/LO, memory and
+// retired count all match, else divergent at the first differing field.
+// Exactly one halted: divergent at kTermination. Neither halted:
+// inconclusive, but the fields are still diffed into field/detail for a
+// caller that requires two cut-off runs to agree (the dispatch oracle).
+RunComparison compare_runs(const AccelStats& reference, const AccelStats& candidate,
+                           const CompareSides& sides = {});
+
 AccelStats run_accelerated(const asmblr::Program& program, const SystemConfig& config);
 AccelStats baseline_as_stats(const asmblr::Program& program,
                              const sim::MachineConfig& machine);
+// The statistics of a plain-core run that has already happened.
+AccelStats baseline_as_stats(const sim::RunResult& run);
 SpeedupResult measure_speedup(const asmblr::Program& program, const SystemConfig& config);
 
 }  // namespace dim::accel

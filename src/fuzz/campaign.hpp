@@ -1,13 +1,15 @@
-// Fuzz campaigns: N seeds x the configuration matrix, fanned out over the
-// SweepEngine worker pool.
+// Fuzz campaigns: N seeds x the configuration matrix, judged by one
+// oracle.
 //
-// Detection runs as one sweep grid (seed x matrix point, each with its own
-// baseline run inside the worker); failures are then re-examined serially
-// in seed order — the differential oracle pinpoints the first divergence
-// with event context, and the delta-debugging shrinker minimizes the
-// program. Everything after the sweep is a pure function of the (ordered)
-// sweep results, so a campaign's outcome — including its JSON document —
-// is byte-identical for any worker-thread count.
+// One driver serves both oracles: check_program (transparency, the
+// default) and check_dispatch_program (fast vs slow dispatch,
+// dimsim-fuzz --cmp-dispatch). A worker pool calls the oracle once per
+// seed, each verdict landing in its seed's slot; failures are then handled
+// serially in seed order — the oracle's report (first divergence with
+// event context) and the delta-debugging shrinker, which minimizes against
+// the diverging matrix point. Everything after the pool is a pure function
+// of the ordered verdicts, so a campaign's outcome — including its JSON
+// document — is byte-identical for any worker-thread count.
 #pragma once
 
 #include <cstdint>
@@ -52,27 +54,26 @@ struct CampaignResult {
   bool clean() const { return divergent_seeds == 0; }
 };
 
-CampaignResult run_campaign(const CampaignOptions& options);
+// A per-seed oracle: check_program or check_dispatch_program.
+using Oracle = OracleResult (*)(const std::string& source,
+                                const std::vector<MatrixPoint>& matrix,
+                                const OracleOptions& options);
 
-// Fast-vs-slow dispatch campaign: every seed's program goes through
-// check_dispatch_program (host_trace_dispatch on vs off must be
-// bit-identical on the Machine and at every matrix point — state, memory,
-// stats, events, cycles). This is the merge gate for changes to the
-// superblock trace engine. Seeds are fanned out over a worker pool; the
-// result (and its JSON) is a pure function of the options, independent of
-// the thread count. Shrinking minimizes against the diverging matrix
-// point (or the machine-level comparison alone when that is what failed).
-CampaignResult run_dispatch_campaign(const CampaignOptions& options);
+// Runs the campaign with `oracle`. A dispatch failure at "machine" (the
+// plain Machine comparison) shrinks against that comparison alone.
+CampaignResult run_campaign(const CampaignOptions& options, Oracle oracle = check_program);
 
 // One JSON document; deterministic for a fixed CampaignResult (and the
 // result is thread-count-invariant, so so is the document).
 void write_campaign_json(std::ostream& out, const CampaignResult& result);
 
 // Self-contained reproducer: '#'-commented header (seed, matrix point,
-// divergence, fault, recent events) followed by the shrunk program — the
-// whole file assembles as-is and can be replayed with dimsim-fuzz --replay.
+// divergence, fault, recent events, replay line) followed by the shrunk
+// program — the whole file assembles as-is and can be replayed with
+// dimsim-fuzz --replay, plus --cmp-dispatch when `oracle` was the dispatch
+// oracle.
 void write_repro_file(std::ostream& out, const CampaignFailure& failure,
-                      const OracleOptions& oracle);
+                      const OracleOptions& options, Oracle oracle = check_program);
 
 const char* fault_injection_name(bt::FaultInjection fault);
 

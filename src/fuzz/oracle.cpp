@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <sstream>
 
 #include "accel/stats_io.hpp"
@@ -12,12 +11,6 @@
 namespace dim::fuzz {
 
 namespace {
-
-std::string hex32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
-}
 
 std::string u64(uint64_t v) { return std::to_string(v); }
 
@@ -154,49 +147,34 @@ const char* divergence_field_name(DivergenceField field) {
 
 namespace {
 
-// Architectural diff shared by the two dispatch comparisons ("slow" = no
-// trace dispatch, "fast" = trace dispatch). Fills field/detail on the
-// first mismatch; leaves kNone when the states agree.
-void diff_cpu_state(const sim::CpuState& slow, const sim::CpuState& fast,
-                    Divergence& d) {
-  if (slow.halted != fast.halted) {
-    d.field = DivergenceField::kTermination;
-    d.detail = std::string("halted: slow ") + (slow.halted ? "true" : "false") +
-               " vs fast " + (fast.halted ? "true" : "false");
-    return;
-  }
-  if (slow.output != fast.output) {
-    d.field = DivergenceField::kOutput;
-    d.detail = "program output differs: slow \"" + slow.output + "\" vs fast \"" +
-               fast.output + "\"";
-    return;
-  }
-  for (size_t r = 0; r < slow.regs.size(); ++r) {
-    if (slow.regs[r] != fast.regs[r]) {
-      d.field = DivergenceField::kRegister;
-      d.detail = "register $" + std::to_string(r) + ": slow " + hex32(slow.regs[r]) +
-                 " vs fast " + hex32(fast.regs[r]);
-      return;
-    }
-  }
-  if (slow.pc != fast.pc) {
-    d.field = DivergenceField::kRegister;
-    d.detail = "pc: slow " + hex32(slow.pc) + " vs fast " + hex32(fast.pc);
-    return;
-  }
-  if (slow.hi != fast.hi || slow.lo != fast.lo) {
-    d.field = DivergenceField::kHiLo;
-    d.detail = "hi/lo: slow " + hex32(slow.hi) + "/" + hex32(slow.lo) + " vs fast " +
-               hex32(fast.hi) + "/" + hex32(fast.lo);
-  }
+// DivergenceField begins with accel::RunField's values, in its order.
+static_assert(static_cast<int>(DivergenceField::kTermination) ==
+              static_cast<int>(accel::RunField::kTermination));
+static_assert(static_cast<int>(DivergenceField::kRetiredCount) ==
+              static_cast<int>(accel::RunField::kRetiredCount));
+
+// Fills d from the architectural diff; leaves kNone when the runs agree.
+void take_diff(const accel::RunComparison& c, Divergence& d) {
+  d.field = static_cast<DivergenceField>(c.field);
+  d.detail = c.detail;
 }
 
-void diff_memory(const mem::Memory& slow, const mem::Memory& fast, Divergence& d) {
-  const auto addr = slow.first_difference(fast);
-  if (addr.has_value()) {
-    d.field = DivergenceField::kMemory;
-    d.detail = "memory byte at " + hex32(*addr) + ": slow " + hex32(slow.read8(*addr)) +
-               " vs fast " + hex32(fast.read8(*addr));
+// The last `keep` events of a stream.
+std::vector<obs::Event> tail(const std::vector<obs::Event>& events, size_t keep) {
+  keep = std::min(keep, events.size());
+  return {events.end() - static_cast<ptrdiff_t>(keep), events.end()};
+}
+
+// Assembles `source`, or marks the result inconclusive.
+bool assemble_into(const std::string& source, asmblr::Program& program,
+                   OracleResult& result) {
+  try {
+    program = asmblr::assemble(source);
+    return true;
+  } catch (const std::exception& e) {
+    result.inconclusive = true;
+    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
+    return false;
   }
 }
 
@@ -223,18 +201,12 @@ OracleResult check_dispatch_program(const std::string& source,
                                     const std::vector<MatrixPoint>& matrix,
                                     const OracleOptions& options) {
   OracleResult result;
-
   asmblr::Program program;
-  try {
-    program = asmblr::assemble(source);
-  } catch (const std::exception& e) {
-    result.inconclusive = true;
-    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
-    return result;
-  }
+  if (!assemble_into(source, program, result)) return result;
 
   // Level 1: the plain Machine, slow vs fast. Both sides share the limit
-  // and must cut at the same instruction, so hitting it is comparable.
+  // and must cut at the same instruction, so a pair of limited runs is
+  // compared like any other: any field the diff names is a divergence.
   sim::MachineConfig slow_cfg;
   slow_cfg.max_instructions = options.max_instructions;
   slow_cfg.host_trace_dispatch = false;
@@ -249,15 +221,10 @@ OracleResult check_dispatch_program(const std::string& source,
   {
     Divergence d;
     d.point_label = "machine";
-    diff_cpu_state(rs.state, rf.state, d);
-    if (d.field == DivergenceField::kNone) {
-      diff_memory(slow_machine.memory(), fast_machine.memory(), d);
-    }
-    if (d.field == DivergenceField::kNone && rs.instructions != rf.instructions) {
-      d.field = DivergenceField::kRetiredCount;
-      d.detail = "retired instructions: slow " + u64(rs.instructions) + " vs fast " +
-                 u64(rf.instructions);
-    }
+    take_diff(accel::compare_runs(accel::baseline_as_stats(rs), accel::baseline_as_stats(rf),
+                                  {"slow", "fast", &slow_machine.memory(),
+                                   &fast_machine.memory()}),
+              d);
     if (d.field == DivergenceField::kNone &&
         (rs.cycles != rf.cycles || rs.icache_misses != rf.icache_misses ||
          rs.dcache_misses != rf.dcache_misses)) {
@@ -300,15 +267,9 @@ OracleResult check_dispatch_program(const std::string& source,
 
     Divergence d;
     d.point_label = point.label;
-    diff_cpu_state(as.final_state, af.final_state, d);
-    if (d.field == DivergenceField::kNone) {
-      diff_memory(slow_sys.memory(), fast_sys.memory(), d);
-    }
-    if (d.field == DivergenceField::kNone && as.instructions != af.instructions) {
-      d.field = DivergenceField::kRetiredCount;
-      d.detail = "retired instructions: slow " + u64(as.instructions) + " vs fast " +
-                 u64(af.instructions);
-    }
+    take_diff(accel::compare_runs(as, af,
+                                  {"slow", "fast", &slow_sys.memory(), &fast_sys.memory()}),
+              d);
     if (d.field == DivergenceField::kNone && as.cycles != af.cycles) {
       d.field = DivergenceField::kCycles;
       d.detail = "cycles: slow " + u64(as.cycles) + " vs fast " + u64(af.cycles);
@@ -344,9 +305,7 @@ OracleResult check_dispatch_program(const std::string& source,
 
     if (d.field != DivergenceField::kNone) {
       d.found = true;
-      const std::vector<obs::Event>& events = fast_sink.events();
-      const size_t keep = std::min(options.event_context, events.size());
-      d.recent_events.assign(events.end() - static_cast<ptrdiff_t>(keep), events.end());
+      d.recent_events = tail(fast_sink.events(), options.event_context);
       result.divergence = std::move(d);
       return result;
     }
@@ -358,91 +317,52 @@ OracleResult check_program(const std::string& source,
                            const std::vector<MatrixPoint>& matrix,
                            const OracleOptions& options) {
   OracleResult result;
-
   asmblr::Program program;
-  try {
-    program = asmblr::assemble(source);
-  } catch (const std::exception& e) {
-    result.inconclusive = true;
-    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
-    return result;
-  }
+  if (!assemble_into(source, program, result)) return result;
 
   sim::MachineConfig machine;
   machine.max_instructions = options.max_instructions;
   sim::Machine baseline(program, machine);
-  const sim::RunResult base = baseline.run();
-  if (base.hit_limit) {
-    result.inconclusive = true;
-    result.inconclusive_reason =
-        "baseline hit the instruction limit (" + u64(machine.max_instructions) + ")";
-    return result;
-  }
+  const accel::AccelStats base = accel::baseline_as_stats(baseline.run());
+  const std::string limit = u64(machine.max_instructions);
 
   for (const MatrixPoint& point : matrix) {
-    obs::RecordingSink sink;
     accel::SystemConfig config = point.config;
     config.machine = machine;
-    config.event_sink = &sink;
     config.fault = options.fault;
     accel::AcceleratedSystem system(program, config);
     const accel::AccelStats accel = system.run();
+    const accel::RunComparison c = accel::compare_runs(
+        base, accel, {"baseline", "accelerated", &baseline.memory(), &system.memory()});
+    if (c.transparent()) continue;
 
     Divergence d;
+    d.found = true;
     d.point_label = point.label;
-    if (accel.hit_limit) {
-      // The baseline halted (checked above), so a limited accelerated run
-      // IS an architecturally visible difference — it never terminates.
-      d.field = DivergenceField::kTermination;
-      d.detail = "baseline halted after " + u64(base.instructions) +
-                 " instructions; accelerated still running at the limit (" +
-                 u64(machine.max_instructions) + ")";
-    } else if (base.state.output != accel.final_state.output) {
-      d.field = DivergenceField::kOutput;
-      d.detail = "program output differs: baseline \"" + base.state.output +
-                 "\" vs accelerated \"" + accel.final_state.output + "\"";
-    } else {
-      for (size_t r = 0; r < base.state.regs.size(); ++r) {
-        if (base.state.regs[r] != accel.final_state.regs[r]) {
-          d.field = DivergenceField::kRegister;
-          d.detail = "register $" + std::to_string(r) + ": baseline " +
-                     hex32(base.state.regs[r]) + " vs accelerated " +
-                     hex32(accel.final_state.regs[r]);
-          break;
-        }
-      }
-      if (d.field == DivergenceField::kNone &&
-          (base.state.hi != accel.final_state.hi ||
-           base.state.lo != accel.final_state.lo)) {
-        d.field = DivergenceField::kHiLo;
-        d.detail = "hi/lo: baseline " + hex32(base.state.hi) + "/" +
-                   hex32(base.state.lo) + " vs accelerated " +
-                   hex32(accel.final_state.hi) + "/" + hex32(accel.final_state.lo);
-      }
-      if (d.field == DivergenceField::kNone) {
-        const auto addr = baseline.memory().first_difference(system.memory());
-        if (addr.has_value()) {
-          d.field = DivergenceField::kMemory;
-          d.detail = "memory byte at " + hex32(*addr) + ": baseline " +
-                     hex32(baseline.memory().read8(*addr)) + " vs accelerated " +
-                     hex32(system.memory().read8(*addr));
-        }
-      }
-      if (d.field == DivergenceField::kNone && base.instructions != accel.instructions) {
-        d.field = DivergenceField::kRetiredCount;
-        d.detail = "retired instructions: baseline " + u64(base.instructions) +
-                   " vs accelerated " + u64(accel.instructions);
-      }
+    take_diff(c, d);
+    if (d.field == DivergenceField::kTermination) {
+      d.detail = base.final_state.halted
+                     ? "baseline halted after " + u64(base.instructions) +
+                           " instructions; accelerated still running at the limit (" +
+                           limit + ")"
+                     : "accelerated halted after " + u64(accel.instructions) +
+                           " instructions; baseline still running at the limit (" +
+                           limit + ")";
     }
-
-    if (d.field != DivergenceField::kNone) {
-      d.found = true;
-      const std::vector<obs::Event>& events = sink.events();
-      const size_t keep = std::min(options.event_context, events.size());
-      d.recent_events.assign(events.end() - static_cast<ptrdiff_t>(keep), events.end());
-      result.divergence = std::move(d);
-      return result;
-    }
+    // Detection runs without a sink; events are observation-only, so this
+    // re-run of the diverging point retires the same stream.
+    obs::RecordingSink sink;
+    config.event_sink = &sink;
+    accel::run_accelerated(program, config);
+    d.recent_events = tail(sink.events(), options.event_context);
+    result.divergence = std::move(d);
+    return result;
+  }
+  if (!base.final_state.halted) {
+    // No point halted either (that would have diverged): the cut-off
+    // states make no claim.
+    result.inconclusive = true;
+    result.inconclusive_reason = "baseline hit the instruction limit (" + limit + ")";
   }
   return result;
 }

@@ -3,12 +3,13 @@
 // The paper's contract: a run with DIM + the reconfigurable array must be
 // architecturally indistinguishable from the plain Minimips pipeline. The
 // oracle enforces that for one program across a matrix of system
-// configurations (array shape x rcache size/policy x speculation depth):
-// for each point it diffs program output, every general register, HI/LO,
-// the full memory image (byte-precise, via mem::Memory::first_difference),
-// retired-instruction count, and termination, and reports the first
-// divergence together with the tail of the configuration-lifecycle event
-// stream (obs/) as debugging context.
+// configurations (array shape x rcache size/policy x speculation depth).
+// Each point is judged by accel::compare_runs, the one transparency
+// verdict: termination, program output, every general register, the PC,
+// HI/LO, the full memory image (byte-precise, via
+// mem::Memory::first_difference) and the retired-instruction count. The
+// first divergence is reported together with the tail of the
+// configuration-lifecycle event stream (obs/) as debugging context.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,11 @@ std::vector<MatrixPoint> full_matrix();
 std::vector<MatrixPoint> quick_matrix();
 
 enum class DivergenceField : uint8_t {
+  // The architectural fields: accel::RunField's values, in its order.
   kNone = 0,
   kTermination,   // one side halted, the other hit the instruction limit
   kOutput,        // syscall output bytes differ
-  kRegister,      // a general register differs (detail names the first)
+  kRegister,      // a general register or the PC differs (detail names it)
   kHiLo,
   kMemory,        // memory images differ (detail has the first address)
   kRetiredCount,  // committed instruction counts differ
@@ -69,30 +71,34 @@ struct OracleOptions {
 };
 
 struct OracleResult {
-  // True when no verdict is possible: the source failed to assemble or
-  // both sides hit the instruction limit (equal-cutoff states are not
-  // comparable). Inconclusive candidates count as "no divergence".
+  // True when no verdict is possible: the source failed to assemble, or
+  // no point diverged and at some point neither side halted (two cut-off
+  // states make no claim). Inconclusive candidates count as "no
+  // divergence".
   bool inconclusive = false;
   std::string inconclusive_reason;
   Divergence divergence;  // divergence.found == false: transparent everywhere
 };
 
 // Runs `source` on the baseline machine once and on the accelerated system
-// at every matrix point, stopping at the first diverging point.
+// at every matrix point, stopping at the first divergent point. Points run
+// without an event sink; only the divergent one is run again with a
+// recording sink for its event tail.
 OracleResult check_program(const std::string& source,
                            const std::vector<MatrixPoint>& matrix,
                            const OracleOptions& options = {});
 
 // Differential gate for the superblock trace dispatch (sim/trace_cache.hpp):
 // runs `source` with host_trace_dispatch on and off and requires the two
-// runs to be BIT-IDENTICAL — first on the plain Machine (registers, HI/LO,
-// output, memory bytes, retired count, cycles, memory-access count), then
-// on the accelerated system at every matrix point (final state, memory,
-// the full stats JSON, and the stamped obs event stream). Unlike
-// check_program, hitting the instruction limit is not inconclusive: both
-// sides must stop at the same instruction in the same state, so limited
-// runs are compared like any other. The divergence's point_label is
-// "machine" for the baseline comparison, the matrix label otherwise.
+// runs to be BIT-IDENTICAL — first on the plain Machine (compare_runs'
+// fields, then cycles and memory-access count), then on the accelerated
+// system at every matrix point (compare_runs' fields, cycles, the full
+// stats JSON, and the stamped obs event stream). Unlike check_program,
+// hitting the instruction limit is not inconclusive: both sides must stop
+// at the same instruction in the same state, so any field compare_runs
+// names is a divergence, whatever its verdict. The divergence's
+// point_label is "machine" for the baseline comparison, the matrix label
+// otherwise.
 OracleResult check_dispatch_program(const std::string& source,
                                     const std::vector<MatrixPoint>& matrix,
                                     const OracleOptions& options = {});

@@ -143,23 +143,16 @@ void Memory::restore_pages(std::vector<std::pair<uint32_t, std::vector<uint8_t>>
 }
 
 std::optional<uint32_t> Memory::first_difference(const Memory& other) const {
-  std::map<uint32_t, const Page*> mine, theirs;
-  for (const auto& [key, page] : pages_) mine.emplace(key, &page);
-  for (const auto& [key, page] : other.pages_) theirs.emplace(key, &page);
-
-  auto page_byte = [](const Page* p, uint32_t off) -> uint8_t {
-    return p == nullptr ? 0 : (*p)[off];
-  };
-
+  static const Page kZeroPage(kPageSize, 0);
   std::map<uint32_t, std::pair<const Page*, const Page*>> keys;
-  for (const auto& [key, page] : mine) keys[key].first = page;
-  for (const auto& [key, page] : theirs) keys[key].second = page;
+  for (const auto& [key, page] : pages_) keys[key].first = &page;
+  for (const auto& [key, page] : other.pages_) keys[key].second = &page;
   for (const auto& [key, pair] : keys) {
-    for (uint32_t off = 0; off < kPageSize; ++off) {
-      if (page_byte(pair.first, off) != page_byte(pair.second, off)) {
-        return (key << kPageBits) | off;
-      }
-    }
+    const Page& mine = pair.first != nullptr ? *pair.first : kZeroPage;
+    const Page& theirs = pair.second != nullptr ? *pair.second : kZeroPage;
+    if (std::memcmp(mine.data(), theirs.data(), kPageSize) == 0) continue;
+    const auto off = std::mismatch(mine.begin(), mine.end(), theirs.begin()).first - mine.begin();
+    return (key << kPageBits) | static_cast<uint32_t>(off);
   }
   return std::nullopt;
 }

@@ -71,14 +71,16 @@ class Memory {
     watch_hi_ = std::max(watch_hi_, hi);
   }
 
-  // Content hash over all allocated pages — used by the transparency
-  // property tests to compare baseline vs accelerated final memory state.
+  // Content hash over all allocated pages: the final memory state that a
+  // run's statistics carry (AccelStats::memory_hash), which the
+  // transparency verdict compares when it has no memories at hand.
   uint64_t content_hash() const;
 
   // Lowest address whose byte differs from `other` (pages absent on one
-  // side compare as zero), or nullopt when the images are identical. Used
-  // by the differential fuzzer to pinpoint a memory divergence instead of
-  // just reporting mismatching hashes.
+  // side compare as zero), or nullopt when the images are identical. The
+  // transparency verdict uses it when given both memories (the fuzz
+  // oracles), to pinpoint a memory divergence instead of just reporting
+  // mismatching hashes.
   std::optional<uint32_t> first_difference(const Memory& other) const;
 
   // Sparse-page iteration for serialization: every allocated page as

@@ -213,13 +213,9 @@ void Executor::execute_direct(const Job& job, const asmblr::Program& program) {
     machine.max_instructions = std::min(machine.max_instructions, req.budget);
     resp.baseline = accel::baseline_as_stats(program, machine);
     resp.has_baseline = true;
-    // Transparency is only a meaningful verdict when both sides finished.
-    resp.transparent =
-        !resp.halted || !resp.baseline.final_state.halted
-            ? resp.halted == resp.baseline.final_state.halted
-            : resp.accelerated.final_state.output ==
-                      resp.baseline.final_state.output &&
-                  resp.accelerated.memory_hash == resp.baseline.memory_hash;
+    // Two runs cut at the budget make no claim (inconclusive is not a
+    // violation); a run that halted on one side only is divergent.
+    resp.transparent = accel::compare_runs(resp.baseline, resp.accelerated).transparent();
   }
 
   std::ostringstream out;

@@ -22,7 +22,6 @@ struct CellData {
   accel::AccelStats accelerated;
   bool has_baseline = false;
   accel::AccelStats baseline;
-  bool transparent = true;
   bool has_profile = false;
   obs::ProfileTable profile;
 };
@@ -34,7 +33,9 @@ CellData parse_cell(const std::vector<uint8_t>& payload) {
   stats_fields(r, d.accelerated);
   r.boolean(d.has_baseline);
   if (d.has_baseline) stats_fields(r, d.baseline);
-  r.boolean(d.transparent);
+  // The verdict stays in the layout, but load derives it from the stats.
+  bool stored_transparent = true;
+  r.boolean(stored_transparent);
   r.boolean(d.has_profile);
   if (d.has_profile) profile_fields(r, d.profile);
   // Optional execution-mode counter block (accelerated stats only; a
@@ -107,17 +108,17 @@ bool ResultStore::load(const accel::SweepPoint& point, bool collect_profiles,
   out.accelerated = cell.accelerated;
   out.has_baseline = cell.has_baseline;
   out.baseline = cell.baseline;
-  out.transparent = cell.transparent;
   out.has_profile = cell.has_profile;
   out.profile = std::move(cell.profile);
+  // A live baseline is re-attached. Either way the verdict is derived from
+  // the stats, exactly as the worker derives it; the stored flag is not
+  // trusted.
   if (point.baseline != nullptr) {
-    // Live baseline: re-attach it and re-derive the transparency verdict,
-    // exactly as the worker would have.
     out.baseline = *point.baseline;
     out.has_baseline = true;
-    out.transparent =
-        out.accelerated.final_state.output == out.baseline.final_state.output &&
-        out.accelerated.memory_hash == out.baseline.memory_hash;
+  }
+  if (out.has_baseline) {
+    out.transparent = accel::compare_runs(out.baseline, out.accelerated).transparent();
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.hits;

@@ -78,6 +78,41 @@ TEST(FuzzOracle, RejectsUnassemblableSource) {
   EXPECT_FALSE(r.inconclusive_reason.empty());
 }
 
+TEST(FuzzOracle, TerminationDecidesWhenOneSideHalts) {
+  // The loop steps an odd counter by -2, so the plain core never reaches
+  // zero; the planted fault turns the step into -1 on the array, so the
+  // accelerated run halts. One halted side is a divergence; two runs cut
+  // at the limit make no claim.
+  const char* source = R"(
+main:   li $t0, 1001
+loop:   addiu $t0, $t0, -2
+        addu $t1, $t1, $t0
+        xor $t2, $t1, $t0
+        addu $t3, $t2, $t1
+        bnez $t0, loop
+        li $v0, 10
+        syscall
+)";
+  OracleOptions oracle;
+  oracle.max_instructions = 100000;
+  const std::vector<MatrixPoint> point = {quick_matrix().front()};
+  const OracleResult clean = check_program(source, point, oracle);
+  EXPECT_TRUE(clean.inconclusive);
+  EXPECT_FALSE(clean.divergence.found);
+  EXPECT_EQ(clean.inconclusive_reason, "baseline hit the instruction limit (100000)");
+
+  oracle.fault = bt::FaultInjection::kAddiuImmOffByOne;
+  const OracleResult faulted = check_program(source, point, oracle);
+  EXPECT_FALSE(faulted.inconclusive);
+  ASSERT_TRUE(faulted.divergence.found);
+  EXPECT_EQ(faulted.divergence.field, DivergenceField::kTermination);
+  EXPECT_NE(faulted.divergence.detail.find(
+                "; baseline still running at the limit (100000)"),
+            std::string::npos)
+      << faulted.divergence.detail;
+  EXPECT_FALSE(faulted.divergence.recent_events.empty());
+}
+
 TEST(FuzzOracle, MatrixAxes) {
   // 18 base points, each again with predication + residency ("…/pred") and
   // under elastic ("…/elastic"). Residency is on exactly at the "/pred"
@@ -250,6 +285,26 @@ TEST(FuzzCampaign, PlantedFaultIsFoundAndShrunk) {
   EXPECT_TRUE(replayed.divergence.found);
 }
 
+TEST(FuzzCampaign, ReproReplayLineNamesTheOracle) {
+  // A dispatch reproducer must replay through the dispatch oracle.
+  CampaignFailure f;
+  f.seed = 3;
+  f.program = generate_program(3);
+  f.shrunk_program = f.program;
+  f.divergence.found = true;
+  f.divergence.point_label = "machine";
+  f.divergence.field = DivergenceField::kCycles;
+  f.divergence.detail = "cycles: slow 1 vs fast 2";
+  std::ostringstream dispatch;
+  std::ostringstream transparency;
+  write_repro_file(dispatch, f, OracleOptions{}, check_dispatch_program);
+  write_repro_file(transparency, f, OracleOptions{});
+  EXPECT_NE(dispatch.str().find("# replay: dimsim-fuzz --replay <this file> --cmp-dispatch\n"),
+            std::string::npos);
+  EXPECT_NE(transparency.str().find("# replay: dimsim-fuzz --replay <this file>\n"),
+            std::string::npos);
+}
+
 TEST(FuzzCampaign, SubuSwapFaultIsDetectable) {
   // The second planted fault hits a rarer op; give it a larger budget but
   // skip shrinking to keep the test cheap.
@@ -293,13 +348,13 @@ TEST(FuzzDispatch, CampaignWithSmcIsCleanAndThreadInvariant) {
   options.gen.smc_patch_stores = true;
 
   options.threads = 1;
-  const CampaignResult one = run_dispatch_campaign(options);
+  const CampaignResult one = run_campaign(options, check_dispatch_program);
   EXPECT_TRUE(one.clean()) << one.divergent_seeds << " divergent seeds";
   EXPECT_EQ(one.inconclusive_seeds, 0);
   EXPECT_EQ(one.seeds_run, options.seeds);
 
   options.threads = 4;
-  const CampaignResult four = run_dispatch_campaign(options);
+  const CampaignResult four = run_campaign(options, check_dispatch_program);
   std::ostringstream json_one, json_four;
   write_campaign_json(json_one, one);
   write_campaign_json(json_four, four);
@@ -399,12 +454,12 @@ TEST(FuzzDispatch, HammockCampaignCleanAndThreadInvariant) {
   options.gen.smc_patch_stores = true;
 
   options.threads = 1;
-  const CampaignResult one = run_dispatch_campaign(options);
+  const CampaignResult one = run_campaign(options, check_dispatch_program);
   EXPECT_TRUE(one.clean()) << one.divergent_seeds << " divergent seeds";
   EXPECT_EQ(one.inconclusive_seeds, 0);
 
   options.threads = 4;
-  const CampaignResult four = run_dispatch_campaign(options);
+  const CampaignResult four = run_campaign(options, check_dispatch_program);
   std::ostringstream json_one, json_four;
   write_campaign_json(json_one, one);
   write_campaign_json(json_four, four);

@@ -9,6 +9,7 @@
 #include "bt/translator.hpp"
 #include "rra/array_exec.hpp"
 #include "sim/executor.hpp"
+#include "transparency.hpp"
 
 namespace dim::rra {
 namespace {
@@ -170,13 +171,6 @@ TEST(Predication, ArmRejectsControlFlowAndUnsupportedOps) {
 
 namespace dim::accel {
 namespace {
-
-void expect_transparent(const SpeedupResult& r) {
-  EXPECT_EQ(r.baseline.final_state.output, r.accelerated.final_state.output);
-  EXPECT_EQ(r.baseline.final_state.reg_hash(), r.accelerated.final_state.reg_hash());
-  EXPECT_EQ(r.baseline.memory_hash, r.accelerated.memory_hash);
-  EXPECT_FALSE(r.accelerated.hit_limit);
-}
 
 // A hot loop with a data-dependent diamond in the body: the branch
 // alternates every iteration, so the bimodal gate never saturates in the

@@ -195,6 +195,56 @@ TEST(ResultStore, LiveBaselineIsReattachedOnHit) {
   EXPECT_EQ(sweep_json(results), want);
 }
 
+// A translator fault whose only trace is one register: the subu result is
+// neither printed nor stored, so output and memory agree and only the
+// register file tells the runs apart. The sweep and a reload of the same
+// point from the store must both report it.
+TEST(ResultStore, RegisterOnlyDivergenceIsNotTransparent) {
+  const asmblr::Program program = asmblr::assemble(R"(
+main:   li $s0, 0
+        li $s1, 200
+        li $s2, 7
+loop:   subu $t0, $s2, $s0
+        addiu $s0, $s0, 1
+        addu $t1, $s0, $s1
+        addu $t2, $t1, $s2
+        xor $t3, $t2, $s0
+        bne $s0, $s1, loop
+        li $v0, 10
+        syscall
+)");
+  accel::SystemConfig config = accel::SystemConfig::with(rra::ArrayShape::config2(), 64, false);
+  config.fault = bt::FaultInjection::kSubuSwapOperands;
+  const accel::AccelStats live_baseline = accel::baseline_as_stats(program, config.machine);
+
+  accel::SweepPoint carried;  // the cell carries the baseline
+  carried.label = "carried";
+  carried.program = &program;
+  carried.config = config;
+  carried.run_baseline = true;
+  accel::SweepPoint live = carried;  // the baseline is re-attached on load
+  live.label = "live";
+  live.baseline = &live_baseline;
+  live.run_baseline = false;
+
+  const std::string dir = fresh_dir("resultstore-register-only");
+  snap::ResultStore store(dir);
+  accel::SweepOptions opts;
+  opts.threads = 1;
+  opts.result_cache = &store;
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then every point loaded
+    const auto results = accel::SweepEngine(opts).run({carried, live});
+    ASSERT_EQ(results.size(), 2u);
+    for (const accel::SweepResult& r : results) {
+      EXPECT_EQ(r.accelerated.final_state.output, r.baseline.final_state.output);
+      EXPECT_EQ(r.accelerated.memory_hash, r.baseline.memory_hash);
+      EXPECT_NE(r.accelerated.final_state.regs[8], r.baseline.final_state.regs[8]);
+      EXPECT_FALSE(r.transparent) << r.label << " pass " << pass;
+    }
+  }
+  EXPECT_EQ(store.counters().hits, 2u);
+}
+
 TEST(ResultStore, UnusableDirectoryThrowsIo) {
   const fs::path file = fs::path(::testing::TempDir()) / "dimsim-rs-blocker";
   std::ofstream(file).put('x');

@@ -12,6 +12,7 @@
 #include "obs/event.hpp"
 #include "snap/codec.hpp"
 #include "snap/io.hpp"
+#include "transparency.hpp"
 #include "work/workload.hpp"
 
 namespace dim::accel {
@@ -41,13 +42,6 @@ loop:   sll $t4, $t3, 2
         li $v0, 10
         syscall
 )";
-
-void expect_transparent(const SpeedupResult& r) {
-  EXPECT_EQ(r.baseline.final_state.output, r.accelerated.final_state.output);
-  EXPECT_EQ(r.baseline.final_state.reg_hash(), r.accelerated.final_state.reg_hash());
-  EXPECT_EQ(r.baseline.memory_hash, r.accelerated.memory_hash);
-  EXPECT_FALSE(r.accelerated.hit_limit);
-}
 
 TEST(System, TransparentAndFasterOnLoop) {
   const auto prog = asmblr::assemble(kCountingLoop);
@@ -417,6 +411,100 @@ TEST(System, PreloadIntoASmallerCacheTakesTheOldestEntries) {
   EXPECT_EQ(run.final_state.output, straight.final_state.output);
   EXPECT_EQ(run.memory_hash, straight.memory_hash);
   EXPECT_EQ(run.instructions, straight.instructions);
+}
+
+// compare_runs, the one transparency verdict: each compared field differs
+// in turn and is named with both values; one halted side is a termination
+// divergence; two cut-off runs are inconclusive, which is no violation.
+TEST(CompareRuns, VerdictTable) {
+  AccelStats ref;
+  ref.instructions = 100;
+  ref.memory_hash = 0x1234;
+  ref.final_state.halted = true;
+  ref.final_state.output = "42";
+  ref.final_state.regs[5] = 7;
+  ref.final_state.pc = 0x00400010;
+  ref.final_state.hi = 1;
+  ref.final_state.lo = 2;
+  const RunComparison same = compare_runs(ref, ref);
+  EXPECT_EQ(same.verdict, Verdict::kTransparent);
+  EXPECT_EQ(same.field, RunField::kNone);
+  EXPECT_TRUE(same.detail.empty());
+
+  struct Case {
+    void (*mutate)(AccelStats&);
+    RunField field;
+    const char* detail;
+  };
+  const Case cases[] = {
+      {[](AccelStats& s) { s.final_state.output = "43"; }, RunField::kOutput,
+       "program output differs: reference \"42\" vs candidate \"43\""},
+      {[](AccelStats& s) { s.final_state.regs[5] = 8; }, RunField::kRegister,
+       "register $5: reference 0x00000007 vs candidate 0x00000008"},
+      {[](AccelStats& s) { s.final_state.pc += 4; }, RunField::kRegister,
+       "pc: reference 0x00400010 vs candidate 0x00400014"},
+      {[](AccelStats& s) { s.final_state.hi = 9; }, RunField::kHiLo,
+       "hi/lo: reference 0x00000001/0x00000002 vs candidate 0x00000009/0x00000002"},
+      {[](AccelStats& s) { s.final_state.lo = 9; }, RunField::kHiLo,
+       "hi/lo: reference 0x00000001/0x00000002 vs candidate 0x00000001/0x00000009"},
+      {[](AccelStats& s) { s.memory_hash = 0x1235; }, RunField::kMemory,
+       "memory hash: reference 0x0000000000001234 vs candidate 0x0000000000001235"},
+      {[](AccelStats& s) { s.instructions = 101; }, RunField::kRetiredCount,
+       "retired instructions: reference 100 vs candidate 101"},
+      {[](AccelStats& s) { s.final_state.halted = false; }, RunField::kTermination,
+       "halted: reference true vs candidate false"},
+  };
+  for (const Case& c : cases) {
+    AccelStats candidate = ref;
+    c.mutate(candidate);
+    const RunComparison r = compare_runs(ref, candidate);
+    EXPECT_EQ(r.verdict, Verdict::kDivergent) << c.detail;
+    EXPECT_FALSE(r.transparent()) << c.detail;
+    EXPECT_EQ(r.field, c.field) << c.detail;
+    EXPECT_EQ(r.detail, c.detail);
+  }
+
+  // The first differing field is the one named.
+  AccelStats both = ref;
+  both.final_state.regs[5] = 8;
+  both.instructions = 101;
+  EXPECT_EQ(compare_runs(ref, both).field, RunField::kRegister);
+
+  // Termination either way round.
+  AccelStats running = ref;
+  running.final_state.halted = false;
+  running.hit_limit = true;
+  EXPECT_EQ(compare_runs(running, ref).field, RunField::kTermination);
+  EXPECT_EQ(compare_runs(running, ref).verdict, Verdict::kDivergent);
+
+  // Neither halted: inconclusive and not a violation, though the diff
+  // still names what differs.
+  AccelStats other = running;
+  other.final_state.regs[5] = 8;
+  const RunComparison cut = compare_runs(running, other);
+  EXPECT_EQ(cut.verdict, Verdict::kInconclusive);
+  EXPECT_TRUE(cut.transparent());
+  EXPECT_EQ(cut.field, RunField::kRegister);
+  EXPECT_EQ(compare_runs(running, running).verdict, Verdict::kInconclusive);
+  EXPECT_EQ(compare_runs(running, running).field, RunField::kNone);
+}
+
+TEST(CompareRuns, GivenMemoriesComparesBytesNotHashes) {
+  AccelStats ref;
+  ref.final_state.halted = true;
+  AccelStats candidate = ref;
+  candidate.memory_hash = ref.memory_hash + 1;  // ignored once bytes decide
+  mem::Memory a;
+  mem::Memory b;
+  a.write32(0x10000000, 0x11223344);
+  b.write32(0x10000000, 0x11223344);
+  EXPECT_EQ(compare_runs(ref, candidate, {"baseline", "accelerated", &a, &b}).verdict,
+            Verdict::kTransparent);
+  b.write8(0x10000002, 0x55);
+  const RunComparison r = compare_runs(ref, candidate, {"baseline", "accelerated", &a, &b});
+  EXPECT_EQ(r.verdict, Verdict::kDivergent);
+  EXPECT_EQ(r.field, RunField::kMemory);
+  EXPECT_EQ(r.detail, "memory byte at 0x10000002: baseline 0x00000022 vs accelerated 0x00000055");
 }
 
 }  // namespace

@@ -2,18 +2,20 @@
 //
 // Generates seeded structured programs (src/fuzz/generator.hpp), runs each
 // on the plain pipeline and on MIPS+DIM+array across a configuration
-// matrix, diffs the architectural state (registers, HI/LO, memory image,
-// output, retired-instruction count, termination), and delta-debugs any
-// failing program down to a near-minimal reproducer. Campaigns fan out
-// over the SweepEngine worker pool; results — including --json output —
-// are byte-identical for any --threads value.
+// matrix, judges every point with accel::compare_runs (termination,
+// output, registers, PC, HI/LO, memory image, retired-instruction count;
+// a point where neither side halted is inconclusive), and delta-debugs
+// any failing program down to a near-minimal reproducer. Campaigns fan
+// seeds out over a worker pool; results — including --json output — are
+// byte-identical for any --threads value.
 //
-// --cmp-dispatch switches the oracle: instead of accel-vs-baseline
-// transparency, every seed is run with the superblock trace dispatch on
-// and off (sim/trace_cache.hpp) and the two runs must be bit-identical —
-// state, memory, cycles, stats, event streams — on the plain Machine and
-// at every matrix point. SMC-patching programs (--smc) are only legal
-// there. This mode is the merge gate for trace-engine changes.
+// --cmp-dispatch switches the oracle, for campaigns and --replay alike:
+// instead of accel-vs-baseline transparency, every seed is run with the
+// superblock trace dispatch on and off (sim/trace_cache.hpp) and the two
+// runs must be bit-identical — state, memory, cycles, stats, event
+// streams — on the plain Machine and at every matrix point. SMC-patching
+// programs (--smc) are only legal there. This mode is the merge gate for
+// trace-engine changes.
 //
 // Usage:
 //   dimsim-fuzz [--seeds N] [--seed-start K] [--threads N]
@@ -72,9 +74,9 @@ void print_failure(const dim::fuzz::CampaignFailure& f) {
   }
 }
 
-// Replays a reproducer (or any .s file) through the oracle.
+// Replays a reproducer (or any .s file) through the campaign's oracle.
 int replay(const std::string& path, const std::vector<dim::fuzz::MatrixPoint>& matrix,
-           const dim::fuzz::OracleOptions& oracle) {
+           const dim::fuzz::OracleOptions& options, dim::fuzz::Oracle oracle) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -82,14 +84,13 @@ int replay(const std::string& path, const std::vector<dim::fuzz::MatrixPoint>& m
   }
   std::stringstream source;
   source << in.rdbuf();
-  const dim::fuzz::OracleResult r =
-      dim::fuzz::check_program(source.str(), matrix, oracle);
+  const dim::fuzz::OracleResult r = oracle(source.str(), matrix, options);
   if (r.inconclusive) {
     std::fprintf(stderr, "inconclusive: %s\n", r.inconclusive_reason.c_str());
     return 2;
   }
   if (!r.divergence.found) {
-    std::fprintf(stderr, "%s: transparent at every matrix point\n", path.c_str());
+    std::fprintf(stderr, "%s: no divergence at any matrix point\n", path.c_str());
     return 0;
   }
   std::fprintf(stderr, "%s diverged at %s: %s — %s\n", path.c_str(),
@@ -221,8 +222,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const dim::fuzz::Oracle oracle =
+      cmp_dispatch ? dim::fuzz::check_dispatch_program : dim::fuzz::check_program;
   if (!replay_path.empty()) {
-    return replay(replay_path, options.matrix, options.oracle);
+    return replay(replay_path, options.matrix, options.oracle, oracle);
   }
   if (options.seeds <= 0) {
     std::fprintf(stderr, "%s", kUsage);
@@ -235,9 +238,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const dim::fuzz::CampaignResult result = cmp_dispatch
-                                               ? dim::fuzz::run_dispatch_campaign(options)
-                                               : dim::fuzz::run_campaign(options);
+  const dim::fuzz::CampaignResult result = dim::fuzz::run_campaign(options, oracle);
 
   if (json) {
     dim::fuzz::write_campaign_json(std::cout, result);
@@ -255,7 +256,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", repro_path.c_str());
       return 2;
     }
-    dim::fuzz::write_repro_file(out, result.failures.front(), options.oracle);
+    dim::fuzz::write_repro_file(out, result.failures.front(), options.oracle, oracle);
     std::fprintf(stderr, "reproducer written to %s\n", repro_path.c_str());
   }
   return result.clean() ? 0 : 1;
